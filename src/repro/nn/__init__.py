@@ -5,16 +5,16 @@ layers + 3 fully-connected layers, Section 5.1) with the loss of Equation 2.
 This subpackage provides everything needed to do that without an external
 deep-learning dependency:
 
-- :mod:`repro.nn.layers`     -- Module base class and layer zoo (Conv2d via
-  im2col, Linear, ReLU, Tanh, Flatten, BatchNorm2d, Dropout).
+- :mod:`repro.nn.layers`     -- Module base class and layer zoo (Conv2d,
+  Linear, ReLU, Tanh, Flatten, BatchNorm2d, Dropout).
 - :mod:`repro.nn.network`    -- :class:`Sequential` container and
   :class:`PolicyValueNet`, the paper's benchmark network.
 - :mod:`repro.nn.losses`     -- AlphaZero loss (value MSE + policy
   cross-entropy + L2), Equation 2.
 - :mod:`repro.nn.optim`      -- SGD / momentum / Adam optimisers and
   learning-rate schedules.
-- :mod:`repro.nn.functional` -- the vectorised primitives (im2col/col2im,
-  softmax family) that keep the hot paths in BLAS.
+- :mod:`repro.nn.functional` -- the vectorised primitives (the shared
+  channels-last conv gather, softmax family) that keep the hot paths in BLAS.
 - :mod:`repro.nn.infer`      -- the fused float32 inference engine:
   :func:`compile_plan` turns a trained tower into an immutable
   :class:`InferencePlan` (BatchNorm folded, GEMM-ready weights,
@@ -22,7 +22,7 @@ deep-learning dependency:
   default ``predict``/``predict_batch`` path.
 """
 
-from repro.nn.functional import col2im, im2col, log_softmax, softmax
+from repro.nn.functional import log_softmax, softmax
 from repro.nn.infer import InferencePlan, PlanCompileError, compile_plan, ensure_plan
 from repro.nn.layers import (
     BatchNorm2d,
@@ -71,11 +71,9 @@ __all__ = [
     "Sequential",
     "StepLR",
     "Tanh",
-    "col2im",
     "compile_plan",
     "cross_entropy_with_logits",
     "ensure_plan",
-    "im2col",
     "log_softmax",
     "mse",
     "softmax",

@@ -1,9 +1,10 @@
 """Vectorised numerical primitives for the NumPy DNN framework.
 
-Everything here is shape-polymorphic and loop-free on the batch dimension;
-the only Python-level loops are the kh*kw scatter loops in :func:`col2im`
-(9 iterations for a 3x3 kernel), which is the standard trade-off that keeps
-memory bounded while the heavy lifting stays inside BLAS/ufuncs.
+Everything here is shape-polymorphic and loop-free.  :class:`WindowGather`
+is the one convolution gather: the fused inference plan and training's
+:class:`~repro.nn.layers.Conv2d` (forward, and its input gradient as a
+transposed convolution) all run it, so each conv direction is one gather
+plus one big-M GEMM and nothing scatters.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "im2col",
-    "col2im",
+    "WindowGather",
     "conv_out_size",
     "softmax",
     "log_softmax",
@@ -31,61 +31,47 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
-) -> np.ndarray:
-    """Unfold image patches into columns.
+class WindowGather:
+    """Channels-last im2col over fixed buffers: the package's one conv gather.
 
-    Parameters
-    ----------
-    x : (B, C, H, W) input batch.
-
-    Returns
-    -------
-    (B, C*kh*kw, oh*ow) array whose matmul with a (F, C*kh*kw) weight matrix
-    performs the convolution.
+    A call copies an NHWC batch into the zero-bordered *staging* buffer,
+    pixel ``i`` at row/column ``offset + i*dilation`` (pixels landing
+    outside are cropped), then copies every ``kernel x kernel`` window
+    (step ``stride``) into row ``(b, i, j)`` of the ``(B*oh*ow, k*k*C)``
+    column matrix *cols*, K ordered ``(kh, kw, C)``: a conv is then one
+    ``cols @ W(k*k*C, F)`` GEMM.  The caller zeroes *staging* once; only
+    the interior is ever written, so the rest stays the padding (and, for
+    ``dilation > 1``, the zeros a transposed convolution needs).  Views are
+    built once here.
     """
-    if x.ndim != 4:
-        raise ValueError(f"im2col expects (B, C, H, W), got shape {x.shape}")
-    b, c, h, w = x.shape
-    oh = conv_out_size(h, kh, stride, padding)
-    ow = conv_out_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (B, C, H', W', kh, kw) strided view; subsample by stride, no copy yet.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, oh, ow, kh, kw)
-    # -> (B, C, kh, kw, oh, ow) -> (B, C*kh*kw, oh*ow); this transpose copies.
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols)
+
+    __slots__ = ("interior", "crop", "windows", "dst", "cols")
+
+    def __init__(self, x_shape: tuple[int, ...], kernel: int, stride: int, cols: np.ndarray,
+                 staging: np.ndarray, offset: int = 0, dilation: int = 1) -> None:
+        b, h, w, c = x_shape
+        (rows, x_rows), (cs, x_cs) = (_placement(n, staging.shape[axis], offset, dilation)
+                                      for axis, n in ((1, h), (2, w)))
+        self.interior, self.crop = staging[:, rows, cs], (slice(None), x_rows, x_cs)
+        windows = np.lib.stride_tricks.sliding_window_view(staging, (kernel, kernel), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]  # (B, oh, ow, C, k, k)
+        self.windows = windows.transpose(0, 1, 2, 4, 5, 3)
+        self.dst = cols.reshape(b, *windows.shape[1:3], kernel, kernel, c)
+        self.cols = cols
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.interior[...] = x[self.crop]
+        np.copyto(self.dst, self.windows)
+        return self.cols
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
-
-    Used in the convolution backward pass to compute the input gradient.
-    """
-    b, c, h, w = x_shape
-    oh = conv_out_size(h, kh, stride, padding)
-    ow = conv_out_size(w, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    img = np.zeros((b, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(b, c, kh, kw, oh, ow)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            img[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
-    if padding > 0:
-        return img[:, :, padding : padding + h, padding : padding + w]
-    return img
+def _placement(n: int, extent: int, offset: int, dilation: int) -> tuple[slice, slice]:
+    """(staging slice, input slice) placing input pixel ``i`` at
+    ``offset + i*dilation`` and keeping those that land in ``[0, extent)``."""
+    lo = max(0, dilation - 1 - offset) // dilation
+    hi = min(n, (extent - 1 - offset) // dilation + 1)
+    start = offset + lo * dilation
+    return slice(start, start + (hi - lo - 1) * dilation + 1, dilation), slice(lo, hi)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,43 +1,30 @@
 """Fused float32 inference engine: plan compilation over trained towers.
 
-Every evaluator in the system -- serial search, the six parallel schemes,
-the thread engine and the farm's evaluator process -- bottoms out in the
-same pure-NumPy forward pass, and after the PR-2 tree speedups that
-forward *is* the iteration cost (``T_DNN`` in Equations 3-6).  The
-training path cannot change: it needs float64 autodiff with per-layer
-activation caches.  Inference needs none of that, so this module compiles
-a :class:`~repro.nn.layers.Module` tower into an :class:`InferencePlan`,
-an immutable, inference-only executor:
+Every evaluator -- serial search, the parallel schemes, the thread engine
+and the farm's evaluator process -- bottoms out in this forward pass, and
+that forward *is* the iteration cost (``T_DNN`` in Equations 3-6).
+Inference needs no autodiff caches, so this module compiles a
+:class:`~repro.nn.layers.Module` tower into an immutable
+:class:`InferencePlan`:
 
-- **BatchNorm folding** -- at compile time every ``Conv2d -> BatchNorm2d``
-  pair collapses into a single convolution whose weights/bias absorb the
-  (snapshotted) running statistics and affine parameters, so BN costs
-  nothing at run time and inference can never mutate running stats;
-- **float32, GEMM-ready weights** -- conv kernels are cast once and
-  pre-reshaped to ``(k*k*C, F)`` matrices, linear weights pre-transposed,
-  so every layer is one ``np.matmul`` with no per-call ``einsum`` path
-  planning;
-- **channels-last execution** -- activations flow through the plan in
-  NHWC layout, which makes the im2col gather copy contiguous runs of C
-  floats, turns 1x1 head convolutions into plain 2-D GEMMs, and lets the
-  whole batch go through one big-M GEMM per layer (the boundary back to
-  the reference NCHW flatten order is a single tiny head-side transpose);
-- **zero-allocation workspaces** -- im2col columns, padded inputs and all
-  activation temporaries are served from a per-plan arena keyed by input
-  shape, so the steady state allocates nothing beyond the (small) output
-  arrays; arenas are thread-local, making a single plan safe to share
-  across all engine threads;
-- **fused elementwise tails** -- ReLU/Tanh run in place on the GEMM
-  output, and residual blocks execute as conv -> conv -> in-place skip
-  add -> in-place ReLU.
+- **BatchNorm folding** -- each ``Conv2d -> BatchNorm2d`` pair collapses
+  into one convolution over the snapshotted running statistics, so BN is
+  free at run time and inference never mutates it;
+- **float32, GEMM-ready weights** -- conv kernels cast once to
+  ``(k*k*C, F)`` matrices, linear weights pre-transposed;
+- **channels-last execution** -- the same NHWC
+  :class:`~repro.nn.functional.WindowGather` training's ``Conv2d`` runs,
+  one big-M GEMM per layer, 1x1 head convolutions as plain 2-D GEMMs, and
+  one tiny head-side transpose back to the reference flatten order;
+- **zero-allocation workspaces** -- columns, padded inputs and activation
+  temporaries come from thread-local per-plan arenas keyed by input
+  shape, so one plan is safe to share across all engine threads;
+- **fused elementwise tails** -- ReLU/Tanh in place on the GEMM output;
+  residual blocks as conv -> conv -> in-place skip add -> in-place ReLU.
 
-Plans are *immutable snapshots*: weight updates after compilation are
-invisible until a recompile.  :class:`~repro.nn.layers.Module` tracks a
-``weights_version`` (bumped by ``load_state_dict`` and the trainer's SGD
-step) and the networks' ``inference_plan()`` accessor recompiles lazily
-whenever the version moved, so the serving engine, the farm's evaluator
-process and the training pipeline all stay coherent without touching the
-hot path.
+Plans are *immutable snapshots*.  ``Module.weights_version`` (bumped by
+``load_state_dict`` and the trainer's SGD step) makes the networks'
+``inference_plan()`` accessor recompile lazily whenever it moved.
 """
 
 from __future__ import annotations
@@ -47,7 +34,7 @@ import threading
 
 import numpy as np
 
-from repro.nn.functional import conv_out_size, softmax
+from repro.nn.functional import WindowGather, conv_out_size, softmax
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -74,30 +61,33 @@ class PlanCompileError(TypeError):
 class _Workspace:
     """Preallocated float32 buffers for one (batch, spatial) input shape.
 
-    Buffers are keyed by ``(step_id, role)`` so every step writes into its
-    own stable storage; after the first call with a given input shape the
-    executor performs no large allocations.
+    Buffers are keyed by ``(step_id, role)``, except the column and padded
+    input buffers conv steps share; after the first calls with a given
+    input shape the executor performs no large allocations.
     """
 
     __slots__ = ("_bufs", "bound")
 
     def __init__(self) -> None:
         self._bufs: dict[tuple, np.ndarray] = {}
-        #: per-step caches of pre-bound views (padded interiors, strided
-        #: window views, reshaped GEMM operands), so the steady state does
-        #: no per-call view construction either
+        #: per-step pre-bound views (gathers, reshaped GEMM operands), so the
+        #: steady state does no per-call view construction either
         self.bound: dict[int, tuple] = {}
 
     def get(self, key: tuple, shape: tuple[int, ...], zero: bool = False) -> np.ndarray:
         buf = self._bufs.get(key)
         if buf is None or buf.shape != shape:
-            buf = (
-                np.zeros(shape, dtype=np.float32)
-                if zero
-                else np.empty(shape, dtype=np.float32)
-            )
-            self._bufs[key] = buf
+            buf = self._bufs[key] = (np.zeros if zero else np.empty)(shape, dtype=np.float32)
         return buf
+
+    def columns(self, rows: int, width: int) -> np.ndarray:
+        """A view of the column buffer all conv steps share (they run one at
+        a time, so it stays cache-hot); growing it makes every step rebind."""
+        buf = self._bufs.get(("cols",))
+        if buf is None or buf.size < rows * width:
+            buf = self._bufs[("cols",)] = np.empty(rows * width, dtype=np.float32)
+            self.bound.clear()
+        return buf[: rows * width].reshape(rows, width)
 
     @property
     def nbytes(self) -> int:
@@ -111,17 +101,17 @@ class _Workspace:
 
 class _FusedConvStep:
     """``conv (+folded BN) (+ReLU)`` as one GEMM against a pre-reshaped
-    float32 weight matrix, with im2col served from the workspace.
+    float32 weight matrix, its columns gathered by the same
+    :class:`~repro.nn.functional.WindowGather` training's ``Conv2d`` runs,
+    over workspace buffers.
 
     Activations are NHWC, so the column matrix is ``(B*oh*ow, k*k*C)``
     (contiguous C-runs in the gather), the whole batch is one
     ``(B*L, K) @ (K, F)`` GEMM, and a 1x1 convolution needs no gather at
-    all.  All views the kernel needs -- the padded-buffer interior, the
-    strided im2col window view, the 6-D destination view of the column
-    buffer, the GEMM output and its NHWC reshape -- are constructed once
-    per (workspace, input buffer) and cached, so a steady-state call is
-    exactly ``interior-copy, window-gather, GEMM, bias, ReLU`` with no
-    Python-side array bookkeeping.
+    all.  The gather's views, the GEMM output and its NHWC reshape are
+    built once per (workspace, input buffer) and cached, so a steady-state
+    call is exactly ``interior-copy, window-gather, GEMM, bias, ReLU`` with
+    no Python-side array bookkeeping.
     """
 
     __slots__ = ("sid", "w", "b", "kernel", "stride", "padding", "relu", "out_channels")
@@ -150,45 +140,28 @@ class _FusedConvStep:
         every view of them the per-call kernel touches."""
         bsz, h, w, c = x.shape
         k, s, p = self.kernel, self.stride, self.padding
-        oh = conv_out_size(h, k, s, p)
-        ow = conv_out_size(w, k, s, p)
+        oh, ow = (conv_out_size(n, k, s, p) for n in (h, w))
         if k == 1 and s == 1 and p == 0:
             # 1x1 convolution: the NHWC input already is the column matrix
-            interior, win6, dst6 = None, None, None
-            cols = x.reshape(bsz * h * w, c)
+            gather, cols = None, x.reshape(bsz * h * w, c)
         else:
-            if p > 0:
-                # border is zeroed at allocation and never written again;
-                # only the interior view is refreshed per call
-                pad = ws.get(
-                    (self.sid, "pad"), (bsz, h + 2 * p, w + 2 * p, c), zero=True
-                )
-                interior = pad[:, p : p + h, p : p + w, :]
-                src = pad
-            else:
-                interior, src = None, x
-            cols = ws.get((self.sid, "cols"), (bsz * oh * ow, k * k * c))
-            windows = np.lib.stride_tricks.sliding_window_view(
-                src, (k, k), axis=(1, 2)
-            )  # (B, oh', ow', C, k, k)
-            if s > 1:
-                windows = windows[:, ::s, ::s]
-            win6 = windows.transpose(0, 1, 2, 4, 5, 3)  # (B, oh, ow, k, k, C)
-            dst6 = cols.reshape(bsz, oh, ow, k, k, c)
+            # steps with one padding and padded shape share a buffer: each
+            # writes the same interior, so the border stays the initial zeros
+            shape = (bsz, h + 2 * p, w + 2 * p, c)
+            pad = ws.get(("pad", p, *shape), shape, zero=True)
+            cols = ws.columns(bsz * oh * ow, k * k * c)
+            gather = WindowGather(x.shape, k, s, cols, pad, offset=p)
         out = ws.get((self.sid, "out"), (bsz * oh * ow, self.out_channels))
-        return (x, interior, win6, dst6, cols, out, out.reshape(bsz, oh, ow, self.out_channels))
+        return (x, gather, cols, out, out.reshape(bsz, oh, ow, self.out_channels))
 
     def run(self, x: np.ndarray, ws: _Workspace) -> np.ndarray:
         bound = ws.bound.get(self.sid)
         if bound is None or bound[0] is not x:
             bound = self._bind(x, ws)
             ws.bound[self.sid] = bound
-        _, interior, win6, dst6, cols, out, out4 = bound
-        if interior is not None:
-            interior[...] = x
-        if dst6 is not None:
-            # strided gather straight into the preallocated column buffer
-            np.copyto(dst6, win6)
+        _, gather, cols, out, out4 = bound
+        if gather is not None:
+            gather(x)  # pad + strided gather into the preallocated columns
         np.matmul(cols, self.w, out=out)
         out += self.b
         if self.relu:

@@ -1,37 +1,35 @@
 """Layer zoo for the NumPy DNN framework.
 
 Design: explicit ``forward``/``backward`` per layer rather than tape-based
-autodiff.  The network in the paper is a fixed feed-forward graph (shared
-convolutional trunk + two heads), so manual adjoints keep every hot path a
-single BLAS call and make the memory profile predictable -- the property
-the HPC guides emphasise (vectorise, avoid copies, mind the cache).
+autodiff.  The paper's network is a fixed feed-forward graph (shared
+convolutional trunk + two heads), so manual adjoints keep every hot path
+one BLAS call; :class:`Conv2d` trains on the inference plan's
+channels-last gather, in float64.
 
 Conventions
 -----------
 - ``forward(x)`` caches whatever the adjoint needs on ``self``.
 - ``backward(grad_out)`` accumulates parameter gradients into
-  ``Parameter.grad`` (+=, so gradients naturally sum over multiple
-  backward calls until ``zero_grad``) and returns the input gradient.
-- Layers are stateless between ``forward``/``backward`` pairs apart from
-  those caches; a layer instance is therefore *not* safe for concurrent
-  training from multiple threads, matching the paper's single training
-  stream.
+  ``Parameter.grad`` (+=, summing until ``zero_grad``) and returns the
+  input gradient.
+- A layer instance is *not* safe for concurrent training from several
+  threads, matching the paper's single training stream.
 
-Thread safety for *inference* is a different story: evaluators never call
-``forward`` on these layers directly -- they go through the networks'
-``predict``/``predict_batch``, which by default execute a compiled
-:class:`repro.nn.infer.InferencePlan`.  Plans hold immutable float32
-copies of the weights and keep all run-time temporaries in thread-local
-workspaces, so one plan (hence one network) is safe to share across any
-number of search/engine threads.  Only the float64 reference path (and
-training itself) remains single-threaded per module instance.
+Evaluators never call ``forward`` directly: the networks'
+``predict``/``predict_batch`` run a compiled
+:class:`repro.nn.infer.InferencePlan` (immutable float32 weights,
+thread-local workspaces), so one network is safe to share across search
+threads.  Only the float64 reference path and training are
+single-threaded per module instance.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from repro.nn.functional import col2im, conv_out_size, im2col
+from repro.nn.functional import WindowGather, conv_out_size
 from repro.nn.init import he_normal, xavier_uniform, zeros
 from repro.utils.rng import new_rng
 
@@ -264,8 +262,21 @@ class Linear(Module):
         return grad_out @ self.weight.data
 
 
+#: ``.columns``: the buffer every Conv2d on a thread gathers into, grown on
+#: demand; columns live only from a gather to its GEMM, so one serves all layers
+_scratch = threading.local()
+
+
 class Conv2d(Module):
-    """2-D convolution implemented as im2col + GEMM."""
+    """2-D convolution on the inference plan's channels-last kernel.
+
+    NCHW shapes and float64 math outside, NHWC inside: forward is one
+    :class:`~repro.nn.functional.WindowGather` and one big-M GEMM, returning
+    an NCHW-shaped view over NHWC memory (the next conv's NHWC view is
+    free).  Backward computes ``dX`` as a transposed convolution: gather the
+    zero-dilated, zero-padded gradient, then one GEMM against the flipped,
+    transposed kernel, no scatter.  Those columns also give ``dW``.
+    """
 
     def __init__(
         self,
@@ -293,8 +304,32 @@ class Conv2d(Module):
             name="conv.weight",
         )
         self.bias = Parameter(zeros((out_channels,)), name="conv.bias") if bias else None
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        self._x: np.ndarray | None = None
+        # "x" (input) and "g" (gradient) gathers, with per-layer staging buffers
+        self._gathers: dict[str, tuple] = {}
+
+    def _gather(self, role: str, x: np.ndarray, stride: int, pad_hw, offset: int, dilation=1):
+        """Gather NHWC *x* into this thread's column buffer through the
+        *role* gather, rebinding it when the shape or the buffer changed."""
+        k, (b, _, _, c) = self.kernel_size, x.shape
+        rows = b * ((pad_hw[0] - k) // stride + 1) * ((pad_hw[1] - k) // stride + 1)
+        scratch = getattr(_scratch, "columns", None)
+        if scratch is None or scratch.size < rows * k * k * c:
+            scratch = _scratch.columns = np.empty(rows * k * k * c)
+        bound = self._gathers.get(role)
+        if bound is None or bound[0] != x.shape or bound[1] is not scratch:
+            staging = bound[2] if bound and bound[0] == x.shape else np.zeros((b, *pad_hw, c))
+            cols = scratch[: rows * k * k * c].reshape(rows, -1)
+            gather = WindowGather(x.shape, k, stride, cols, staging, offset, dilation)
+            bound = self._gathers[role] = (x.shape, scratch, staging, gather)
+        return bound[3](x)
+
+    def _columns(self, x_nhwc: np.ndarray) -> np.ndarray:
+        b, h, w, c = x_nhwc.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        if k == 1 and s == 1 and p == 0:
+            return x_nhwc.reshape(-1, c)  # the NHWC input is the column matrix
+        return self._gather("x", x_nhwc, s, (h + 2 * p, w + 2 * p), p)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -302,34 +337,35 @@ class Conv2d(Module):
                 f"Conv2d expects (B, {self.in_channels}, H, W), got {x.shape}"
             )
         b, _, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        oh = conv_out_size(h, k, s, p)
-        ow = conv_out_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p)  # (B, C*k*k, oh*ow)
-        self._cols = cols
-        self._x_shape = x.shape
-        w_mat = self.weight.data.reshape(self.out_channels, -1)  # (F, C*k*k)
-        # broadcasting matmul (F,K) @ (B,K,L) -> (B,F,L): straight to BLAS,
-        # no per-call einsum contraction-path planning on the training path
-        out = np.matmul(w_mat, cols)
+        oh, ow = (conv_out_size(n, self.kernel_size, self.stride, self.padding) for n in (h, w))
+        self._x = x
+        cols = self._columns(x.transpose(0, 2, 3, 1))  # free if x came from a conv
+        out = cols @ self.weight.data.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
         if self.bias is not None:
-            out += self.bias.data[None, :, None]
-        return out.reshape(b, self.out_channels, oh, ow)
+            out += self.bias.data
+        return out.reshape(b, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
-        b, f, oh, ow = grad_out.shape
-        g = grad_out.reshape(b, f, oh * ow)  # (B, F, L)
-        # dW = sum_b g_b @ cols_b.T, folded into a single (F, B*L)x(B*L, K)
-        # GEMM by tensordot -- again no einsum path recomputation per step
-        gw = np.tensordot(g, self._cols, axes=([0, 2], [0, 2]))  # (F, K)
-        self.weight.grad += gw.reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2))
-        w_mat = self.weight.data.reshape(f, -1)  # (F, K)
-        grad_cols = np.matmul(w_mat.T, g)  # (K,F) @ (B,F,L) -> (B,K,L)
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate ``dW``/``db``; return ``dX``, or ``None`` when
+        *input_grad* is false (the first conv of a tower: nobody reads it).
+        The gradient columns ``dX`` needs also give ``dW``, as ``xᵀ @ cols``
+        for the flipped kernel, so then x is not gathered again."""
+        assert self._x is not None, "backward before forward"
+        b, f = grad_out.shape[:2]
+        _, c, h, w = self._x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        return col2im(grad_cols, self._x_shape, k, k, s, p)
+        x_nhwc, g_nhwc = self._x.transpose(0, 2, 3, 1), grad_out.transpose(0, 2, 3, 1)
+        if self.bias is not None:
+            self.bias.grad += g_nhwc.sum(axis=(0, 1, 2))
+        if not input_grad:
+            gw = self._columns(x_nhwc).T @ g_nhwc.reshape(-1, f)  # (k*k*C, F)
+            self.weight.grad += gw.reshape(k, k, c, f).transpose(3, 2, 0, 1)
+            return None
+        cols = self._gather("g", g_nhwc, 1, (h + k - 1, w + k - 1), k - 1 - p, s)
+        gw = x_nhwc.reshape(-1, c).T @ cols  # (C, k*k*F), kernel flipped
+        self.weight.grad += gw.reshape(c, k, k, f)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+        w_t = self.weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)  # flipped
+        return (cols @ w_t).reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
 
 class ReLU(Module):

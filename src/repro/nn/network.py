@@ -41,10 +41,15 @@ class Sequential(Module):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """With *input_grad* false the first layer (which must then be a
+        :class:`Conv2d`) skips its input gradient and ``None`` is returned."""
+        *rest, first = reversed(self.layers)
+        for layer in rest:
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if input_grad:
+            return first.backward(grad_out)
+        return first.backward(grad_out, input_grad=False)
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -83,7 +88,7 @@ class FusedInferenceModule(Module):
       mutate BatchNorm running statistics or dropout state.
 
     Training is untouched either way: ``forward``/``backward`` remain the
-    float64 autodiff path.
+    float64 autodiff path (on the same channels-last conv gather).
     """
 
     def __init__(self) -> None:
@@ -265,11 +270,12 @@ class PolicyValueNet(FusedInferenceModule):
         value = self.value_head.forward(h).reshape(-1)
         return NetworkOutput(policy=softmax(logits, axis=-1), value=value, logits=logits)
 
-    def backward(self, grad_logits: np.ndarray, grad_value: np.ndarray) -> np.ndarray:  # type: ignore[override]
-        """Two-headed backward; gradients merge additively at the trunk."""
+    def backward(self, grad_logits: np.ndarray, grad_value: np.ndarray) -> None:  # type: ignore[override]
+        """Two-headed backward; gradients merge additively at the trunk,
+        whose first conv skips the input gradient nobody reads."""
         gh_policy = self.policy_head.backward(grad_logits)
         gh_value = self.value_head.backward(grad_value.reshape(-1, 1))
-        return self.trunk.backward(gh_policy + gh_value)
+        self.trunk.backward(gh_policy + gh_value, input_grad=False)
 
     # predict / predict_batch / save / load come from FusedInferenceModule:
     # fused float32 plan by default, float64 eval-forced reference otherwise.

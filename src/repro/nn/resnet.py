@@ -118,12 +118,13 @@ class ResNetPolicyValueNet(FusedInferenceModule):
         value = self.value_head.forward(h).reshape(-1)
         return NetworkOutput(policy=softmax(logits, axis=-1), value=value, logits=logits)
 
-    def backward(self, grad_logits: np.ndarray, grad_value: np.ndarray) -> np.ndarray:  # type: ignore[override]
+    def backward(self, grad_logits: np.ndarray, grad_value: np.ndarray) -> None:  # type: ignore[override]
+        """Parameter gradients only; the stem conv skips its input gradient."""
         gh = self.policy_head.backward(grad_logits)
         gh = gh + self.value_head.backward(grad_value.reshape(-1, 1))
         for block in reversed(self.blocks):
             gh = block.backward(gh)
-        return self.stem.backward(gh)
+        self.stem.backward(gh, input_grad=False)
 
     # predict / predict_batch / save / load come from FusedInferenceModule;
     # in particular the residual tower now has the vectorised masked

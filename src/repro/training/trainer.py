@@ -57,10 +57,14 @@ class Trainer:
         target_policies: np.ndarray,
         target_values: np.ndarray,
     ) -> LossValue:
-        """Loss without a gradient step (held-out monitoring)."""
+        """Loss without a gradient step (held-out monitoring), in eval mode;
+        the network's previous train/eval mode is restored on exit."""
         net = self.network
+        was_training = net.training
         net.eval()
-        out = net.forward(states)
-        loss = self.loss_fn(out.logits, out.value, target_policies, target_values)
-        net.train()
-        return loss
+        try:
+            out = net.forward(states)
+            return self.loss_fn(out.logits, out.value, target_policies, target_values)
+        finally:
+            if was_training:
+                net.train()

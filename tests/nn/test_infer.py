@@ -415,6 +415,20 @@ class TestWorkspaces:
         assert out.policy.shape == (1, 25)
         assert len(plan._tls.arenas) == cap
 
+    def test_shared_buffers_with_mixed_padding(self):
+        """Conv steps share column and padded-input buffers; a p=0 conv
+        followed by a p=2 conv gives the same padded shape as the p=1
+        stem, and must not read the stem's pixels as its zero border."""
+        from repro.nn.layers import Conv2d
+
+        net = PolicyValueNet(board_size=5, channels=(4, 4, 8), rng=35)
+        net.trunk.layers[2] = Conv2d(4, 4, 3, padding=0, rng=36)  # 5x5 -> 3x3
+        net.trunk.layers[4] = Conv2d(4, 8, 3, padding=2, rng=37)  # 3x3 -> 5x5
+        x = np.random.default_rng(15).random((3, 4, 5, 5))
+        ref = _reference_output(net, x)
+        for _ in range(2):  # first call binds, second runs bound views
+            np.testing.assert_allclose(net.predict(x).policy, ref.policy, **TOL)
+
     def test_outputs_do_not_alias_workspace(self):
         net = PolicyValueNet(board_size=3, channels=(2, 4, 4), rng=32)
         x = np.random.default_rng(9).random((2, 4, 3, 3))

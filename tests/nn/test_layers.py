@@ -21,6 +21,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from tests.conftest import assert_grad_close, numerical_gradient
+from tests.nn.conv_oracle import OracleConv2d
 
 
 def check_input_gradient(layer: Module, x: np.ndarray, tol: float = 1e-5):
@@ -136,6 +137,69 @@ class TestConv2d:
     def test_param_gradients(self):
         conv = Conv2d(2, 2, 3, padding=1, rng=6)
         check_param_gradients(conv, np.random.default_rng(5).random((2, 2, 4, 4)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc_view"])
+    def test_gradient_matrix(self, k, stride, padding, layout):
+        """Input and parameter gradients for every kernel/stride/padding
+        combination, on contiguous NCHW input and on an NCHW-shaped view
+        over NHWC memory (what a preceding conv hands over)."""
+        rng = np.random.default_rng(10 * k + 3 * stride + padding)
+        shape = (2, 3, 5, 6)
+        x = rng.random(shape)
+        if layout == "nhwc_view":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        conv = Conv2d(3, 2, k, stride=stride, padding=padding, rng=k + stride)
+        check_input_gradient(conv, x)
+        check_param_gradients(conv, x)
+
+    def test_matches_oracle(self):
+        """Forward and both gradients agree with the NCHW im2col/col2im
+        oracle, and the output is an NCHW view over NHWC memory."""
+        rng = np.random.default_rng(11)
+        conv = Conv2d(3, 4, 3, stride=2, padding=1, rng=12)
+        oracle = Conv2d(3, 4, 3, stride=2, padding=1, rng=12)
+        oracle.__class__ = OracleConv2d
+        x = rng.random((2, 3, 7, 6))
+        out = conv.forward(x)
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        np.testing.assert_allclose(out, oracle.forward(x), rtol=1e-12)
+        g = rng.random(out.shape)
+        np.testing.assert_allclose(conv.backward(g), oracle.backward(g), rtol=1e-12)
+        np.testing.assert_allclose(conv.weight.grad, oracle.weight.grad, rtol=1e-12)
+        np.testing.assert_allclose(conv.bias.grad, oracle.bias.grad, rtol=1e-12)
+
+    def test_buffers_reused_across_steps(self):
+        """The second step rebinds nothing, and its results are bit-identical
+        to a fresh layer's: reused staging and column buffers leak no state."""
+        conv = Conv2d(2, 3, 3, stride=2, padding=1, rng=13)
+        rng = np.random.default_rng(14)
+        x1, x2 = rng.random((2, 2, 5, 5)), rng.random((2, 2, 5, 5))
+        g = rng.random((2, 3, 3, 3))
+        conv.forward(x1)
+        conv.backward(g)
+        bound = dict(conv._gathers)
+        conv.zero_grad()
+        out, dx = conv.forward(x2), conv.backward(g)
+        assert all(conv._gathers[role][3] is bound[role][3] for role in ("x", "g"))
+        fresh = Conv2d(2, 3, 3, stride=2, padding=1, rng=13)
+        np.testing.assert_array_equal(out, fresh.forward(x2))
+        np.testing.assert_array_equal(dx, fresh.backward(g))
+        np.testing.assert_array_equal(conv.weight.grad, fresh.weight.grad)
+
+    def test_skipped_input_gradient(self):
+        conv = Conv2d(2, 3, 3, padding=1, rng=15)
+        ref = Conv2d(2, 3, 3, padding=1, rng=15)
+        x = np.random.default_rng(16).random((2, 2, 4, 4))
+        g = np.random.default_rng(17).random((2, 3, 4, 4))
+        conv.forward(x)
+        assert conv.backward(g, input_grad=False) is None
+        ref.forward(x)
+        ref.backward(g)
+        np.testing.assert_array_equal(conv.weight.grad, ref.weight.grad)
+        np.testing.assert_array_equal(conv.bias.grad, ref.bias.grad)
 
     def test_bias_broadcast(self):
         conv = Conv2d(1, 2, 1, rng=7)

@@ -52,6 +52,14 @@ class TestTrainer:
         assert trainer.steps == 0
         assert np.isclose(loss1.total, loss2.total)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_loss_restores_mode(self, training):
+        net, trainer = make_trainer(4)
+        net.train() if training else net.eval()
+        trainer.evaluate_loss(*random_batch(seed=4))
+        assert net.training is training
+        assert all(layer.training is training for layer in net.trunk.layers)
+
     def test_batch_mismatch_rejected(self):
         _, trainer = make_trainer(3)
         states, policies, values = random_batch()
