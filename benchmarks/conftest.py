@@ -3,8 +3,10 @@
 Every benchmark regenerates one of the paper's evaluation artifacts
 (Figures 3-7 plus the Section-2.1 profiling claim and the Section-5
 headline speedups) on the simulated paper platform.  Results are printed
-AND written to ``benchmarks/out/`` as both a rendered table and JSON, so
-EXPERIMENTS.md can be refreshed from a single run.
+AND written to the git-ignored ``benchmarks/last_run/`` as both a
+rendered table and JSON, so a test run never modifies a tracked file.
+The tracked tables in ``benchmarks/out/`` change only when they are
+refreshed on purpose, by copying a run's tables over them (see README).
 
 Budget note: the paper uses 1600 playouts per move.  The default here is
 400 to keep the suite interactive; set ``REPRO_FULL_PLAYOUTS=1`` in the
@@ -25,7 +27,7 @@ from repro.mcts.evaluation import UniformEvaluator
 from repro.simulator import paper_platform
 from repro.utils.logging import format_table
 
-OUT_DIR = Path(__file__).parent / "out"
+OUT_DIR = Path(__file__).parent / "last_run"
 
 #: the paper's per-move search budget (Section 5.1) or the fast default
 PLAYOUTS = 1600 if os.environ.get("REPRO_FULL_PLAYOUTS") else 400

@@ -27,6 +27,8 @@ __all__ = ["Player", "Game", "build_network_for"]
 
 Player = int  # +1 or -1
 
+_NO_ACTIONS = np.empty(0, dtype=np.int64)
+
 
 class Game(abc.ABC):
     """Two-player zero-sum perfect-information game interface."""
@@ -34,10 +36,11 @@ class Game(abc.ABC):
     #: number of input feature planes produced by :meth:`encode`
     num_planes: int = 4
 
-    #: memoised :meth:`canonical_key`; :meth:`step` resets it after every
-    #: mutation (class-level default so ``__new__``-style copies start
-    #: un-memoised for free)
+    #: memoised :meth:`canonical_key` and :meth:`legal_actions`; :meth:`step`
+    #: resets both after every mutation and ``copy`` carries them over
+    #: (class-level defaults so ``__new__``-style copies start un-memoised)
     _ckey: tuple | None = None
+    _legal: np.ndarray | None = None
 
     # -- static shape -------------------------------------------------------
     @property
@@ -56,20 +59,38 @@ class Game(abc.ABC):
     def current_player(self) -> Player:
         """Player to move: +1 or -1."""
 
-    @abc.abstractmethod
     def legal_actions(self) -> np.ndarray:
-        """Sorted int array of currently legal action ids."""
+        """Sorted, read-only int array of currently legal action ids.
+
+        Memoised on the instance like :meth:`canonical_key`: a playout
+        asks once for the evaluator's :meth:`legal_mask` and once for
+        expansion, and both get the same array.  It is read-only because
+        copies share it.  Games supply the non-terminal case through
+        :meth:`_compute_legal_actions`.
+        """
+        legal = self._legal
+        if legal is None:
+            legal = _NO_ACTIONS if self.is_terminal else self._compute_legal_actions()
+            legal.flags.writeable = False
+            self._legal = legal
+        return legal
+
+    @abc.abstractmethod
+    def _compute_legal_actions(self) -> np.ndarray:
+        """Legal action ids of a non-terminal state, ascending."""
 
     def step(self, action: int) -> None:
         """Apply *action* in place.  Raises ValueError on illegal moves.
 
         Template method: the game-specific move logic lives in
         :meth:`_apply_step`; invalidating the memoised
-        :meth:`canonical_key` happens here, centrally, so no concrete
-        game can forget it and silently corrupt the evaluation cache.
+        :meth:`canonical_key` and :meth:`legal_actions` happens here,
+        centrally, so no concrete game can forget it and silently
+        corrupt the evaluation cache or the search.
         """
         self._apply_step(action)
         self._ckey = None
+        self._legal = None
 
     @abc.abstractmethod
     def _apply_step(self, action: int) -> None:

@@ -50,9 +50,7 @@ class ConnectFour(Game):
     def last_action(self) -> int | None:
         return self._last[1] if self._last is not None else None
 
-    def legal_actions(self) -> np.ndarray:
-        if self.is_terminal:
-            return np.empty(0, dtype=np.int64)
+    def _compute_legal_actions(self) -> np.ndarray:
         return np.flatnonzero(self.heights < self.rows)
 
     def _apply_step(self, action: int) -> None:
@@ -83,7 +81,8 @@ class ConnectFour(Game):
         clone._player = self._player
         clone._winner = self._winner
         clone._last = self._last
-        clone._ckey = self._ckey  # same state, memo stays valid
+        clone._ckey = self._ckey  # same state, memos stay valid
+        clone._legal = self._legal
         return clone
 
     @property

@@ -62,9 +62,7 @@ class Gomoku(Game):
     def move_count(self) -> int:
         return len(self._moves)
 
-    def legal_actions(self) -> np.ndarray:
-        if self.is_terminal:
-            return np.empty(0, dtype=np.int64)
+    def _compute_legal_actions(self) -> np.ndarray:
         return np.flatnonzero(self.board.ravel() == 0)
 
     def _apply_step(self, action: int) -> None:
@@ -91,7 +89,8 @@ class Gomoku(Game):
         clone._player = self._player
         clone._winner = self._winner
         clone._moves = self._moves.copy()
-        clone._ckey = self._ckey  # same state, memo stays valid
+        clone._ckey = self._ckey  # same state, memos stay valid
+        clone._legal = self._legal
         return clone
 
     @property

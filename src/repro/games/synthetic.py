@@ -73,9 +73,7 @@ class SyntheticTreeGame(Game):
     def current_player(self) -> Player:
         return self._player
 
-    def legal_actions(self) -> np.ndarray:
-        if self.is_terminal:
-            return np.empty(0, dtype=np.int64)
+    def _compute_legal_actions(self) -> np.ndarray:
         return np.arange(self.fanout, dtype=np.int64)
 
     def _apply_step(self, action: int) -> None:
@@ -96,7 +94,8 @@ class SyntheticTreeGame(Game):
         clone.depth = self.depth
         clone._hash = self._hash
         clone._player = self._player
-        clone._ckey = self._ckey  # same state, memo stays valid
+        clone._ckey = self._ckey  # same state, memos stay valid
+        clone._legal = self._legal
         return clone
 
     @property

@@ -13,6 +13,14 @@ just an integer row; the children of a node are a *contiguous* row range
 ``child_start``/``child_count`` slice the node arrays directly and
 Equation-1 selection is one vectorised expression plus one ``np.argmax``
 -- no ``sorted()`` allocation, no per-child ``effective_stats`` calls.
+Virtual-loss policies score a slab through
+:meth:`~repro.mcts.virtual_loss.VirtualLossPolicy.effective_stats_arrays`;
+under :class:`~repro.mcts.virtual_loss.NoVirtualLoss` (serial search,
+the hottest caller) :meth:`ArrayTree.select_to_leaf` instead runs an
+inlined descent over the raw columns, with no policy calls and no
+virtual-loss reads.  Both forms take Q as ``value_sum / max(N, 1)``,
+which is bitwise the masked ``N > 0 ? W / N : 0`` because an unvisited
+row's ``value_sum`` is exactly ``0.0``.
 
 Sign convention (carried over from :mod:`repro.mcts.node`, important!):
 ``value_sum`` / Q are from the perspective of **the player who moved into
@@ -293,6 +301,8 @@ class ArrayTree:
         the path.  Returns ``(leaf_row, path_length)``.
         """
         vl = vl_policy or _NO_VL
+        if type(vl) is NoVirtualLoss:
+            return self._select_to_leaf_no_vl(idx, game, c_puct)
         amount = vl.descend_amount
         node = idx
         depth = 0
@@ -304,6 +314,35 @@ class ArrayTree:
             depth += 1
             if apply_virtual_loss and amount:
                 self.virtual_loss[node] += amount
+            if game.is_terminal:
+                self.mark_terminal(node, game.terminal_value)
+        return node, depth
+
+    def _select_to_leaf_no_vl(
+        self, node: int, game: "Game", c_puct: float
+    ) -> tuple[int, int]:
+        """:meth:`select_to_leaf` under :class:`NoVirtualLoss`, inlined.
+
+        Equation 1 with no virtual-loss terms: the parent total is
+        ``max(N - 1, 0)`` floored at 1 and the child stats are the raw
+        columns, so this performs the same float64 operations in the same
+        order as :meth:`_child_scores` -- bit-identical scores -- without
+        the policy calls and the virtual-loss reads.  Skipping the parent's
+        virtual-loss counter is exact because a tree searched under this
+        policy never carries any (its ``descend_amount`` is 0).
+        """
+        depth = 0
+        while self.child_count[node] != 0 and not self.is_terminal_flag[node]:
+            start = int(self.child_start[node])
+            sl = slice(start, start + int(self.child_count[node]))
+            n = self.visit_count[sl]
+            sqrt_parent = math.sqrt(max(int(self.visit_count[node]) - 1, 1))
+            scores = self.value_sum[sl] / np.maximum(n, 1) + (
+                c_puct * self.prior[sl] * sqrt_parent / (1.0 + n)
+            )
+            node = start + int(scores.argmax())
+            game.step(int(self.action[node]))
+            depth += 1
             if game.is_terminal:
                 self.mark_terminal(node, game.terminal_value)
         return node, depth

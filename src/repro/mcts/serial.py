@@ -8,7 +8,8 @@ visit distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +26,56 @@ from repro.mcts.search import (
     select_leaf,
 )
 from repro.utils.rng import new_rng
-from repro.utils.timing import AmortizedStats, Timer
 
-__all__ = ["SearchStats", "SerialMCTS"]
+__all__ = ["PhaseTime", "SearchStats", "SerialMCTS"]
+
+
+@dataclass(frozen=True)
+class PhaseTime:
+    """One search phase's wall time over its operation count."""
+
+    total_ns: int
+    operations: int
+
+    @property
+    def total_time(self) -> float:
+        return self.total_ns * 1e-9
+
+    @property
+    def amortized(self) -> float:
+        """Total time divided by operation count: the paper's amortized
+        per-playout latency (Section 5.3)."""
+        return self.total_time / self.operations if self.operations else 0.0
 
 
 @dataclass
 class SearchStats:
-    """Per-phase timing collected during search (feeds the profiler)."""
+    """Per-phase wall time collected during search (feeds the profiler).
 
-    select: AmortizedStats = field(default_factory=AmortizedStats)
-    evaluate: AmortizedStats = field(default_factory=AmortizedStats)
-    backup: AmortizedStats = field(default_factory=AmortizedStats)
+    Plain integer ``perf_counter_ns`` totals and counts, bumped from one
+    clock read per phase boundary.  ``evaluate`` is the paper's Node
+    Expansion & Evaluation phase and counts only non-terminal leaves;
+    ``select`` and ``backup`` run once per playout.
+    """
+
+    select_ns: int = 0
+    evaluate_ns: int = 0
+    backup_ns: int = 0
+    evaluations: int = 0
     playouts: int = 0
     total_path_length: int = 0
+
+    @property
+    def select(self) -> PhaseTime:
+        return PhaseTime(self.select_ns, self.playouts)
+
+    @property
+    def evaluate(self) -> PhaseTime:
+        return PhaseTime(self.evaluate_ns, self.evaluations)
+
+    @property
+    def backup(self) -> PhaseTime:
+        return PhaseTime(self.backup_ns, self.playouts)
 
     @property
     def mean_path_length(self) -> float:
@@ -132,23 +169,25 @@ class SerialMCTS:
         return action_prior_from_root(root, game.action_size)
 
     def _playout(self, root: Node, game: Game) -> None:
-        with Timer() as t_sel:
-            leaf, game, depth = select_leaf(
-                root, game, self.c_puct, apply_virtual_loss=False
-            )
-        self.stats.select.record(t_sel.elapsed)
-        self.stats.total_path_length += depth
+        stats = self.stats
+        t0 = time.perf_counter_ns()
+        leaf, game, depth = select_leaf(
+            root, game, self.c_puct, apply_virtual_loss=False
+        )
+        t1 = time.perf_counter_ns()
+        stats.select_ns += t1 - t0
+        stats.total_path_length += depth
 
         if leaf.is_terminal:
             value = leaf.terminal_value
             assert value is not None
         else:
-            with Timer() as t_eval:
-                evaluation = self.evaluator.evaluate(game)
-            self.stats.evaluate.record(t_eval.elapsed)
-            value = expand(leaf, game, evaluation)
+            value = expand(leaf, game, self.evaluator.evaluate(game))
+            t2 = time.perf_counter_ns()
+            stats.evaluate_ns += t2 - t1
+            stats.evaluations += 1
+            t1 = t2
 
-        with Timer() as t_back:
-            backup(leaf, value)
-        self.stats.backup.record(t_back.elapsed)
-        self.stats.playouts += 1
+        backup(leaf, value)
+        stats.backup_ns += time.perf_counter_ns() - t1
+        stats.playouts += 1

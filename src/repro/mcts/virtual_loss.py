@@ -26,7 +26,13 @@ one at a time, so every policy additionally exposes a vectorised face:
 - :attr:`descend_amount` -- the constant added to a node's virtual-loss
   counter per in-flight traversal (0 disables VL bookkeeping entirely);
 - :meth:`effective_stats_arrays` -- :meth:`effective_stats` over whole
-  child slices at once;
+  child slices at once.  Q is ``value_sum / max(N, 1)``: only backup
+  writes ``value_sum``, and it bumps ``N`` too, so an unvisited row's
+  sum is exactly ``0.0`` and the quotient equals the masked
+  ``N > 0 ? W / N : 0`` bit for bit without a mask or a zeroed buffer.
+  The effective visit count may come back as the int64 column itself;
+  Equation 1's ``1.0 + n`` promotes it exactly.  Constant VL keeps the
+  masked divide, because its ``N + VL`` can lie in (0, 1);
 - :meth:`parent_visit_total` -- the Equation-1 sqrt numerator derived
   from the *parent's own* counters instead of a per-child sum (every
   visit to an expanded non-terminal node except the one that expanded it
@@ -121,10 +127,7 @@ class NoVirtualLoss(VirtualLossPolicy):
         value_sum: np.ndarray,
         virtual_loss: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = visit_count.astype(np.float64)
-        q = np.zeros_like(n)
-        np.divide(value_sum, n, out=q, where=n > 0)
-        return n, q
+        return visit_count, value_sum / np.maximum(visit_count, 1)
 
 
 class ConstantVirtualLoss(VirtualLossPolicy):
@@ -224,7 +227,4 @@ class WUVirtualLoss(VirtualLossPolicy):
         value_sum: np.ndarray,
         virtual_loss: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = visit_count.astype(np.float64)
-        q = np.zeros_like(n)
-        np.divide(value_sum, n, out=q, where=n > 0)
-        return n + virtual_loss, q
+        return visit_count + virtual_loss, value_sum / np.maximum(visit_count, 1)

@@ -1,18 +1,14 @@
-"""Shared utilities: seeded RNG plumbing, clocks, timing helpers, logging."""
+"""Shared utilities: seeded RNG plumbing, clocks, logging."""
 
 from repro.utils.clock import WALL_CLOCK, Clock, VirtualClock, WallClock
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
-from repro.utils.timing import AmortizedStats, Timer, WelfordAccumulator
 
 __all__ = [
-    "AmortizedStats",
     "Clock",
     "RngMixin",
-    "Timer",
     "VirtualClock",
     "WALL_CLOCK",
     "WallClock",
-    "WelfordAccumulator",
     "new_rng",
     "spawn_rngs",
 ]

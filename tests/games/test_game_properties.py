@@ -82,6 +82,35 @@ class TestUniversalInvariants:
             game.step(int(rng.choice(game.legal_actions())))
 
     @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_legal_actions_memo(self, name, factory, seed):
+        """One read-only legal-actions array per state: ``step`` drops it,
+        a copy shares it, and stepping the copy leaves the original's
+        actions and mask as they were."""
+        rng = np.random.default_rng(seed)
+        game = factory()
+        while not game.is_terminal:
+            legal = game.legal_actions()
+            assert not legal.flags.writeable
+            with pytest.raises(ValueError):
+                legal[0] = legal[0]
+            assert game.legal_actions() is legal
+            mask = game.legal_mask()
+            clone = game.copy()
+            assert clone.legal_actions() is legal
+            clone.step(int(rng.choice(legal)))
+            assert clone.legal_actions() is not legal
+            assert np.array_equal(game.legal_actions(), legal)
+            assert np.array_equal(game.legal_mask(), mask)
+            game.step(int(rng.choice(legal)))
+            fresh = game.legal_actions()
+            assert fresh is not legal
+            if not game.is_terminal:
+                assert np.array_equal(fresh, game._compute_legal_actions())
+        assert len(game.legal_actions()) == 0
+        assert not game.legal_actions().flags.writeable
+
+    @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_legal_mask_consistent_with_legal_actions(self, name, factory, seed):
         rng = np.random.default_rng(seed)

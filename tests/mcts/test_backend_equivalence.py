@@ -26,6 +26,7 @@ GAMES = {
     "tictactoe": lambda: TicTacToe(),
     "connect4": lambda: ConnectFour(),
     "gomoku7": lambda: Gomoku(7, 4),
+    "gomoku15": lambda: Gomoku(15, 5),
     "synthetic": lambda: SyntheticTreeGame(fanout=5, depth_limit=7, board_size=5, seed=3),
 }
 

@@ -47,6 +47,10 @@ class TestBasics:
         assert engine.stats.select.operations == 32
         assert engine.stats.mean_path_length > 0
 
+    def test_stats_empty_amortized_zero(self):
+        stats = SerialMCTS(UniformEvaluator()).stats
+        assert stats.select.amortized == stats.evaluate.amortized == 0.0
+
 
 class TestTacticalStrength:
     """The canonical MCTS correctness tests: find forced wins/blocks."""

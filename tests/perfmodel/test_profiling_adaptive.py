@@ -5,6 +5,7 @@ import pytest
 
 from repro.games import Gomoku, SyntheticTreeGame, TicTacToe
 from repro.mcts.evaluation import UniformEvaluator
+from repro.mcts.serial import SerialMCTS
 from repro.parallel.base import SchemeName
 from repro.perfmodel import (
     DesignConfigurator,
@@ -21,6 +22,27 @@ class TestProfileWallclock:
         prof = profile_wallclock(TicTacToe(), UniformEvaluator(), num_playouts=50)
         assert prof.t_select_local > 0
         assert prof.t_dnn_cpu > 0
+
+    def test_gomoku_phase_latencies_finite_and_positive(self):
+        prof = profile_wallclock(Gomoku(7, 4), UniformEvaluator(), 200)
+        for t in (prof.t_select_local, prof.t_backup_local, prof.t_dnn_cpu):
+            assert np.isfinite(t) and t > 0
+
+    def test_evaluations_skip_terminal_leaves(self):
+        """``evaluate`` counts one operation per non-terminal leaf: every
+        visit to a terminal row is a playout that ended there unevaluated."""
+        game = TicTacToe()
+        for a in (0, 3, 1, 4):  # X to move, wins at 2
+            game.step(a)
+        engine = SerialMCTS(UniformEvaluator(), rng=0)
+        root = engine.search(game, 200)
+        terminal_hits = sum(
+            node.visit_count for node in root.iter_subtree() if node.is_terminal
+        )
+        stats = engine.stats
+        assert terminal_hits > 0
+        assert stats.evaluate.operations == stats.playouts - terminal_hits
+        assert stats.select.operations == stats.backup.operations == 200
 
     def test_ddr_scaling_applied(self):
         prof = profile_wallclock(

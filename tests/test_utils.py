@@ -1,15 +1,10 @@
-"""Tests for shared utilities (rng, timing, logging)."""
-
-import math
+"""Tests for shared utilities (rng, logging)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.utils.logging import RunLog, format_table
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
-from repro.utils.timing import AmortizedStats, Timer, WelfordAccumulator
 
 
 class TestRng:
@@ -38,73 +33,6 @@ class TestRng:
         assert isinstance(t.rng, np.random.Generator)
         t.rng = 7
         assert t.rng.random() == new_rng(7).random()
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0
-
-
-class TestWelford:
-    def test_mean_and_variance(self):
-        acc = WelfordAccumulator()
-        data = [1.0, 2.0, 3.0, 4.0]
-        for x in data:
-            acc.add(x)
-        assert acc.mean == pytest.approx(np.mean(data))
-        assert acc.variance == pytest.approx(np.var(data, ddof=1))
-        assert acc.min == 1.0
-        assert acc.max == 4.0
-
-    def test_empty(self):
-        acc = WelfordAccumulator()
-        assert acc.mean == 0.0
-        assert acc.variance == 0.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_numpy(self, data):
-        acc = WelfordAccumulator()
-        for x in data:
-            acc.add(x)
-        assert math.isclose(acc.mean, float(np.mean(data)), rel_tol=1e-9, abs_tol=1e-6)
-
-    @given(
-        a=st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-        b=st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_sequential(self, a, b):
-        left = WelfordAccumulator()
-        for x in a:
-            left.add(x)
-        right = WelfordAccumulator()
-        for x in b:
-            right.add(x)
-        left.merge(right)
-        combined = WelfordAccumulator()
-        for x in a + b:
-            combined.add(x)
-        assert math.isclose(left.mean, combined.mean, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(left._m2, combined._m2, rel_tol=1e-6, abs_tol=1e-6)
-
-
-class TestAmortizedStats:
-    def test_amortized(self):
-        s = AmortizedStats()
-        s.record(1.0, ops=10)
-        s.record(2.0, ops=20)
-        assert s.amortized == pytest.approx(3.0 / 30)
-        assert s.operations == 30
-
-    def test_zero_ops_rejected(self):
-        with pytest.raises(ValueError):
-            AmortizedStats().record(1.0, ops=0)
-
-    def test_empty_amortized_zero(self):
-        assert AmortizedStats().amortized == 0.0
 
 
 class TestRunLog:
