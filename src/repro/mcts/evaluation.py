@@ -46,10 +46,11 @@ def mask_and_normalize(probs: np.ndarray, legal_mask: np.ndarray) -> np.ndarray:
     fallback for rows whose legal mass underflows (can happen early in
     training).
 
-    Accepts a single ``(A,)`` vector or any batched ``(..., A)`` stack --
-    this is the one definition of the legality-normalisation contract, used
-    by both the per-state evaluators and the vectorised
-    :meth:`repro.nn.network.PolicyValueNet.predict_batch` path.
+    Accepts a single ``(A,)`` vector or any batched ``(..., A)`` stack.
+    This is the legality-normalisation contract: the float64 reference
+    backend runs it after ``predict``, and the fused
+    :meth:`repro.nn.infer.InferencePlan.predict_masked` reproduces it bit
+    for bit (handing its rare underflow rows back to it).
     """
     probs = np.asarray(probs, dtype=np.float64)
     legal_mask = np.asarray(legal_mask, dtype=bool)
@@ -108,18 +109,14 @@ def _sanitize_masks(masks: np.ndarray) -> np.ndarray:
 class NetworkEvaluator(Evaluator):
     """Policy/value-network evaluation (the paper's DNN inference).
 
-    The batched path is vectorised end-to-end: states and legality masks
-    are stacked once and the forward pass, illegal-move masking and
-    renormalisation all run as whole-batch array operations (via
-    ``network.predict_batch`` when available), so batch cost does not
-    include a per-state Python inner loop.
-
-    For the stock towers ``predict_batch`` executes the compiled fused
-    float32 plan (:mod:`repro.nn.infer`) by default, which also guarantees
-    evaluation can never mutate network state: the plan is an immutable
-    snapshot, and the float64 reference backend forces eval mode for the
-    duration of the call.  Repeated evaluation of the same states is
-    therefore bit-identical even on a network left in training mode.
+    Both batched paths are one ``network.predict_masked`` call: states and
+    legality masks in, ``(priors (B, A), values (B,))`` out, the forward
+    pass, masking and renormalisation all whole-batch array operations.
+    The default fused backend runs the compiled float32 plan
+    (:mod:`repro.nn.infer`), an immutable snapshot; the float64 reference
+    backend forces eval mode for the duration.  Evaluation therefore never
+    mutates network state, and repeated evaluation of the same states is
+    bit-identical even on a network left in training mode.
     """
 
     def __init__(self, network) -> None:
@@ -131,22 +128,16 @@ class NetworkEvaluator(Evaluator):
     def evaluate_batch(self, games: list[Game]) -> list[Evaluation]:
         if not games:
             return []
-        states = np.stack([g.encode() for g in games])
-        masks = np.stack([g.legal_mask() for g in games])
-        predict_batch = getattr(self.network, "predict_batch", None)
-        if predict_batch is not None:
-            out = predict_batch(states, masks)
-            policy = out.policy
-        else:  # non-PolicyValueNet backends: mask in one batched pass here
-            out = self.network.predict(states)
-            policy = mask_and_normalize(out.policy, masks)
-        # Copy each row out of the (B, A) batch array: Evaluations outlive
-        # the batch (e.g. in the serving-layer LRU cache), and a row *view*
-        # would pin the whole batch array in memory for its lifetime.
-        return [
-            Evaluation(priors=policy[i].copy(), value=float(out.value[i]))
-            for i in range(len(games))
-        ]
+        if len(games) == 1:
+            masks = games[0].legal_mask()[None]
+        else:
+            masks = np.stack([g.legal_mask() for g in games])
+        priors, values = self.network.predict_masked(games, masks)
+        # Evaluations outlive the batch (e.g. in the serving-layer LRU
+        # cache), and a row *view* would pin the whole (B, A) batch array
+        # for its lifetime: copy each row out, unless it is the only one.
+        rows = priors if len(games) == 1 else [row.copy() for row in priors]
+        return [Evaluation(priors=p, value=float(v)) for p, v in zip(rows, values)]
 
     def evaluate_encoded(
         self, states: np.ndarray, masks: np.ndarray
@@ -157,20 +148,11 @@ class NetworkEvaluator(Evaluator):
         This is the multiprocess farm's evaluation surface: worker
         processes ship ``encode()`` planes through shared memory, so by
         the time the batch reaches the evaluator process there are no
-        ``Game`` objects left to call :meth:`evaluate_batch` with.  The
-        numeric path is identical to :meth:`evaluate_batch` (same
-        ``predict_batch``, same masking contract), so in-process and
-        cross-process evaluation of the same state agree exactly.
+        ``Game`` objects left to call :meth:`evaluate_batch` with.  Both
+        run the same ``predict_masked``, so in-process and cross-process
+        evaluation of the same state agree exactly.
         """
-        masks = _sanitize_masks(masks)
-        predict_batch = getattr(self.network, "predict_batch", None)
-        if predict_batch is not None:
-            out = predict_batch(np.asarray(states), masks)
-            return out.policy, np.asarray(out.value, dtype=np.float64)
-        out = self.network.predict(np.asarray(states))
-        return mask_and_normalize(out.policy, masks), np.asarray(
-            out.value, dtype=np.float64
-        )
+        return self.network.predict_masked(np.asarray(states), _sanitize_masks(masks))
 
 
 class UniformEvaluator(Evaluator):

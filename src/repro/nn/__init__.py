@@ -18,8 +18,8 @@ deep-learning dependency:
 - :mod:`repro.nn.infer`      -- the fused float32 inference engine:
   :func:`compile_plan` turns a trained tower into an immutable
   :class:`InferencePlan` (BatchNorm folded, GEMM-ready weights,
-  zero-allocation thread-local workspaces) that backs the networks'
-  default ``predict``/``predict_batch`` path.
+  zero-allocation thread-local workspaces, merged head GEMM) that backs
+  the networks' default ``predict``/``predict_masked`` path.
 """
 
 from repro.nn.functional import log_softmax, softmax

@@ -14,13 +14,18 @@ Inference needs no autodiff caches, so this module compiles a
   ``(k*k*C, F)`` matrices, linear weights pre-transposed;
 - **channels-last execution** -- the same NHWC
   :class:`~repro.nn.functional.WindowGather` training's ``Conv2d`` runs,
-  one big-M GEMM per layer, 1x1 head convolutions as plain 2-D GEMMs, and
-  one tiny head-side transpose back to the reference flatten order;
+  one big-M GEMM per layer, the policy and value heads' 1x1 convolutions
+  merged into one 2-D GEMM, and one tiny head-side transpose back to the
+  reference flatten order;
 - **zero-allocation workspaces** -- columns, padded inputs and activation
   temporaries come from thread-local per-plan arenas keyed by input
   shape, so one plan is safe to share across all engine threads;
 - **fused elementwise tails** -- ReLU/Tanh in place on the GEMM output;
-  residual blocks as conv -> conv -> in-place skip add -> in-place ReLU.
+  residual blocks as conv -> conv -> in-place skip add -> in-place ReLU;
+- **one masked entry** -- :meth:`InferencePlan.predict_masked` takes game
+  states (encoded straight into the input buffer) or planes plus legal
+  masks and returns legal priors and values, bit-identical to ``predict``
+  followed by :func:`repro.mcts.evaluation.mask_and_normalize`.
 
 Plans are *immutable snapshots*.  ``Module.weights_version`` (bumped by
 ``load_state_dict`` and the trainer's SGD step) makes the networks'
@@ -187,45 +192,26 @@ class _ResidualStep:
         return out
 
 
-class _AffineStep:
-    """Per-channel ``y = x * scale + shift`` (a BatchNorm2d that has no
-    preceding convolution to fold into), optionally fused with ReLU.
-    NHWC puts channels last, so the per-channel vectors broadcast as-is."""
-
-    __slots__ = ("sid", "scale", "shift", "relu")
-
-    def __init__(self, sid: int, scale: np.ndarray, shift: np.ndarray, relu: bool) -> None:
-        self.sid = sid
-        self.scale = np.ascontiguousarray(scale, dtype=np.float32)
-        self.shift = np.ascontiguousarray(shift, dtype=np.float32)
-        self.relu = relu
-
-    def run(self, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-        out = ws.get((self.sid, "out"), x.shape)
-        np.multiply(x, self.scale, out=out)
-        out += self.shift
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-
 class _FlattenStep:
     """NHWC -> flat ``(B, C*H*W)`` in the *reference NCHW order*, so the
     following Linear weights apply unchanged.  This is the single place
     the channels-last execution layout shows; it runs on head tensors with
-    1-4 channels, so the transpose copy is tiny."""
+    1-4 channels, so the transpose copy is tiny.  *channels* selects this
+    head's slice of a merged head GEMM's output."""
 
-    __slots__ = ("sid",)
+    __slots__ = ("sid", "channels")
 
     def __init__(self, sid: int) -> None:
         self.sid = sid
+        self.channels = slice(None)
 
     def run(self, x: np.ndarray, ws: _Workspace) -> np.ndarray:
         bound = ws.bound.get(self.sid)
         if bound is None or bound[0] is not x:
-            bsz, h, w, c = x.shape
+            src = x[..., self.channels]
+            bsz, h, w, c = src.shape
             flat = ws.get((self.sid, "out"), (bsz, c * h * w))
-            bound = (x, x.transpose(0, 3, 1, 2), flat.reshape(bsz, c, h, w), flat)
+            bound = (x, src.transpose(0, 3, 1, 2), flat.reshape(bsz, c, h, w), flat)
             ws.bound[self.sid] = bound
         _, src_nchw, dst_nchw, flat = bound
         np.copyto(dst_nchw, src_nchw)
@@ -256,24 +242,6 @@ class _LinearStep:
             np.maximum(out, 0.0, out=out)
         elif self.act == "tanh":
             np.tanh(out, out=out)
-        return out
-
-
-class _ActStep:
-    """Standalone ReLU/Tanh that could not be fused into a producer."""
-
-    __slots__ = ("sid", "act")
-
-    def __init__(self, sid: int, act: str) -> None:
-        self.sid = sid
-        self.act = act
-
-    def run(self, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-        out = ws.get((self.sid, "out"), x.shape)
-        if self.act == "relu":
-            np.maximum(x, 0.0, out=out)
-        else:
-            np.tanh(x, out=out)
         return out
 
 
@@ -344,27 +312,15 @@ def _compile_chain(layers: list[Module], ids: "itertools.count", stats: dict) ->
                     act,
                 )
             )
-        elif isinstance(layer, BatchNorm2d):
-            scale = layer.gamma.data / np.sqrt(layer.running_var + layer.eps)
-            shift = layer.beta.data - layer.running_mean * scale
-            relu = False
-            if i + 1 < n and isinstance(layers[i + 1], ReLU):
-                relu = True
-                i += 1
-            steps.append(_AffineStep(next(ids), scale, shift, relu))
         elif isinstance(layer, Flatten):
             steps.append(_FlattenStep(next(ids)))
-        elif isinstance(layer, ReLU):
-            steps.append(_ActStep(next(ids), "relu"))
-        elif isinstance(layer, Tanh):
-            steps.append(_ActStep(next(ids), "tanh"))
         elif isinstance(layer, Dropout):
             pass  # identity at inference
         else:
             raise PlanCompileError(
-                f"cannot compile layer of type {type(layer).__name__}; "
-                "supported: Conv2d, Linear, BatchNorm2d, ReLU, Tanh, "
-                "Flatten, Dropout"
+                f"cannot compile layer of type {type(layer).__name__} here; "
+                "supported: Conv2d (+BatchNorm2d) (+ReLU), Linear "
+                "(+ReLU/Tanh), Flatten, Dropout"
             )
         i += 1
     return steps
@@ -377,10 +333,35 @@ def _compile_residual(block, ids: "itertools.count", stats: dict) -> _ResidualSt
     )
 
 
+def _merge_heads(trunk: list, policy: list, value: list, ids: "itertools.count") -> bool:
+    """Move both heads' leading ``1x1 conv (+folded BN) + ReLU`` to the end
+    of *trunk* as one GEMM with ``N = F_policy + F_value`` output channels;
+    each head's Flatten then reads its own channel slice.  A GEMM computes
+    each output column as the same K-long dot product however many
+    columns ride along, so no bit moves (the head-merge test checks this
+    on the BLAS in use).  A one-channel head is the exception: NumPy runs
+    a one-column product as a GEMV, which rounds differently, so those
+    heads stay apart."""
+    if not all(
+        len(h) > 1 and isinstance(h[0], _FusedConvStep) and isinstance(h[1], _FlattenStep)
+        and (h[0].kernel, h[0].stride, h[0].padding) == (1, 1, 0)
+        and h[0].out_channels > 1 and h[0].relu == policy[0].relu
+        for h in (policy, value)
+    ):
+        return False
+    p, v = policy.pop(0), value.pop(0)
+    w, b = np.concatenate([p.w, v.w], axis=1), np.concatenate([p.b, v.b])
+    trunk.append(_FusedConvStep(next(ids), w, b, 1, 1, 0, p.relu))
+    policy[0].channels = slice(None, p.out_channels)
+    value[0].channels = slice(p.out_channels, None)
+    return True
+
+
 class InferencePlan:
     """Immutable fused float32 executor for a policy/value tower.
 
-    Built by :func:`compile_plan`; run via :meth:`predict`.  The compiled
+    Built by :func:`compile_plan`.  :meth:`predict_masked` is the leaf
+    evaluators' entry, :meth:`predict` the unmasked one.  The compiled
     weights are private float32 copies, so the plan stays valid (and
     bit-stable) no matter what happens to the source network afterwards --
     staleness is detected through :attr:`weights_version`, not aliasing.
@@ -400,6 +381,7 @@ class InferencePlan:
         in_channels: int,
         board_shape: tuple[int, int],
         folded_batchnorms: int,
+        merged_heads: bool,
     ) -> None:
         self._trunk = trunk
         self._policy = policy
@@ -408,6 +390,7 @@ class InferencePlan:
         self.in_channels = in_channels
         self.board_shape = board_shape
         self.folded_batchnorms = folded_batchnorms
+        self.merged_heads = merged_heads
         self._tls = threading.local()
 
     # -- introspection ----------------------------------------------------
@@ -443,6 +426,35 @@ class InferencePlan:
         arenas[shape] = ws  # (re)insert at the most-recent end
         return ws
 
+    def _forward(self, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """Write *inputs* -- a ``(B, C, H, W)`` array of encoded planes, or a
+        sequence of game states whose ``encode()`` planes are copied in
+        row by row -- into the NHWC input buffer (one cast to float32) and
+        run the tower.  Returns the float32 ``(B, A)`` logits and
+        ``(B, 1)`` value: views of the calling thread's workspace."""
+        c, (h, w) = self.in_channels, self.board_shape
+        planes = isinstance(inputs, np.ndarray)
+        if planes:
+            if inputs.ndim == 3:
+                inputs = inputs[None]
+            if inputs.ndim != 4 or inputs.shape[1:] != (c, h, w):
+                raise ValueError(f"plan expects (B, {c}, {h}, {w}), got {inputs.shape}")
+        ws = self._workspace((len(inputs), c, h, w))
+        x = ws.get(("in",), (len(inputs), h, w, c))
+        if planes:
+            np.copyto(x, inputs.transpose(0, 2, 3, 1))
+        else:
+            for row, game in zip(x, inputs):
+                np.copyto(row, game.encode().transpose(1, 2, 0))
+        for step in self._trunk:
+            x = step.run(x, ws)
+        p = v = x
+        for step in self._policy:
+            p = step.run(p, ws)
+        for step in self._value:
+            v = step.run(v, ws)
+        return p, v
+
     def predict(self, states: np.ndarray):
         """Fused forward pass: ``(B, C, H, W)`` (or a single ``(C, H, W)``)
         -> :class:`~repro.nn.network.NetworkOutput` with float64 outputs.
@@ -452,26 +464,7 @@ class InferencePlan:
         """
         from repro.nn.network import NetworkOutput  # import cycle guard
 
-        states = np.asarray(states)
-        if states.ndim == 3:
-            states = states[None]
-        if states.ndim != 4 or states.shape[1] != self.in_channels:
-            raise ValueError(
-                f"plan expects (B, {self.in_channels}, H, W), got {states.shape}"
-            )
-        ws = self._workspace(states.shape)
-        bsz, c, h, w = states.shape
-        x = ws.get(("in",), (bsz, h, w, c))
-        # single cast to float32, transposed into the plan's NHWC layout
-        np.copyto(x, states.transpose(0, 2, 3, 1))
-        for step in self._trunk:
-            x = step.run(x, ws)
-        p = x
-        for step in self._policy:
-            p = step.run(p, ws)
-        v = x
-        for step in self._value:
-            v = step.run(v, ws)
+        p, v = self._forward(np.asarray(states))
         # small fresh outputs: cast up once, softmax in float64 to mirror
         # the reference post-processing exactly
         logits = p.astype(np.float64)
@@ -480,7 +473,39 @@ class InferencePlan:
             policy=softmax(logits, axis=-1), value=value, logits=logits
         )
 
-    __call__ = predict
+    def predict_masked(
+        self, inputs, legal_masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf evaluation: *inputs* (encoded planes or game states, see
+        :meth:`_forward`) and ``(B, A)`` legality masks -> fresh float64
+        ``(priors (B, A), values (B,))``.
+
+        The priors are bit-identical to ``mask_and_normalize(predict(
+        states).policy, legal_masks)``, uniform fallback for underflowed
+        rows and ``ValueError`` for a row with no legal action included.
+        """
+        legal_masks = np.asarray(legal_masks, dtype=bool)
+        p, v = self._forward(inputs)
+        if legal_masks.shape != p.shape:
+            raise ValueError(
+                f"legal_mask shape {legal_masks.shape} does not match "
+                f"probs shape {p.shape}"
+            )
+        # softmax() then mask_and_normalize(): their float64 operations in
+        # their order, in place where they would allocate a temporary
+        probs = p.astype(np.float64)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        priors = np.where(legal_masks, probs, 0.0)
+        totals = priors.sum(axis=-1, keepdims=True)
+        if totals.min() > 1e-12:
+            priors /= totals
+        else:  # an underflowed, empty or NaN row: the reference takes over
+            from repro.mcts.evaluation import mask_and_normalize
+
+            priors = mask_and_normalize(probs, legal_masks)
+        return priors, v.reshape(-1).astype(np.float64)
 
 
 def compile_plan(network: Module) -> InferencePlan:
@@ -510,6 +535,7 @@ def compile_plan(network: Module) -> InferencePlan:
         )
     policy = _compile_chain(network.policy_head.layers, ids, stats)
     value = _compile_chain(network.value_head.layers, ids, stats)
+    merged = _merge_heads(trunk, policy, value, ids)
     return InferencePlan(
         trunk,
         policy,
@@ -518,6 +544,7 @@ def compile_plan(network: Module) -> InferencePlan:
         in_channels=network.in_channels,
         board_shape=network.board_shape,
         folded_batchnorms=stats["folded_batchnorms"],
+        merged_heads=merged,
     )
 
 
@@ -531,7 +558,4 @@ def ensure_plan(network) -> InferencePlan | None:
     """
     if getattr(network, "inference_backend", None) != "fused":
         return None
-    accessor = getattr(network, "inference_plan", None)
-    if accessor is None:
-        return None
-    return accessor()
+    return network.inference_plan()

@@ -16,7 +16,7 @@ Conventions
   threads, matching the paper's single training stream.
 
 Evaluators never call ``forward`` directly: the networks'
-``predict``/``predict_batch`` run a compiled
+``predict``/``predict_masked`` run a compiled
 :class:`repro.nn.infer.InferencePlan` (immutable float32 weights,
 thread-local workspaces), so one network is safe to share across search
 threads.  Only the float64 reference path and training are

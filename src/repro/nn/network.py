@@ -64,19 +64,20 @@ class NetworkOutput:
 
     ``policy`` rows are probabilities over the full action space (softmax of
     the logits); masking to legal moves is the caller's job because legality
-    is game state, not network state.
+    is game state, not network state.  A masked ``predict_batch`` returns
+    legal priors as ``policy`` and no logits.
     """
 
     policy: np.ndarray  # (B, A) probabilities
     value: np.ndarray  # (B,) in [-1, 1]
-    logits: np.ndarray  # (B, A) raw policy-head outputs
+    logits: np.ndarray | None  # (B, A) raw policy-head outputs
 
 
 class FusedInferenceModule(Module):
     """Inference plumbing shared by the policy/value towers.
 
-    Provides the ``predict`` / ``predict_batch`` entry points every
-    evaluator uses, backed by one of two backends:
+    Provides the ``predict`` / ``predict_masked`` / ``predict_batch``
+    entry points, backed by one of two backends:
 
     - ``"fused"`` (default): a compiled :class:`repro.nn.infer.InferencePlan`
       -- BatchNorm folded, float32 GEMM-ready weights, zero-allocation
@@ -134,12 +135,10 @@ class FusedInferenceModule(Module):
 
     # -- inference entry points --------------------------------------------
     def predict(self, states: np.ndarray) -> NetworkOutput:
-        """Inference entry point used by MCTS evaluators.
-
-        Accepts a single state ``(C, H, W)`` or a batch ``(B, C, H, W)``.
-        Never mutates network state (BatchNorm statistics, caches): the
-        fused backend executes an immutable compiled snapshot; the
-        reference backend runs with eval mode forced.
+        """Unmasked inference on a state ``(C, H, W)`` or a batch
+        ``(B, C, H, W)``.  Never mutates network state (BatchNorm
+        statistics, caches): the fused backend executes an immutable
+        compiled snapshot; the reference backend runs with eval mode forced.
         """
         states = np.asarray(states)
         if states.ndim == 3:
@@ -148,27 +147,33 @@ class FusedInferenceModule(Module):
             return self.inference_plan().predict(states)
         return self._reference_forward(np.asarray(states, dtype=np.float64))
 
+    def predict_masked(
+        self, inputs, legal_masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf evaluation: ``(B, C, H, W)`` encoded planes or a sequence of
+        game states, plus ``(B, A)`` legality masks -> float64
+        ``(priors (B, A), values (B,))``.  The fused backend runs
+        :meth:`repro.nn.infer.InferencePlan.predict_masked`; the reference
+        backend runs its oracle, ``predict`` then ``mask_and_normalize``.
+        """
+        if self.inference_backend == "fused":
+            return self.inference_plan().predict_masked(inputs, legal_masks)
+        from repro.mcts.evaluation import mask_and_normalize  # import cycle guard
+
+        if not isinstance(inputs, np.ndarray):
+            inputs = np.stack([g.encode() for g in inputs])
+        out = self.predict(inputs)
+        return mask_and_normalize(out.policy, legal_masks), out.value
+
     def predict_batch(
         self, states: np.ndarray, legal_masks: np.ndarray | None = None
     ) -> NetworkOutput:
-        """Fully vectorised batched inference with optional legality masking.
-
-        The whole batch flows through the network as one stacked array --
-        the accelerator-queue payload of Section 3.3 -- and, when
-        *legal_masks* ``(B, A)`` is given, illegal-move masking and
-        renormalisation are applied as batched array ops rather than a
-        per-state Python loop.  Rows whose legal probability mass underflows
-        fall back to uniform-over-legal (mirroring
-        :func:`repro.mcts.evaluation.mask_and_normalize`).
-        """
-        out = self.predict(states)
+        """:meth:`predict`, or :meth:`predict_masked` when *legal_masks*
+        ``(B, A)`` is given: its legal priors as ``policy``, no logits."""
         if legal_masks is None:
-            return out
-        # single source of the legality-normalisation contract
-        from repro.mcts.evaluation import mask_and_normalize
-
-        policy = mask_and_normalize(out.policy, legal_masks)
-        return NetworkOutput(policy=policy, value=out.value, logits=out.logits)
+            return self.predict(states)
+        policy, value = self.predict_masked(np.asarray(states), legal_masks)
+        return NetworkOutput(policy=policy, value=value, logits=None)
 
     def _reference_forward(self, states: np.ndarray) -> NetworkOutput:
         """Float64 forward with eval mode forced for the duration.
@@ -277,5 +282,6 @@ class PolicyValueNet(FusedInferenceModule):
         gh_value = self.value_head.backward(grad_value.reshape(-1, 1))
         self.trunk.backward(gh_policy + gh_value, input_grad=False)
 
-    # predict / predict_batch / save / load come from FusedInferenceModule:
+    # predict / predict_masked / predict_batch / save / load come from
+    # FusedInferenceModule:
     # fused float32 plan by default, float64 eval-forced reference otherwise.

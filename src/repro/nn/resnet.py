@@ -126,7 +126,6 @@ class ResNetPolicyValueNet(FusedInferenceModule):
             gh = block.backward(gh)
         self.stem.backward(gh, input_grad=False)
 
-    # predict / predict_batch / save / load come from FusedInferenceModule;
-    # in particular the residual tower now has the vectorised masked
-    # predict_batch surface, so NetworkEvaluator batches it like the plain
-    # tower instead of falling back to per-call masking.
+    # predict / predict_masked / predict_batch / save / load come from
+    # FusedInferenceModule, so NetworkEvaluator batches the residual tower
+    # exactly like the plain one.

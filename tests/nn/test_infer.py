@@ -2,14 +2,17 @@
 
 Covers the plan/reference parity contract (all four games x both
 architectures x varying batch sizes, including the legality-masking
-path), BatchNorm-folding correctness, staleness/recompilation after SGD
-and weight loads, the eval-mode regression (inference must never mutate
-BatchNorm running statistics), zero-allocation steady state, and
-thread-shareability of a single plan.
+path), the masked entry's bitwise contract with ``predict`` +
+``mask_and_normalize``, the merged head GEMM, BatchNorm-folding
+correctness, staleness/recompilation after SGD and weight loads, the
+eval-mode regression (inference must never mutate BatchNorm running
+statistics), zero-allocation steady state, and thread-shareability of a
+single plan.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import threading
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.games import ConnectFour, Gomoku, SyntheticTreeGame, TicTacToe, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator, mask_and_normalize
+from repro.mcts.evaluation import NetworkEvaluator, _sanitize_masks, mask_and_normalize
 from repro.nn import (
     Adam,
     AlphaZeroLoss,
@@ -33,6 +36,7 @@ from repro.nn import (
     compile_plan,
     ensure_plan,
 )
+from repro.nn.infer import _compile_chain, _Workspace
 from repro.nn.layers import Dropout, Linear, Module, ReLU
 from repro.training.trainer import Trainer
 
@@ -70,8 +74,8 @@ def _reference_output(net, states):
         net.set_inference_backend("fused")
 
 
-def _states_masks(game_factory, batch: int, seed: int = 0):
-    """A batch of real mid-game states with their legality masks."""
+def _games(game_factory, batch: int, seed: int = 0) -> list:
+    """A batch of real mid-game states."""
     rng = np.random.default_rng(seed)
     games = []
     for _ in range(batch):
@@ -82,6 +86,12 @@ def _states_masks(game_factory, batch: int, seed: int = 0):
                 break
             g.step(int(rng.choice(legal)))
         games.append(g)
+    return games
+
+
+def _states_masks(game_factory, batch: int, seed: int = 0):
+    """A batch of real mid-game states with their legality masks."""
+    games = _games(game_factory, batch, seed)
     states = np.stack([g.encode() for g in games])
     masks = np.stack([g.legal_mask() for g in games])
     return states, masks
@@ -140,6 +150,139 @@ class TestPlanReferenceParity:
         ref = _reference_output(net, states)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
         np.testing.assert_allclose(fused.value, ref.value, **TOL)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _oracle(plan, states, masks):
+    """The masked entry's contract: ``predict`` then ``mask_and_normalize``."""
+    out = plan.predict(states)
+    return mask_and_normalize(out.policy, masks), out.value
+
+
+class TestMaskedEntry:
+    """``InferencePlan.predict_masked`` runs softmax -> mask -> renormalise
+    as the very float64 operations ``predict`` + ``mask_and_normalize``
+    run, so its outputs must match that oracle bit for bit."""
+
+    @pytest.mark.parametrize("game_name", sorted(GAMES))
+    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_bitwise_equal_to_predict_then_mask(self, game_name, arch, batch):
+        game = GAMES[game_name]()
+        plan = _make_net(arch, game, rng=17).inference_plan()
+        games = _games(GAMES[game_name], batch, seed=100 + batch)
+        states = np.stack([g.encode() for g in games])
+        masks = np.stack([g.legal_mask() for g in games])
+        want_p, want_v = _oracle(plan, states, masks)
+        for inputs in (states, games):  # encoded planes, or the states themselves
+            priors, values = plan.predict_masked(inputs, masks)
+            np.testing.assert_array_equal(_bits(priors), _bits(want_p))
+            np.testing.assert_array_equal(_bits(values), _bits(want_v))
+
+    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
+    def test_underflow_row_takes_uniform_fallback(self, arch):
+        game = ConnectFour()
+        net = _make_net(arch, game, rng=18)
+        net.policy_head.layers[-1].bias.data[0] += 200.0  # action 0 swamps the rest
+        net.invalidate_plan()
+        plan = net.inference_plan()
+        states, masks = _states_masks(GAMES["connect4"], 3, seed=4)
+        masks[1, 0] = False  # row 1's legal mass underflows to ~e^-200
+        want_p, want_v = _oracle(plan, states, masks)
+        priors, values = plan.predict_masked(states, masks)
+        np.testing.assert_array_equal(_bits(priors), _bits(want_p))
+        np.testing.assert_array_equal(_bits(values), _bits(want_v))
+        np.testing.assert_array_equal(priors[1], masks[1] / masks[1].sum())
+        assert priors[0, 0] > 0.99  # the healthy rows kept their softmax
+
+    def test_no_legal_actions_raises(self):
+        plan = _make_net("policyvalue", TicTacToe(), rng=19).inference_plan()
+        states, masks = _states_masks(GAMES["tictactoe"], 2, seed=5)
+        masks[1] = False
+        with pytest.raises(ValueError, match="no legal actions"):
+            plan.predict_masked(states, masks)
+
+    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_evaluate_batch_equals_evaluate_encoded(self, arch, batch):
+        game = ConnectFour()
+        evaluator = NetworkEvaluator(_make_net(arch, game, rng=20))
+        games = _games(GAMES["connect4"], batch, seed=batch)
+        states = np.stack([g.encode() for g in games])
+        masks = np.stack([g.legal_mask() for g in games])
+        priors, values = evaluator.evaluate_encoded(states, masks)
+        for i, ev in enumerate(evaluator.evaluate_batch(games)):
+            np.testing.assert_array_equal(_bits(ev.priors), _bits(priors[i]))
+            assert _bits(np.float64(ev.value)) == _bits(values[i])
+
+    def test_all_illegal_row_is_sanitized(self):
+        """A torn farm row (all-zero mask) is evaluated as all-legal,
+        through the same masked entry as the healthy rows."""
+        net = _make_net("policyvalue", ConnectFour(), rng=21)
+        evaluator = NetworkEvaluator(net)
+        states, masks = _states_masks(GAMES["connect4"], 3, seed=6)
+        torn = masks.astype(np.float64)
+        torn[2] = 0.0
+        priors, values = evaluator.evaluate_encoded(states, torn)
+        want_p, want_v = _oracle(net.inference_plan(), states, _sanitize_masks(torn))
+        np.testing.assert_array_equal(_bits(priors), _bits(want_p))
+        np.testing.assert_array_equal(_bits(values), _bits(want_v))
+        assert np.all(priors[2] > 0.0)  # every action counted as legal
+
+    def test_reference_backend_is_the_oracle(self):
+        net = _make_net("resnet", TicTacToe(), rng=22)
+        games = _games(GAMES["tictactoe"], 3, seed=7)
+        states = np.stack([g.encode() for g in games])
+        masks = np.stack([g.legal_mask() for g in games])
+        net.set_inference_backend("reference")
+        want = mask_and_normalize(net.predict(states).policy, masks)
+        for inputs in (states, games):
+            priors, values = net.predict_masked(inputs, masks)
+            np.testing.assert_array_equal(_bits(priors), _bits(want))
+            np.testing.assert_array_equal(_bits(values), _bits(net.predict(states).value))
+
+
+class TestHeadMerge:
+    """compile_plan merges the two heads' leading 1x1 conv+ReLU into one
+    GEMM; every column must come out as the separate head steps give it."""
+
+    @staticmethod
+    def _separate_heads(net, plan, states):
+        """The trunk output run through each head compiled on its own."""
+        ws = _Workspace()
+        x = np.ascontiguousarray(states.transpose(0, 2, 3, 1), dtype=np.float32)
+        for step in plan._trunk[:-1] if plan.merged_heads else plan._trunk:
+            x = step.run(x, ws)
+        ids, stats = itertools.count(1000), {"folded_batchnorms": 0}
+        p = v = x
+        for step in _compile_chain(net.policy_head.layers, ids, stats):
+            p = step.run(p, ws)
+        for step in _compile_chain(net.value_head.layers, ids, stats):
+            v = step.run(v, ws)
+        return p.copy(), v.copy()
+
+    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
+    def test_merged_heads_equal_separate_heads(self, arch):
+        game = ConnectFour()
+        net = _make_net(arch, game, rng=23)
+        plan = net.inference_plan()
+        for batch in range(1, 9):
+            states, _ = _states_masks(GAMES["connect4"], batch, seed=batch)
+            p, v = plan._forward(states)
+            want_p, want_v = self._separate_heads(net, plan, states)
+            np.testing.assert_array_equal(p.view(np.uint32), want_p.view(np.uint32))
+            np.testing.assert_array_equal(v.view(np.uint32), want_v.view(np.uint32))
+
+    def test_which_heads_merge(self):
+        plain = PolicyValueNet(board_size=4, channels=(2, 4, 4), rng=24).inference_plan()
+        assert plain.merged_heads and plain._trunk[-1].out_channels == 4 + 2
+        # a one-channel head stays apart: NumPy runs a one-column product
+        # as a GEMV, which does not round like a GEMM column
+        resnet = ResNetPolicyValueNet(4, num_blocks=1, channels=6, rng=25).inference_plan()
+        assert not resnet.merged_heads
 
 
 class TestPlanLifecycle:
@@ -238,8 +381,16 @@ class TestPlanLifecycle:
     def test_input_validation(self):
         net = PolicyValueNet(board_size=3, channels=(2, 4, 4), rng=14)
         plan = net.inference_plan()
-        with pytest.raises(ValueError, match="plan expects"):
-            plan.predict(np.zeros((2, 7, 3, 3)))
+        masks = np.ones((2, 9), dtype=bool)
+        for bad in (np.zeros((2, 7, 3, 3)), np.zeros((2, 4, 4, 4)), np.zeros((4, 3))):
+            with pytest.raises(ValueError, match="plan expects"):
+                plan.predict(bad)
+            with pytest.raises(ValueError, match="plan expects"):
+                plan.predict_masked(bad, masks)
+        # rejected up front: no arena was allocated for the bad shapes
+        assert plan.workspace_nbytes() == 0
+        with pytest.raises(ValueError, match="does not match"):
+            plan.predict_masked(np.zeros((2, 4, 3, 3)), np.ones((2, 8), dtype=bool))
 
 
 class _Weird(Module):
@@ -369,23 +520,30 @@ class TestWorkspaces:
         """After warmup, a fused forward allocates only the small output
         arrays -- the im2col/activation temporaries all come from the
         workspace arena.  The reference forward allocates orders of
-        magnitude more; assert an absolute bound well between the two."""
-        net = ResNetPolicyValueNet(15, num_blocks=3, channels=32, rng=30)
-        plan = net.inference_plan()
+        magnitude more; assert an absolute bound well between the two.
+        Both towers (separate and merged heads) and both entries."""
         states = np.random.default_rng(7).standard_normal((8, 4, 15, 15))
-        plan.predict(states)
-        plan.predict(states)  # arena fully populated
-        warm_bytes = plan.workspace_nbytes()
-        assert warm_bytes > 0
+        masks = np.random.default_rng(8).random((8, 225)) < 0.8
+        for net in (
+            ResNetPolicyValueNet(15, num_blocks=3, channels=32, rng=30),
+            PolicyValueNet(board_size=15, channels=(32, 64, 128), rng=30),
+        ):
+            plan = net.inference_plan()
+            for run in (lambda: plan.predict(states), lambda: plan.predict_masked(states, masks)):
+                run()
+                run()  # arena fully populated
+                warm_bytes = plan.workspace_nbytes()
+                assert warm_bytes > 0
 
-        tracemalloc.start()
-        plan.predict(states)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # outputs: 2x (8, 225) float64 logits/policy + softmax temporaries
-        # + (8,) values ~ tens of KB; the im2col buffer alone is ~2.6 MB
-        assert peak < 1_000_000, f"steady-state fused forward allocated {peak} bytes"
-        assert plan.workspace_nbytes() == warm_bytes  # arena did not grow
+                tracemalloc.start()
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                # outputs: 2x (8, 225) float64 logits/policy + softmax
+                # temporaries + (8,) values ~ tens of KB; the im2col buffer
+                # alone is ~2.6 MB
+                assert peak < 1_000_000, f"steady-state fused forward allocated {peak} bytes"
+                assert plan.workspace_nbytes() == warm_bytes  # arena did not grow
 
     def test_workspaces_keyed_by_batch_shape(self):
         net = PolicyValueNet(board_size=5, channels=(4, 8, 8), rng=31)
@@ -441,34 +599,43 @@ class TestWorkspaces:
 
     def test_plan_shared_across_threads(self):
         """One plan, many threads: thread-local arenas make concurrent
-        prediction race-free and bit-identical to single-threaded runs."""
-        net = ResNetPolicyValueNet(5, num_blocks=2, channels=8, rng=33)
-        plan = net.inference_plan()
+        prediction race-free and bit-identical to single-threaded runs,
+        on both towers (separate and merged heads) and both entries."""
         rng = np.random.default_rng(11)
         batches = [rng.standard_normal((3, 4, 5, 5)) for _ in range(8)]
-        expected = [plan.predict(b) for b in batches]
+        masks = rng.random((3, 25)) < 0.7
+        for net in (
+            ResNetPolicyValueNet(5, num_blocks=2, channels=8, rng=33),
+            PolicyValueNet(board_size=5, channels=(4, 8, 8), rng=33),
+        ):
+            plan = net.inference_plan()
 
-        results: list = [None] * len(batches)
-        errors: list = []
+            def run(batch):
+                out = plan.predict(batch)
+                return (out.policy, out.value, *plan.predict_masked(batch, masks))
 
-        def worker(i: int) -> None:
-            try:
-                for _ in range(5):
-                    results[i] = plan.predict(batches[i])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            expected = [run(b) for b in batches]
+            results: list = [None] * len(batches)
+            errors: list = []
 
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(len(batches))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for got, want in zip(results, expected):
-            np.testing.assert_array_equal(got.policy, want.policy)
-            np.testing.assert_array_equal(got.value, want.value)
+            def worker(i: int) -> None:
+                try:
+                    for _ in range(5):
+                        results[i] = run(batches[i])
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(len(batches))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+            for got, want in zip(results, expected):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
 
 
 class TestPlanIntrospection:
@@ -480,7 +647,8 @@ class TestPlanIntrospection:
         assert plain.inference_plan().folded_batchnorms == 0
 
     def test_num_steps_counts_fusion(self):
-        # trunk 3 fused conv+relu; policy conv+relu, flatten, linear;
-        # value conv+relu, flatten, linear+relu, linear+tanh
+        # trunk 3 fused conv+relu; both heads' conv+relu as one merged
+        # GEMM (two steps became one); policy flatten, linear; value
+        # flatten, linear+relu, linear+tanh
         net = PolicyValueNet(board_size=4, channels=(2, 4, 4), rng=42)
-        assert net.inference_plan().num_steps == 10
+        assert net.inference_plan().num_steps == 9
