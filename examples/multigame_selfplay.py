@@ -4,7 +4,7 @@
 Demonstrates the serving layer (``repro.serving``):
 
 1. run G self-play games concurrently, funnelling every leaf evaluation
-   into a single shared AcceleratorQueue so DNN batches fill across games
+   into a single shared EvaluationBus so DNN batches fill across games
    (Section 3.3's batching, scaled past one search tree);
 2. put an LRU evaluation cache in front of the queue so states any game
    has already evaluated never reach the network again;

@@ -11,8 +11,8 @@ a dedicated evaluator process over shared memory:
   worker-side :class:`~repro.farm.rings.RingClient` evaluator.
 - :mod:`repro.farm.cache`    -- lock-striped shared-memory evaluation
   cache keyed by ``Game.canonical_key()`` digests.
-- :mod:`repro.farm.server`   -- the evaluator process (AcceleratorQueue
-  batching semantics across process boundaries).
+- :mod:`repro.farm.server`   -- the evaluator process (the evaluation
+  bus's batching semantics across process boundaries).
 - :mod:`repro.farm.counters` -- cross-process atomic statistics.
 - :mod:`repro.farm.farm`     -- :class:`~repro.farm.farm.SelfPlayFarm`,
   the supervisor: seeding, scheduling, restart-and-requeue.

@@ -42,11 +42,12 @@ class AtomicCounter:
 
 
 class FarmCounters:
-    """The evaluator-server statistics triple, mirroring AcceleratorQueue.
+    """The evaluator-server statistics triple, mirroring the evaluation bus.
 
     ``requests_served`` / ``batches_flushed`` / ``partial_flushes`` carry
-    the same meaning as on :class:`repro.parallel.evaluator.AcceleratorQueue`
-    (a *partial* flush went out below the flush threshold in force at the
+    the meaning of the :class:`repro.serving.evalbus.EvaluationBus`
+    ``requests`` / ``batches`` / ``batches - threshold_flushes`` (a
+    *partial* flush went out below the flush threshold in force at the
     time), but live in shared memory because the producer (the evaluator
     process) and the consumer (the engine, computing round deltas) are
     different processes.

@@ -18,7 +18,7 @@ Workers run the unchanged array-backed search schemes; only *where* leaf
 evaluation happens differs (the Section-3.2 program-template property,
 now across address spaces).  Evaluation requests ride shared-memory rings
 (:mod:`repro.farm.rings`) and are batched by the evaluator process with
-the thread engine's AcceleratorQueue semantics (flush at the busy-worker
+the thread engine's evaluation-bus semantics (flush at the busy-worker
 headcount, linger timeout for tails -- :mod:`repro.farm.server`).  Leaf
 states any process has already evaluated are served from the lock-striped
 :class:`~repro.farm.cache.SharedEvaluationCache` without touching a pipe.

@@ -1,14 +1,15 @@
 """The farm's central evaluator process.
 
 One process owns the (forked copy of the) evaluator and serves every
-worker's leaf evaluations, reproducing the Section-3.3
-:class:`~repro.parallel.evaluator.AcceleratorQueue` batching semantics
-across process boundaries:
+worker's leaf evaluations, reproducing the Section-3.3 batching semantics
+of the in-process :class:`~repro.serving.evalbus.EvaluationBus` across
+process boundaries:
 
 - requests accumulate until the flush threshold is met -- the threshold
-  tracks the number of *currently busy* workers (published by the
-  supervisor through a shared value), exactly as the thread engine shrinks
-  its queue to the surviving-producer headcount;
+  is the bus's :func:`~repro.serving.evalbus.flush_threshold` of the
+  number of *currently busy* workers (published by the supervisor through
+  a shared value), exactly as the thread engine's bus tracks its
+  live-game headcount;
 - a *linger* timeout flushes partial batches so the tail of a round can
   never deadlock on a threshold the remaining producers cannot reach;
 - statistics (requests served, batches flushed, partial flushes) are
@@ -37,6 +38,7 @@ import numpy as np
 from repro.farm.counters import FarmCounters
 from repro.mcts.evaluation import Evaluator
 from repro.nn.infer import ensure_plan
+from repro.serving.evalbus import flush_threshold
 from repro.utils.clock import WALL_CLOCK, Clock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,4 +167,4 @@ def evaluator_main(
 
 def _threshold(active_workers, batch_cap: int) -> int:
     """Current flush threshold: one request per busy worker, capped."""
-    return max(1, min(batch_cap, int(active_workers.value)))
+    return flush_threshold(int(active_workers.value), batch_cap)

@@ -6,8 +6,6 @@
   tree; N worker threads run DNN inference fed through FIFO pipes.
 - :mod:`repro.parallel.leaf_parallel`, :mod:`repro.parallel.root_parallel`
   -- the related-work baselines of Section 2.2.
-- :mod:`repro.parallel.evaluator`   -- the accelerator request queue of
-  Section 3.3 (batch accumulation before offload).
 - :mod:`repro.parallel.locks`       -- striped per-node lock table.
 
 GIL note: these implementations are *functionally* faithful (same
@@ -19,7 +17,6 @@ in virtual time.  See DESIGN.md, "Substitutions".
 """
 
 from repro.parallel.base import ParallelScheme, SchemeName
-from repro.parallel.evaluator import AcceleratorQueue, BatchingEvaluator
 from repro.parallel.leaf_parallel import LeafParallelMCTS
 from repro.parallel.local_tree import LocalTreeMCTS
 from repro.parallel.lock_free import LockFreeSharedTreeMCTS
@@ -29,8 +26,6 @@ from repro.parallel.shared_tree import SharedTreeMCTS
 from repro.parallel.speculative import SpeculativeMCTS
 
 __all__ = [
-    "AcceleratorQueue",
-    "BatchingEvaluator",
     "LeafParallelMCTS",
     "LocalTreeMCTS",
     "LockFreeSharedTreeMCTS",

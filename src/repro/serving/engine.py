@@ -9,7 +9,7 @@ count and the accelerator starves between moves.  This module multiplexes
     game 0 --search--> |                         |
     game 1 --search--> | EvaluationCache (LRU)   |        batched
        ...             |   miss ->               | -->  DNN forward
-    game G-1 -------->  |  AcceleratorQueue       |     (one stacked array)
+    game G-1 -------->  |  EvaluationBus          |     (one stacked array)
 
 so batch occupancy scales with G rather than per-tree parallelism, and a
 state any game has already evaluated is never sent to the accelerator
@@ -17,9 +17,11 @@ again.  Each game keeps running the unmodified search algorithm -- the
 engine only changes *where* leaf evaluations execute, preserving the
 Section-3.2 program-template property.
 
-As games finish, the engine shrinks the queue's flush threshold to the
-number of still-active games so the tail of the round is not condemned to
-linger-timeout stalls on every request.
+The queue is the same :class:`~repro.serving.evalbus.EvaluationBus` the
+gateway uses.  Every game registers as one busy search for the length of
+its episode, so the flush threshold is the number of games still playing:
+as games finish, the tail of the round is not condemned to linger stalls
+on every request, and the last game alone flushes every leaf inline.
 
 All of the above runs on a thread pool sharing one GIL.  For true
 multi-core scale-out, ``backend="process"`` keeps the same ``play_round``
@@ -44,8 +46,8 @@ from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.serial import SerialMCTS
 from repro.nn.infer import ensure_plan
-from repro.parallel.evaluator import BatchingEvaluator
 from repro.serving.cache import CachingEvaluator, EvaluationCache
+from repro.serving.evalbus import BusEvaluator, EvaluationBus
 from repro.training.selfplay import EpisodeResult, play_episode
 from repro.utils.clock import WALL_CLOCK, Clock
 from repro.utils.rng import new_rng, spawn_rngs
@@ -159,7 +161,7 @@ class ServingStats:
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
-    #: partial flushes forced specifically by the queue's aged-oldest
+    #: partial flushes forced specifically by the bus's aged-oldest
     #: linger window (a subset of ``partial_flushes``; high counts mean
     #: games are too few or too slow to fill the threshold).  Default 0:
     #: the process farm's headcount-flushing evaluator has no linger.
@@ -202,7 +204,7 @@ class ServingStats:
 
 
 class MultiGameSelfPlayEngine:
-    """Run G self-play games concurrently over one shared accelerator queue.
+    """Run G self-play games concurrently over one shared evaluation bus.
 
     Parameters
     ----------
@@ -213,18 +215,18 @@ class MultiGameSelfPlayEngine:
     num_playouts : per-move search budget of every game.
     scheme_factory : builds each game's search scheme around the shared
         evaluator; defaults to :class:`SerialMCTS` (one outstanding leaf
-        evaluation per game, so queue occupancy ~ number of active games).
-    batch_size : queue flush threshold; defaults to ``num_games``.
-        Thread backend only -- the process backend's evaluator flushes at
-        the busy-worker headcount and rejects this knob.
+        evaluation per game, so batch occupancy ~ number of active
+        games).  The bus flushes at the live-game headcount and caps a
+        batch at ``num_games``.
     cache_capacity : LRU evaluation-cache size (states).
-    linger : queue partial-flush timeout in seconds.
+    linger : partial-flush window in seconds (the bus's, or the farm
+        evaluator's under the process backend).
     tree_backend : storage layout for the default per-game search trees
         (array by default -- each game's tree is single-threaded, so the
         vectorised backend is exact); custom ``scheme_factory`` callables
         own their backend choice and can read :attr:`tree_backend`.
     backend : ``"thread"`` (default) runs the G games on a thread pool
-        over the in-process queue + LRU cache; ``"process"`` delegates to
+        over the in-process bus + LRU cache; ``"process"`` delegates to
         a :class:`repro.farm.farm.SelfPlayFarm` -- N worker processes,
         shared-memory batched evaluation, lock-striped shared cache, and
         restart-and-requeue supervision -- for true multi-core scale-out.
@@ -248,7 +250,6 @@ class MultiGameSelfPlayEngine:
         num_games: int = 8,
         num_playouts: int = 50,
         scheme_factory: SchemeFactory | None = None,
-        batch_size: int | None = None,
         cache_capacity: int = 8192,
         linger: float = 0.002,
         temperature_moves: int = 8,
@@ -290,12 +291,6 @@ class MultiGameSelfPlayEngine:
 
         self._farm = None
         if backend == "process":
-            if batch_size is not None:
-                raise ValueError(
-                    "batch_size is a thread-backend knob (the in-process "
-                    "queue's flush threshold); the process backend's "
-                    "evaluator flushes at the busy-worker headcount"
-                )
             from repro.farm import SelfPlayFarm
 
             self._farm = SelfPlayFarm(
@@ -313,31 +308,25 @@ class MultiGameSelfPlayEngine:
                 tree_backend=self.tree_backend,
                 clock=self.clock,
             )
-            # the process backend's cache/queue counterparts: the farm's
-            # shared cache serves the role of the LRU cache (same clear()
-            # contract the training pipeline relies on); there is no
-            # in-process queue to expose.
+            # the farm's shared cache serves the role of the LRU cache
+            # (same clear() contract the training pipeline relies on);
+            # there is no in-process bus to expose.
             self.cache = self._farm.cache
-            self.batching = None
-            self.queue = None
+            self.bus = None
             self.shared_evaluator = None
             self._pool = None
             return
 
         self.cache = EvaluationCache(cache_capacity)
-        self._round_batch_size = batch_size or num_games
-        self.batching = BatchingEvaluator(
-            evaluator, self._round_batch_size, linger=linger
+        #: the shared batching queue all games feed
+        self.bus: EvaluationBus | None = EvaluationBus(
+            evaluator, max_batch=num_games, linger=linger, clock=self.clock
         )
-        #: the shared accelerator queue all games feed
-        self.queue = self.batching.queue
         #: what each game's scheme actually evaluates against
         self.shared_evaluator: Evaluator = CachingEvaluator(
-            self.batching, self.cache
+            BusEvaluator(self.bus), self.cache
         )
         self._pool: ThreadPoolExecutor | None = None
-        self._active_lock = threading.Lock()
-        self._active_games = 0
         self._round_latency = LatencyTracker(clock=self.clock)
 
     # -- lifecycle -----------------------------------------------------------
@@ -363,32 +352,27 @@ class MultiGameSelfPlayEngine:
 
     # -- play ---------------------------------------------------------------
     def _play_one(self, game_rng: np.random.Generator) -> EpisodeResult:
-        scheme = _TimedScheme(
-            self.scheme_factory(self.shared_evaluator, game_rng),
-            self._round_latency,
-        )
         try:
-            return play_episode(
-                self.game,
-                scheme,
-                self.num_playouts,
-                temperature_moves=self.temperature_moves,
-                temperature=self.temperature,
-                max_moves=self.max_moves,
-                rng=game_rng,
+            scheme = _TimedScheme(
+                self.scheme_factory(self.shared_evaluator, game_rng),
+                self._round_latency,
             )
+            try:
+                return play_episode(
+                    self.game,
+                    scheme,
+                    self.num_playouts,
+                    temperature_moves=self.temperature_moves,
+                    temperature=self.temperature,
+                    max_moves=self.max_moves,
+                    rng=game_rng,
+                )
+            finally:
+                scheme.close()
         finally:
-            scheme.close()
-            with self._active_lock:
-                self._active_games -= 1
-                active = self._active_games
-            if active > 0:
-                # shrink_batch_size is an atomic min, so near-simultaneous
-                # finishes applying out of order can only over-shrink (fixed
-                # by the round-start reset), never strand the remaining
-                # producers above their headcount -- and any inline flush it
-                # triggers runs outside _active_lock.
-                self.queue.shrink_batch_size(active)
+            # lower the headcount: the games still playing never wait on
+            # this one, and any backlog they already meet flushes now
+            self.bus.end_search()
 
     def play_round(self) -> tuple[list[EpisodeResult], ServingStats]:
         """Play ``num_games`` episodes concurrently; returns them with the
@@ -404,16 +388,13 @@ class MultiGameSelfPlayEngine:
             return self._farm.run_round(rngs)
         pool = self._ensure_pool()
         rngs = spawn_rngs(self.rng, self.num_games)
-        base_requests = self.queue.requests_served
-        base_batches = self.queue.batches_flushed
-        base_partial = self.queue.partial_flushes
-        base_linger = self.queue.linger_flushes
+        base = self.bus.stats()
         base_hits = self.cache.hits
         base_misses = self.cache.misses
-        with self._active_lock:
-            self._active_games = self.num_games
-        # restore the full threshold (a previous round's tail shrank it)
-        self.queue.set_batch_size(self._round_batch_size)
+        # every game is in flight from the start: the threshold is the
+        # full headcount before the first leaf arrives
+        for _ in rngs:
+            self.bus.begin_search()
         # fresh tracker per round: the stats below are per-round deltas
         self._round_latency = LatencyTracker(clock=self.clock)
 
@@ -421,8 +402,10 @@ class MultiGameSelfPlayEngine:
         results = list(pool.map(self._play_one, rngs))
         wall = self.clock.perf_counter() - t0
 
-        requests = self.queue.requests_served - base_requests
-        batches = self.queue.batches_flushed - base_batches
+        bus = self.bus.stats()
+        requests = bus.requests - base.requests
+        batches = bus.batches - base.batches
+        full = bus.threshold_flushes - base.threshold_flushes
         hits = self.cache.hits - base_hits
         misses = self.cache.misses - base_misses
         stats = ServingStats(
@@ -433,8 +416,8 @@ class MultiGameSelfPlayEngine:
             eval_requests=requests,
             eval_batches=batches,
             mean_batch_occupancy=requests / batches if batches else 0.0,
-            partial_flushes=self.queue.partial_flushes - base_partial,
-            linger_flushes=self.queue.linger_flushes - base_linger,
+            partial_flushes=batches - full,
+            linger_flushes=bus.linger_flushes - base.linger_flushes,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,

@@ -1,46 +1,46 @@
-"""Cross-session fused evaluation bus: one batched pipeline for all
-live gateway sessions.
+"""Evaluation bus: the one in-process batching queue (paper Section 3.3).
 
-E16's diagnosis: once gateway concurrency rises, every session's
-TreeReuseMCTS evaluates its leaves independently -- batch-of-one
-forwards, N GIL-sharing threads each serialised behind the other N-1
-singleton evaluations -- and p99 move latency blows the deadline (16
-sessions -> 309 ms against a 100 ms promise).  This is exactly the
-batching economics the paper quantifies within one search (the E2
-B*-per-N V-curves) surfacing *across users*: the accelerator wants one
-fused batch, the sessions are each feeding it crumbs.
+"We utilize a dedicated accelerator queue for accumulating DNN inference
+task requests produced by the tree selection process.  When the queue size
+reaches a predetermined threshold, all tasks are submitted together to the
+GPU for computation."
 
-:class:`EvaluationBus` is the shared, deadline-aware service that fixes
-it.  Every session's search scheme keeps calling its plain
-``evaluator.evaluate(game)``; behind that seam a :class:`BusEvaluator`
-facade submits the leaf to the bus tagged with the session's armed
+:class:`EvaluationBus` is that queue for every in-process caller: the
+self-play engine's concurrent games and the gateway's concurrent
+sessions.  Each search keeps calling its plain ``evaluator.evaluate(game)``;
+behind that seam a :class:`BusEvaluator` facade submits the leaf to the
+bus tagged with the search's armed
 :class:`~repro.mcts.budget.BudgetSnapshot` (published per-thread by
 ``BudgetClock.activated()``), and the bus fuses concurrent leaves into
 one ``evaluate_batch`` call.  Scheduling policy:
 
-- **Busy-headcount threshold.**  The flush threshold tracks the number
-  of searches currently in flight (the farm's shm-ring idiom in
-  in-process form): when every active search has a leaf pending, waiting
-  longer buys nothing, so the submission that meets the headcount runs
-  the fused batch inline.
-- **Single armed linger.**  Below the threshold, exactly one scheduler
-  (a daemon thread on wall clocks; the submitting caller itself in the
-  deterministic inline mode) flushes when the *oldest* pending leaf has
-  aged past ``linger`` -- the same aged-oldest window the
-  :class:`~repro.parallel.evaluator.AcceleratorQueue` uses, never one
-  private timer per waiter.
+- **Busy-headcount threshold.**  The flush threshold is
+  :func:`flush_threshold` of the number of searches in flight
+  (``begin_search`` / ``end_search``): when every active search has a
+  leaf pending, waiting longer buys nothing, so the submission that meets
+  the headcount runs the fused batch inline.  A headcount of one (or an
+  unregistered caller) flushes every submission inline, so a lone search
+  never waits on the linger.
+- **Single armed linger.**  Below the threshold the waiters themselves
+  are the flushers: whichever observes the *oldest* pending leaf aged
+  past ``linger`` first takes the whole backlog -- one window per
+  backlog, never one private timer per waiter (the thundering-herd bug
+  that shattered batches as load rose).  There is no scheduler thread.
 - **Deadline priority.**  A leaf whose budget has less than
   ``deadline_lead_ms`` remaining flushes immediately (an expired session
   must not linger for batch-mates it will never use), and when the
   backlog exceeds ``max_batch`` the entries closest to budget expiry go
   out first.
 
-When the bus is disabled the gateway degrades gracefully to the
-historical per-session evaluation path -- the bus is an overlay on the
-evaluator seam, not a rewrite of it.  Evaluations are value-identical
-either way: a fused ``evaluate_batch`` row equals the singleton
-``evaluate`` result (the farm's exact-determinism suite already stands
-on this), so generous-deadline bit-parity is preserved for every scheme.
+On a virtual clock the submitting caller flushes synchronously instead of
+waiting: nothing else can run concurrently in a virtual-time harness, so
+the result is deterministic and immediate.
+
+The bus is an overlay on the evaluator seam, not a rewrite of it:
+evaluations are value-identical with or without it, because a fused
+``evaluate_batch`` row equals the singleton ``evaluate`` result (the
+farm's exact-determinism suite already stands on this), so
+generous-deadline bit-parity is preserved for every scheme.
 """
 
 from __future__ import annotations
@@ -56,7 +56,20 @@ from repro.mcts.budget import BudgetSnapshot, active_budget_snapshot
 from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.utils.clock import WALL_CLOCK, Clock, WallClock
 
-__all__ = ["BusClosed", "EvalBusStats", "EvaluationBus", "BusEvaluator"]
+__all__ = [
+    "BusClosed",
+    "EvalBusStats",
+    "EvaluationBus",
+    "BusEvaluator",
+    "flush_threshold",
+]
+
+
+def flush_threshold(busy: int, max_batch: int) -> int:
+    """The headcount rule: flush once every busy search has a leaf
+    aboard, capped at the device batch and floored at 1 so an
+    unregistered caller never waits."""
+    return max(1, min(busy, max_batch))
 
 
 class BusClosed(RuntimeError):
@@ -83,9 +96,11 @@ class EvalBusStats:
 
     ``mean_occupancy`` is the Section-3.3 figure of merit (requests per
     fused batch); the flush-cause counters say *why* batches went out --
-    a healthy loaded bus flushes mostly at the threshold, a bus serving
-    one idle session flushes inline, and deadline flushes count the
-    moments budget expiry pre-empted batching.
+    a healthy loaded bus flushes mostly at the threshold, deadline
+    flushes count the moments budget expiry pre-empted batching, and
+    inline flushes are the explicit ones (``flush``, ``close`` and every
+    virtual-clock submit).  ``batches - threshold_flushes`` is the
+    partial-flush count.
     """
 
     requests: int
@@ -115,28 +130,34 @@ class EvalBusStats:
 
 
 class EvaluationBus:
-    """Deadline-aware shared evaluation service over one batched evaluator.
+    """Deadline-aware batching queue over one batched evaluator.
+
+    Producers register with :meth:`begin_search` / :meth:`end_search`
+    and submit leaves through :meth:`evaluate`; the policy is in the
+    module docstring.  No thread is started: on a wall clock the blocked
+    waiters flush the aged backlog themselves, on a virtual clock every
+    :meth:`evaluate` flushes inline.
 
     Parameters
     ----------
     evaluator : the backing evaluator; fused batches go through its
         ``evaluate_batch`` (the fused-plan pipeline when a network sits
         behind it).
-    max_batch : hard cap on one fused batch; an over-full backlog is
-        split with the most-urgent entries going out first.
+    max_batch : hard cap on one fused batch (and on the flush
+        threshold); an over-full backlog is split with the most-urgent
+        entries going out first.
     linger : seconds the oldest pending leaf tolerates before a partial
         flush (the batching window below the busy-headcount threshold).
     deadline_lead_ms : urgency horizon -- a leaf whose budget has at most
-        this many milliseconds remaining flushes immediately, and the
-        scheduler arms its timer so no pending leaf sleeps into that
-        horizon.
-    clock : time source for enqueue ages and deadline math (the
-        gateway's clock, so budget deadlines and bus timestamps share a
-        timebase).
-    scheduler : ``"thread"`` (a daemon scheduler thread owns the linger
-        timer -- wall clocks only), ``"inline"`` (no thread; submitters
-        flush synchronously -- the deterministic mode virtual-time
-        harnesses rely on), or ``None`` to pick by clock type.
+        this many milliseconds remaining flushes immediately, and waiters
+        wake early so no pending leaf sleeps into that horizon.
+    clock : time source for enqueue ages and deadline math (the caller's
+        clock, so budget deadlines and bus timestamps share a timebase).
+        A virtual clock selects the inline mode: real-time waits on
+        virtual timestamps would deadlock.
+
+    Statistics are kept under the bus lock: flushes run concurrently on
+    producer threads, and unsynchronised ``+=`` updates would lose counts.
     """
 
     def __init__(
@@ -147,7 +168,6 @@ class EvaluationBus:
         linger: float = 0.002,
         deadline_lead_ms: float = 5.0,
         clock: Clock | None = None,
-        scheduler: str | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -160,23 +180,12 @@ class EvaluationBus:
         self.linger = linger
         self.deadline_lead_ms = deadline_lead_ms
         self.clock: Clock = WALL_CLOCK if clock is None else clock
-        wall = isinstance(self.clock, WallClock)
-        if scheduler is None:
-            scheduler = "thread" if wall else "inline"
-        if scheduler not in ("thread", "inline"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        if scheduler == "thread" and not wall:
-            # the scheduler thread sleeps on a condition variable in real
-            # time; pairing that with virtual timestamps would deadlock
-            raise ValueError(
-                "scheduler='thread' requires a wall clock; virtual-time "
-                "harnesses run the bus inline for determinism"
-            )
-        self._cond = threading.Condition()
+        self._inline = not isinstance(self.clock, WallClock)
+        self._lock = threading.Lock()
         self._entries: list[_Entry] = []
         self._busy = 0
         self._closed = False
-        # lifetime counters (all mutated under the condition's lock)
+        # lifetime counters (all mutated under the lock)
         self._requests = 0
         self._batches = 0
         self._threshold_flushes = 0
@@ -184,19 +193,11 @@ class EvaluationBus:
         self._deadline_flushes = 0
         self._inline_flushes = 0
         self._max_batch_seen = 0
-        self._thread: threading.Thread | None = None
-        if scheduler == "thread":
-            self._thread = threading.Thread(
-                target=self._scheduler_main,
-                name="evalbus-scheduler",
-                daemon=True,
-            )
-            self._thread.start()
 
     # -- search headcount ----------------------------------------------------
     def begin_search(self) -> None:
-        """A session's search entered flight: raise the flush threshold."""
-        with self._cond:
+        """A search entered flight: raise the flush threshold."""
+        with self._lock:
             self._busy += 1
 
     def end_search(self) -> None:
@@ -204,9 +205,10 @@ class EvaluationBus:
         the smaller headcount now satisfies (the round-tail rule -- the
         remaining searches must never wait on departed ones)."""
         batch = None
-        with self._cond:
+        with self._lock:
             self._busy = max(0, self._busy - 1)
-            if self._entries and len(self._entries) >= self._threshold():
+            threshold = flush_threshold(self._busy, self.max_batch)
+            if self._entries and len(self._entries) >= threshold:
                 batch = self._take_locked("threshold")
         if batch:
             self._run_batch(batch)
@@ -219,11 +221,6 @@ class EvaluationBus:
             yield self
         finally:
             self.end_search()
-
-    def _threshold(self) -> int:
-        # flush once every in-flight search has a leaf aboard; clamp to
-        # the device cap, and to 1 so an unregistered caller never waits
-        return max(1, min(self._busy, self.max_batch))
 
     # -- submission ----------------------------------------------------------
     def submit(
@@ -240,7 +237,7 @@ class EvaluationBus:
             snapshot = active_budget_snapshot()
         fut: Future = Future()
         batch = None
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise BusClosed("evaluation bus is closed")
             now = self.clock.perf_counter()
@@ -249,13 +246,10 @@ class EvaluationBus:
             if remaining_ms is not None:
                 deadline_at = now + remaining_ms / 1e3
             self._entries.append(_Entry(game, fut, now, deadline_at))
-            if len(self._entries) >= self._threshold():
+            if len(self._entries) >= flush_threshold(self._busy, self.max_batch):
                 batch = self._take_locked("threshold")
             elif remaining_ms is not None and remaining_ms <= self.deadline_lead_ms:
                 batch = self._take_locked("deadline")
-            else:
-                # re-arm the scheduler's timer around the new entry
-                self._cond.notify_all()
         if batch is not None:
             self._run_batch(batch)
         return fut
@@ -265,20 +259,14 @@ class EvaluationBus:
     ) -> Evaluation:
         """Submit and wait (the :class:`BusEvaluator` hot path).
 
-        In thread mode waiters are active flushers sharing one armed
-        window with the scheduler: whoever observes the aged-oldest (or
-        deadline-pulled) due instant first takes the *whole* backlog,
-        exactly the :class:`~repro.parallel.evaluator.AcceleratorQueue`
-        single-window rule.  A waiter must not park passively on its
-        future: the scheduler thread can be pinned inside an earlier
-        batch's GIL-heavy forward pass precisely when traffic is
-        heaviest, and any leaf that sleeps through that stall drags a
-        whole move's tail latency with it.  In inline mode (virtual-time
-        harnesses) the caller flushes synchronously -- nothing else can
-        be concurrent, so the result is deterministic and immediate.
+        On a wall clock the waiters are the flushers, sharing one armed
+        window: whoever observes the aged-oldest (or deadline-pulled)
+        due instant first takes the *whole* backlog.  On a virtual clock
+        the caller flushes synchronously -- nothing else can be
+        concurrent, so the result is deterministic and immediate.
         """
         fut = self.submit(game, snapshot=snapshot)
-        if self._thread is None:
+        if self._inline:
             if not fut.done():
                 self.flush()
             return fut.result()
@@ -286,7 +274,7 @@ class EvaluationBus:
             if fut.done():
                 return fut.result()
             batch = None
-            with self._cond:
+            with self._lock:
                 wait = self.linger
                 if self._entries:
                     now = self.clock.perf_counter()
@@ -314,7 +302,7 @@ class EvaluationBus:
 
     def flush(self) -> int:
         """Force out whatever is pending; returns the batch size."""
-        with self._cond:
+        with self._lock:
             batch = self._take_locked("inline")
         if batch:
             self._run_batch(batch)
@@ -375,7 +363,7 @@ class EvaluationBus:
             for entry in batch:
                 entry.fut.set_exception(err)
             return
-        with self._cond:
+        with self._lock:
             self._batches += 1
             self._requests += len(batch)
             if len(batch) > self._max_batch_seen:
@@ -383,63 +371,17 @@ class EvaluationBus:
         for entry, ev in zip(batch, evaluations):
             entry.fut.set_result(ev)
 
-    def _scheduler_main(self) -> None:
-        try:
-            self._scheduler_loop()
-        except BaseException as err:  # pragma: no cover - hardening
-            # never strand waiters behind a dead scheduler: fail the
-            # backlog loudly (the failsafe covers entries in flight)
-            with self._cond:
-                self._closed = True
-                entries, self._entries = self._entries, []
-            for entry in entries:
-                if not entry.fut.done():
-                    entry.fut.set_exception(err)
-            raise
-
-    def _scheduler_loop(self) -> None:
-        while True:
-            batch = None
-            with self._cond:
-                while not self._closed and not self._entries:
-                    self._cond.wait()
-                if not self._entries:
-                    return  # closed and drained
-                now = self.clock.perf_counter()
-                due = self._due_locked(now)
-                if len(self._entries) >= self._threshold():
-                    batch = self._take_locked("threshold")
-                elif now >= due or self._closed:
-                    # which bound pulled the trigger decides the label
-                    aged = now >= self._entries[0].enqueued_at + self.linger
-                    batch = self._take_locked(
-                        "linger" if aged or self._closed else "deadline"
-                    )
-                else:
-                    self._cond.wait(timeout=due - now)
-            if batch is not None:
-                self._run_batch(batch)
-
     # -- lifecycle / telemetry ------------------------------------------------
     def close(self) -> None:
-        """Stop accepting leaves, flush the backlog, reap the scheduler.
+        """Stop accepting leaves and flush the backlog.
 
         Idempotent; in-flight waiters are resolved (or failed) rather
         than stranded.
         """
-        with self._cond:
-            if self._closed:
-                already = True
-            else:
-                already = False
-                self._closed = True
-            self._cond.notify_all()
-        if already:
-            return
-        self.flush()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        with self._lock:
+            already, self._closed = self._closed, True
+        if not already:
+            self.flush()
 
     @property
     def closed(self) -> bool:
@@ -447,18 +389,18 @@ class EvaluationBus:
 
     @property
     def pending_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._entries)
 
     @property
     def mean_occupancy(self) -> float:
-        with self._cond:
+        with self._lock:
             if self._batches == 0:
                 return 0.0
             return self._requests / self._batches
 
     def stats(self) -> EvalBusStats:
-        with self._cond:
+        with self._lock:
             return EvalBusStats(
                 requests=self._requests,
                 batches=self._batches,
@@ -476,14 +418,16 @@ class EvaluationBus:
 
 
 class BusEvaluator(Evaluator):
-    """Per-session :class:`~repro.mcts.evaluation.Evaluator` facade over a
-    shared :class:`EvaluationBus`.
+    """:class:`~repro.mcts.evaluation.Evaluator` facade over a shared
+    :class:`EvaluationBus`.
 
     The scheme's singleton ``evaluate`` rides the bus (tagged with the
     thread's active budget snapshot); an already-batched
     ``evaluate_batch`` bypasses accumulation and goes straight to the
-    backing evaluator, mirroring
-    :class:`~repro.parallel.evaluator.BatchingEvaluator`.
+    backing evaluator.  Point a
+    :class:`~repro.parallel.shared_tree.SharedTreeMCTS` at one of these
+    (with N searches registered) to reproduce the paper's shared-tree +
+    GPU configuration: N selection threads, full-batched inference.
     """
 
     def __init__(self, bus: EvaluationBus) -> None:

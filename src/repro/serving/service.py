@@ -398,9 +398,6 @@ class MatchGateway:
         workers cannot share an in-process queue; explicitly passing
         ``True`` there raises).  ``False`` forces per-session evaluation
         -- the pre-bus behaviour, kept for A/B benchmarks.
-    bus_max_batch : largest fused batch the bus emits; ``None`` sizes it
-        to ``max_inflight`` (the most concurrent searches the gateway
-        admits, hence the most leaves that can ever be pending at once).
     bus_linger_ms : how long the oldest pending leaf may wait for
         batch-mates before a partial flush goes out.
     bus_deadline_lead_ms : urgency horizon -- a leaf whose session has no
@@ -450,7 +447,6 @@ class MatchGateway:
         clock: Clock | None = None,
         executor: Executor | None = None,
         evalbus: bool | None = None,
-        bus_max_batch: int | None = None,
         bus_linger_ms: float = 2.0,
         bus_deadline_lead_ms: float = 5.0,
         shard_id: str | None = None,
@@ -469,8 +465,6 @@ class MatchGateway:
             )
         if bus_linger_ms <= 0:
             raise ValueError("bus_linger_ms must be positive")
-        if bus_max_batch is not None and bus_max_batch < 1:
-            raise ValueError("bus_max_batch must be >= 1")
         if backend == "process" and clock is not None and not isinstance(
             clock, WallClock
         ):
@@ -580,11 +574,7 @@ class MatchGateway:
             if evalbus or evalbus is None:
                 self._bus = EvaluationBus(
                     self.evaluator,
-                    max_batch=(
-                        bus_max_batch
-                        if bus_max_batch is not None
-                        else self.max_inflight
-                    ),
+                    max_batch=self.max_inflight,
                     linger=bus_linger_ms / 1e3,
                     deadline_lead_ms=bus_deadline_lead_ms,
                     clock=self.clock,

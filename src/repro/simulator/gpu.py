@@ -12,10 +12,11 @@ Models the paper's Section 3.3 / 4.2 accelerator behaviour:
   overlap), which is exactly what makes sub-batching profitable for the
   local-tree scheme.
 
-:class:`SimAcceleratorQueue` is the virtual-time twin of
-:class:`repro.parallel.evaluator.AcceleratorQueue`: it accumulates
-requests to a threshold and flushes them as one submission, resolving a
-per-request :class:`SimFuture`.
+:class:`SimAcceleratorQueue` is the virtual-time model of the paper's
+accelerator queue (the in-process one is
+:class:`repro.serving.evalbus.EvaluationBus`): it accumulates requests to
+a threshold and flushes them as one submission, resolving a per-request
+:class:`SimFuture`.
 """
 
 from __future__ import annotations

@@ -89,6 +89,23 @@ class TestFusion:
         assert bus.stats().linger_flushes == 1
         bus.close()
 
+    def test_no_thread_and_lone_waiter_flushes_at_linger(self):
+        """The bus starts no thread; below the threshold the waiter itself
+        flushes once its leaf has aged past the linger, not before."""
+        before = set(threading.enumerate())
+        bus = EvaluationBus(UniformEvaluator(), linger=0.05)
+        assert set(threading.enumerate()) == before
+        bus.begin_search()
+        bus.begin_search()  # threshold 2: the lone leaf cannot fill it
+        t0 = time.monotonic()
+        bus.evaluate(TicTacToe())
+        waited = time.monotonic() - t0
+        assert 0.05 <= waited < 5.0
+        stats = bus.stats()
+        assert stats.linger_flushes == stats.batches == 1
+        assert set(threading.enumerate()) == before
+        bus.close()
+
     def test_end_search_lowers_threshold_and_flushes(self):
         """A search finishing mid-window releases waiters whose backlog
         now meets the lowered headcount."""

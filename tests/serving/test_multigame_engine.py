@@ -62,6 +62,21 @@ class TestPlayRound:
         # the cache carries across rounds, so round 2 hits more
         assert second.cache_hit_rate >= first.cache_hit_rate
 
+    def test_round_releases_every_search_on_the_bus(self):
+        """Each game registers one busy search at round start and ends it
+        when its episode ends, so a finished round leaves no headcount
+        behind to hold the next round's batches back; the bus caps a
+        batch at the game count."""
+        with make_engine(num_games=4) as engine:
+            for _ in range(2):
+                _, stats = engine.play_round()
+                bus = engine.bus.stats()
+                assert bus.busy_searches == 0
+                assert bus.pending == 0
+                assert bus.max_batch_seen <= 4
+                assert 0 <= stats.linger_flushes <= stats.partial_flushes
+                assert stats.partial_flushes <= stats.eval_batches
+
     def test_round_matches_sequential_episodes(self):
         """Program-template invariant at engine level: the concurrent round
         produces exactly the episodes a sequential loop over the same
@@ -136,16 +151,6 @@ class TestProcessBackend:
         )
         d = stats.as_dict()
         assert d["num_workers"] == 2 and d["sims_per_sec"] > 0
-
-    def test_batch_size_rejected(self):
-        """batch_size configures the in-process queue the process backend
-        does not have; silently ignoring it would let the two backends
-        diverge behind the same documented knob."""
-        with pytest.raises(ValueError, match="batch_size"):
-            MultiGameSelfPlayEngine(
-                TicTacToe(), UniformEvaluator(), num_games=2,
-                batch_size=8, backend="process",
-            )
 
     def test_pipeline_integration_with_weight_sync(self):
         """Process-backend engine inside the training loop: SGD updates

@@ -1,8 +1,8 @@
 """Evaluation-bus scenarios on the virtual clock (``simtime`` marker).
 
 With ``evalbus=True`` the scenario's gateway runs the cross-session bus
-in **inline** mode (a virtual clock admits no scheduler thread: wall
-time inside one would desynchronise from the simulated timeline), and
+in **inline** mode (on a virtual clock every evaluation flushes at once: a
+real-time wait would desynchronise from the simulated timeline), and
 every scripted search pays the ``bus_linger_ms`` surcharge the bus
 would cost a leaf waiting for batch-mates.  The properties pinned here:
 
