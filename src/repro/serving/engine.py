@@ -23,7 +23,13 @@ its episode, so the flush threshold is the number of games still playing:
 as games finish, the tail of the round is not condemned to linger stalls
 on every request, and the last game alone flushes every leaf inline.
 
-All of the above runs on a thread pool sharing one GIL.  For true
+All of the above runs on a thread pool sharing one GIL.  The games hand
+the GIL and each fused batch to each other at every leaf, so they never
+run in parallel: where placement is observable and more than one CPU is
+usable, the pool's threads are pinned to the CPU the thread that builds
+the pool runs on (:func:`~repro.serving.evalbus.colocating_initializer`),
+so a hand-off between games stays on one core.  No other thread is
+pinned.  For true
 multi-core scale-out, ``backend="process"`` keeps the same ``play_round``
 surface but delegates the round to a :class:`repro.farm.farm.SelfPlayFarm`:
 worker processes, shared-memory batched evaluation, a lock-striped shared
@@ -47,12 +53,24 @@ from repro.mcts.evaluation import Evaluator
 from repro.mcts.serial import SerialMCTS
 from repro.nn.infer import ensure_plan
 from repro.serving.cache import CachingEvaluator, EvaluationCache
-from repro.serving.evalbus import BusEvaluator, EvaluationBus
+from repro.serving.evalbus import (
+    BusEvaluator,
+    EvaluationBus,
+    colocating_initializer,
+)
 from repro.training.selfplay import EpisodeResult, play_episode
 from repro.utils.clock import WALL_CLOCK, Clock
 from repro.utils.rng import new_rng, spawn_rngs
 
 __all__ = ["LatencyTracker", "ServingStats", "MultiGameSelfPlayEngine"]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask under a cpuset or
+    ``taskset``), falling back to the host count where unobservable."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class LatencyTracker:
@@ -234,7 +252,8 @@ class MultiGameSelfPlayEngine:
         backends produce identical transcripts for a deterministic
         evaluator.
     num_workers : process backend only -- worker-process count (defaults
-        to ``min(num_games, cpu_count)``).
+        to ``min(num_games, usable CPUs)``, the CPUs this process may run
+        on, not the host's count).
     max_retries : process backend only -- per-episode retry budget after
         worker deaths.
 
@@ -296,7 +315,7 @@ class MultiGameSelfPlayEngine:
             self._farm = SelfPlayFarm(
                 game,
                 evaluator,
-                num_workers=num_workers or min(num_games, os.cpu_count() or 1),
+                num_workers=num_workers or min(num_games, _usable_cpus()),
                 num_playouts=num_playouts,
                 scheme_factory=self.scheme_factory,
                 temperature_moves=temperature_moves,
@@ -333,7 +352,9 @@ class MultiGameSelfPlayEngine:
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.num_games, thread_name_prefix="selfplay-game"
+                max_workers=self.num_games,
+                thread_name_prefix="selfplay-game",
+                initializer=colocating_initializer(self.bus),
             )
         return self._pool
 

@@ -41,15 +41,28 @@ evaluations are value-identical with or without it, because a fused
 ``evaluate_batch`` row equals the singleton ``evaluate`` result (the
 farm's exact-determinism suite already stands on this), so
 generous-deadline bit-parity is preserved for every scheme.
+
+**Placement.**  The threads that share a bus hand the GIL and each fused
+batch to each other at every leaf, so they never run in parallel; spread
+over several CPUs, every hand-off wakes a thread on another core and
+pulls the working set across caches.  :func:`colocating_initializer`
+pins the threads of a pool the program builds for bus-sharing searches
+to the CPU its constructing thread runs on.  It decides from what it can
+observe -- a bus, ``os.sched_setaffinity``, more than one usable CPU, a
+readable current CPU -- and otherwise does nothing.  Placement never
+changes a result, only where the same work runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.games.base import Game
 from repro.mcts.budget import BudgetSnapshot, active_budget_snapshot
@@ -61,6 +74,7 @@ __all__ = [
     "EvalBusStats",
     "EvaluationBus",
     "BusEvaluator",
+    "colocating_initializer",
     "flush_threshold",
 ]
 
@@ -438,3 +452,52 @@ class BusEvaluator(Evaluator):
 
     def evaluate_batch(self, games: list[Game]) -> list[Evaluation]:
         return self.bus.evaluator.evaluate_batch(games)
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, or ``None`` where unreadable."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            # field 39 ("processor"); comm (field 2) may hold spaces, so
+            # count from after its closing parenthesis, where field 3 starts
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        pass
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    sched_getcpu.argtypes = []
+    sched_getcpu.restype = ctypes.c_int
+    cpu = sched_getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def colocating_initializer(bus: EvaluationBus | None) -> Callable[[], None] | None:
+    """A ``ThreadPoolExecutor`` initializer for a pool whose searches
+    share *bus*: it pins each pool thread to the CPU the calling
+    (constructing) thread runs on now.
+
+    Returns ``None`` -- today's placement -- unless the pool shares a bus,
+    ``os.sched_setaffinity`` exists, the process may use more than one
+    CPU and the current CPU can be read.  Only the pool's own threads are
+    pinned, never the caller.  The initializer swallows ``OSError``: an
+    initializer that raises breaks the pool.
+    """
+    if bus is None or not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        usable = os.sched_getaffinity(0)
+    except OSError:
+        return None
+    cpu = _current_cpu()
+    if len(usable) < 2 or cpu not in usable:
+        return None
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
+
+    return pin

@@ -20,9 +20,17 @@ needs:
   :class:`GatewayStats` tracks p50/p95/p99 move latency, deadline
   misses, and rejection counts.
 - **Backends.**  ``backend="thread"`` runs searches on a thread pool
-  against the shared in-process evaluator stack (LRU evaluation cache +
-  fused-inference network, the PR-1/PR-4 components), with a warm
-  :class:`~repro.mcts.reuse.TreeReuseMCTS` tree per session.
+  sharing one GIL against the shared in-process evaluator stack (LRU
+  evaluation cache + fused-inference network, the PR-1/PR-4
+  components), with a warm :class:`~repro.mcts.reuse.TreeReuseMCTS`
+  tree per session.  When that pool is the gateway's own and its
+  searches share the evaluation bus, its threads are pinned to the CPU
+  the constructing thread runs on
+  (:func:`~repro.serving.evalbus.colocating_initializer`): they hand the
+  GIL and each fused batch to each other at every leaf, so spreading
+  them over cores buys no parallelism.  The bus-off pool, an injected
+  executor and every thread the gateway did not create keep their
+  placement.
   ``backend="process"`` uses the farm's fork model: worker processes
   inherit the evaluator at executor creation and run stateless per-move
   searches, for multi-core scale-out past the GIL.
@@ -54,7 +62,11 @@ from repro.mcts.serial import SerialMCTS
 from repro.nn.infer import ensure_plan
 from repro.serving.cache import CachingEvaluator, EvaluationCache
 from repro.serving.engine import LatencyTracker
-from repro.serving.evalbus import BusEvaluator, EvaluationBus
+from repro.serving.evalbus import (
+    BusEvaluator,
+    EvaluationBus,
+    colocating_initializer,
+)
 from repro.storage import SessionJournal, SessionReplay, replay_sessions
 from repro.utils.clock import (
     WALL_CLOCK,
@@ -526,8 +538,17 @@ class MatchGateway:
         self._journal_unrecoverable = 0
         self._journal_recovery_done = False
         self._journal_muted = False  # True while recovery re-admits
+        # per-move records are appended off the event loop (see
+        # _play_move_locked).  An injected executor takes them too, so
+        # under the simulation harness's inline one nothing runs off-loop.
+        self._journal_writes: Executor | None = None
         if journal_dir is not None:
             self._journal = SessionJournal(journal_dir, fsync=journal_fsync)
+            self._journal_writes = executor if executor is not None else (
+                ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="gateway-journal"
+                )
+            )
 
         # lifetime counters behind GatewayStats
         self._created = 0
@@ -559,11 +580,6 @@ class MatchGateway:
             self._bus = None
         else:
             ensure_plan(getattr(self.evaluator, "network", None))
-            self._executor = executor if executor is not None else (
-                ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="gateway-search"
-                )
-            )
             # the cross-session bus fuses cache *misses* from all live
             # sessions into shared accelerator batches; the LRU cache
             # sits above it so hits never pay bus latency.  Sized to
@@ -584,6 +600,13 @@ class MatchGateway:
             # session has evaluated never reaches the network again
             self._shared_evaluator = CachingEvaluator(
                 base, EvaluationCache(cache_capacity)
+            )
+            self._executor = executor if executor is not None else (
+                ThreadPoolExecutor(
+                    max_workers=workers,
+                    thread_name_prefix="gateway-search",
+                    initializer=colocating_initializer(self._bus),
+                )
             )
 
     # -- lifecycle -----------------------------------------------------------
@@ -608,6 +631,8 @@ class MatchGateway:
         self._sessions.clear()
         if self._owns_executor:
             self._executor.shutdown(wait=True)
+            if self._journal_writes is not None:
+                self._journal_writes.shutdown(wait=True)
         # after the executor drains: in-flight searches must be able to
         # submit their last leaves before the bus refuses them
         if self._bus is not None:
@@ -1019,18 +1044,44 @@ class MatchGateway:
             # in-flight move, the same guarantee the cluster's shadow
             # history gives.  The rid and reply essentials ride along so a
             # survivor can answer a retry whose reply died with this shard.
+            #
+            # The append runs on the journal thread and the reply waits
+            # for it: its write(2) releases the GIL, and with searches
+            # holding the GIL the event loop would wait milliseconds to
+            # take it back, stalling every session's reply.  Shielded, so
+            # a cancelled move still journals what it applied.
             engine_action, _prior, done, winner = result
             applied: list[int] = []
             if action is not None:
                 applied.append(int(action))
             if engine_action is not None:
                 applied.append(int(engine_action))
-            self._journal.move(
-                session.session_id, rid, applied, engine_action, done, winner
+            await asyncio.shield(
+                asyncio.get_running_loop().run_in_executor(
+                    self._journal_writes,
+                    self._journal_move,
+                    session.session_id,
+                    rid,
+                    applied,
+                    engine_action,
+                    done,
+                    winner,
+                )
             )
-            if done:
-                self._journal.close_session(session.session_id, "finished")
         return result
+
+    def _journal_move(
+        self,
+        sid: int,
+        rid: str | None,
+        applied: list[int],
+        engine_action: int | None,
+        done: bool,
+        winner: int | None,
+    ) -> None:
+        self._journal.move(sid, rid, applied, engine_action, done, winner)
+        if done:
+            self._journal.close_session(sid, "finished")
 
     async def _apply_move_locked(
         self,

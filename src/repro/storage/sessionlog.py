@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 
 from repro.storage.journal import JournalReadResult, JournalWriter, read_journal
@@ -107,7 +108,8 @@ class SessionJournal:
     Mirrors the writer's degradation contract: every method returns
     ``False`` instead of raising once the underlying log hits an IO
     error, and :attr:`io_errors` / :attr:`disabled` surface the state
-    for stats.
+    for stats.  Safe to call from several threads: writer calls are
+    serialised under one lock.
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class SessionJournal:
             segment_bytes=segment_bytes,
             batch_interval_s=batch_interval_s,
         )
+        self._lock = threading.Lock()
 
     # -- pass-through telemetry ------------------------------------------------
     @property
@@ -154,7 +157,7 @@ class SessionJournal:
         size: int | None,
         history: list[int] | None = None,
     ) -> bool:
-        return self._writer.append(
+        return self._append(
             _encode(
                 {
                     "ev": "open",
@@ -175,7 +178,7 @@ class SessionJournal:
         done: bool,
         winner: int | None,
     ) -> bool:
-        return self._writer.append(
+        return self._append(
             _encode(
                 {
                     "ev": "move",
@@ -190,9 +193,13 @@ class SessionJournal:
         )
 
     def close_session(self, sid: int, status: str) -> bool:
-        return self._writer.append(
+        return self._append(
             _encode({"ev": "close", "sid": int(sid), "status": str(status)})
         )
+
+    def _append(self, payload: bytes) -> bool:
+        with self._lock:
+            return self._writer.append(payload)
 
     # -- maintenance -----------------------------------------------------------
     def snapshot(self, sessions: list[SessionReplay]) -> bool:
@@ -210,10 +217,13 @@ class SessionJournal:
             for s in sessions
             if s.open
         ]
-        return self._writer.compact(records)
+        with self._lock:
+            return self._writer.compact(records)
 
     def sync(self) -> bool:
-        return self._writer.sync()
+        with self._lock:
+            return self._writer.sync()
 
     def close(self) -> None:
-        self._writer.close()
+        with self._lock:
+            self._writer.close()

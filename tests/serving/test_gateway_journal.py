@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.mcts import UniformEvaluator
 from repro.serving import MatchGateway, SessionNotFound
 from repro.serving.evalbus import BusClosed
-from repro.storage import read_journal
+from repro.storage import SessionJournal, read_journal, replay_sessions
 
 
 def make_gateway(**kwargs) -> MatchGateway:
@@ -138,6 +139,34 @@ class TestCrashRecovery:
                 await gw.aclose()
 
         asyncio.run(recover_phase())
+
+
+def test_moves_are_journaled_off_the_event_loop_before_the_reply(
+    tmp_path, monkeypatch
+):
+    """A record's write(2) releases the GIL, and taking it back from busy
+    searches would stall the event loop, so move records are appended on
+    the journal thread; the reply still waits until its record is in."""
+    appenders = []
+    move = SessionJournal.move
+
+    def spy(self, *args):
+        appenders.append(threading.get_ident())
+        return move(self, *args)
+
+    monkeypatch.setattr(SessionJournal, "move", spy)
+
+    async def run():
+        async with journaling_gateway(tmp_path) as gw:
+            sid = await gw.create_session("tictactoe")
+            for ply in range(1, 4):
+                await gw.play_move(sid)
+                replays, _ = replay_sessions(tmp_path / "journal")
+                assert len(replays[sid].history) == ply
+
+    asyncio.run(run())
+    assert len(appenders) == 3
+    assert threading.get_ident() not in appenders
 
 
 class TestGracefulShutdown:

@@ -1,6 +1,7 @@
 """Multi-game engine: round semantics, stats accounting, serial parity."""
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ class TestProcessBackend:
                 np.testing.assert_array_equal(te.policy, pe.policy)
         assert process_stats.num_workers == 2
         assert process_stats.worker_restarts == 0
+
+    def test_default_workers_count_usable_cpus(self, monkeypatch):
+        """Under a cpuset or taskset the default worker count follows the
+        CPUs this process may use, not the host's CPU count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with MultiGameSelfPlayEngine(
+            TicTacToe(), UniformEvaluator(), num_games=4, num_playouts=4,
+            rng=0, backend="process",
+        ) as engine:
+            _, stats = engine.play_round()
+        assert stats.num_workers == 1
 
     def test_stats_accounting_consistent(self):
         with MultiGameSelfPlayEngine(

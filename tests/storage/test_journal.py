@@ -4,10 +4,12 @@ and graceful degradation when the filesystem fails."""
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
-from repro.storage import JournalWriter, read_journal
+from repro.storage import JournalWriter, SessionJournal, read_journal, replay_sessions
 from repro.storage.journal import _HEADER
 
 
@@ -160,3 +162,40 @@ def test_all_fsync_policies_roundtrip(tmp_path, policy):
 def test_bad_policy_rejected(tmp_path):
     with pytest.raises(ValueError):
         JournalWriter(tmp_path, fsync="eventually")
+
+
+def test_session_journal_serialises_concurrent_writers(tmp_path):
+    """The gateway appends moves from its journal thread while the event
+    loop appends opens and closes: no record may be lost or torn, even
+    across segment rotations."""
+    writers, moves = 4, 150
+    journal = SessionJournal(tmp_path, fsync="off", segment_bytes=2048)
+
+    def write(sid):
+        journal.open_session(sid, "tictactoe", None)
+        for ply in range(moves):
+            journal.move(sid, None, [ply], None, False, None)
+        journal.close_session(sid, "finished")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=write, args=(sid,)) for sid in range(writers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    journal.close()
+
+    assert journal.io_errors == 0
+    assert journal.records_written == writers * (moves + 2)
+    replays, raw = replay_sessions(tmp_path)
+    assert not raw.truncated and raw.dropped_bytes == 0
+    assert sorted(replays) == list(range(writers))
+    for replay in replays.values():
+        assert replay.history == list(range(moves))
