@@ -26,9 +26,17 @@ one ``evaluate_batch`` call.  Scheduling policy:
   past ``linger`` first takes the whole backlog -- one window per
   backlog, never one private timer per waiter (the thundering-herd bug
   that shattered batches as load rose).  There is no scheduler thread.
+- **One batch in flight.**  At most one fused batch is inside
+  ``evaluate_batch`` at a time.  Leaves that arrive meanwhile accumulate,
+  and when the batch returns the backlog goes out as one batch (at the
+  threshold or once its window has aged), rather than as partial batches
+  queueing at the device one launch each.  A waiter whose leaf already
+  rides a running batch blocks on its own result alone: it neither
+  polls the bus nor flushes other sessions' backlog.
 - **Deadline priority.**  A leaf whose budget has less than
-  ``deadline_lead_ms`` remaining flushes immediately (an expired session
-  must not linger for batch-mates it will never use), and when the
+  ``deadline_lead_ms`` remaining flushes immediately, or as soon as the
+  batch in flight returns (an expired session must not linger for
+  batch-mates it will never use), and when the
   backlog exceeds ``max_batch`` the entries closest to budget expiry go
   out first.
 
@@ -59,7 +67,6 @@ import ctypes
 import os
 import threading
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -91,9 +98,10 @@ class BusClosed(RuntimeError):
 
 
 class _Entry:
-    """One pending leaf: who waits, since when, and how urgently."""
+    """One pending leaf: who waits, since when, and how urgently.
+    ``taken`` turns true when a flush detaches it into a batch."""
 
-    __slots__ = ("game", "fut", "enqueued_at", "deadline_at")
+    __slots__ = ("game", "fut", "enqueued_at", "deadline_at", "taken")
 
     def __init__(
         self, game: Game, fut: Future, enqueued_at: float, deadline_at: float | None
@@ -102,6 +110,7 @@ class _Entry:
         self.fut = fut
         self.enqueued_at = enqueued_at
         self.deadline_at = deadline_at
+        self.taken = False
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,9 @@ class EvaluationBus:
     and submit leaves through :meth:`evaluate`; the policy is in the
     module docstring.  No thread is started: on a wall clock the blocked
     waiters flush the aged backlog themselves, on a virtual clock every
-    :meth:`evaluate` flushes inline.
+    :meth:`evaluate` flushes inline.  Whichever path flushes, at most one
+    fused batch is in evaluation at a time; a flush that comes due while
+    one runs waits for it to return and then takes the whole backlog.
 
     Parameters
     ----------
@@ -196,6 +207,9 @@ class EvaluationBus:
         self.clock: Clock = WALL_CLOCK if clock is None else clock
         self._inline = not isinstance(self.clock, WallClock)
         self._lock = threading.Lock()
+        # waiters with a pending leaf sleep here; a returning batch wakes them
+        self._batch_done = threading.Condition(self._lock)
+        self._running = False  # a fused batch is inside evaluate_batch
         self._entries: list[_Entry] = []
         self._busy = 0
         self._closed = False
@@ -247,9 +261,67 @@ class EvaluationBus:
         seam).  Deadlines are converted to this bus's clock at submit
         time, so sessions running on different clocks still compare.
         """
+        return self._enqueue(game, snapshot).fut
+
+    def evaluate(
+        self, game: Game, *, snapshot: BudgetSnapshot | None = None
+    ) -> Evaluation:
+        """Submit and wait (the :class:`BusEvaluator` hot path).
+
+        On a wall clock the waiters are the flushers, sharing one armed
+        window: whoever observes the backlog at the threshold, or the
+        aged-oldest (or deadline-pulled) due instant, first takes the
+        *whole* backlog -- once no batch is in flight.  A waiter whose
+        leaf was taken blocks on its result alone.  On a virtual clock
+        the caller flushes synchronously -- nothing else can be
+        concurrent, so the result is deterministic and immediate.
+        """
+        entry = self._enqueue(game, snapshot)
+        if self._inline:
+            if not entry.fut.done():
+                self.flush()
+            return entry.fut.result()
+        while True:
+            batch = None
+            with self._lock:
+                while not entry.taken:
+                    if self._running:
+                        wait = None  # the returning batch wakes us
+                    else:
+                        now = self.clock.perf_counter()
+                        due = self._due_locked(now)
+                        if len(self._entries) >= flush_threshold(
+                            self._busy, self.max_batch
+                        ):
+                            batch = self._take_locked("threshold")
+                        elif now >= due:
+                            aged = now >= self._entries[0].enqueued_at + self.linger
+                            batch = self._take_locked(
+                                "linger" if aged else "deadline"
+                            )
+                        if batch is not None:
+                            break
+                        wait = due - now
+                    self._batch_done.wait(wait)
+            if batch is None:
+                return entry.fut.result()
+            self._run_batch(batch)
+
+    def flush(self) -> int:
+        """Force out whatever is pending (after any batch in flight
+        returns); returns the batch size."""
+        with self._lock:
+            while self._running:
+                self._batch_done.wait()
+            batch = self._take_locked("inline")
+        if batch:
+            self._run_batch(batch)
+        return 0 if batch is None else len(batch)
+
+    # -- internals -----------------------------------------------------------
+    def _enqueue(self, game: Game, snapshot: BudgetSnapshot | None) -> _Entry:
         if snapshot is None:
             snapshot = active_budget_snapshot()
-        fut: Future = Future()
         batch = None
         with self._lock:
             if self._closed:
@@ -259,75 +331,22 @@ class EvaluationBus:
             remaining_ms = None if snapshot is None else snapshot.remaining_ms
             if remaining_ms is not None:
                 deadline_at = now + remaining_ms / 1e3
-            self._entries.append(_Entry(game, fut, now, deadline_at))
+            entry = _Entry(game, Future(), now, deadline_at)
+            self._entries.append(entry)
             if len(self._entries) >= flush_threshold(self._busy, self.max_batch):
                 batch = self._take_locked("threshold")
             elif remaining_ms is not None and remaining_ms <= self.deadline_lead_ms:
                 batch = self._take_locked("deadline")
         if batch is not None:
             self._run_batch(batch)
-        return fut
+        return entry
 
-    def evaluate(
-        self, game: Game, *, snapshot: BudgetSnapshot | None = None
-    ) -> Evaluation:
-        """Submit and wait (the :class:`BusEvaluator` hot path).
-
-        On a wall clock the waiters are the flushers, sharing one armed
-        window: whoever observes the aged-oldest (or deadline-pulled)
-        due instant first takes the *whole* backlog.  On a virtual clock
-        the caller flushes synchronously -- nothing else can be
-        concurrent, so the result is deterministic and immediate.
-        """
-        fut = self.submit(game, snapshot=snapshot)
-        if self._inline:
-            if not fut.done():
-                self.flush()
-            return fut.result()
-        while True:
-            if fut.done():
-                return fut.result()
-            batch = None
-            with self._lock:
-                wait = self.linger
-                if self._entries:
-                    now = self.clock.perf_counter()
-                    due = self._due_locked(now)
-                    if now >= due:
-                        aged = (
-                            now >= self._entries[0].enqueued_at + self.linger
-                        )
-                        batch = self._take_locked(
-                            "linger" if aged else "deadline"
-                        )
-                    else:
-                        wait = due - now
-                # an empty backlog means our leaf rides a batch another
-                # thread is evaluating; wait for its result below
-            if batch is not None:
-                self._run_batch(batch)
-                continue
-            try:
-                return fut.result(timeout=max(wait, 1e-5))
-            # On Python < 3.11 concurrent.futures.TimeoutError is NOT the
-            # builtin TimeoutError, so both must be caught.
-            except (TimeoutError, FuturesTimeoutError):
-                continue
-
-    def flush(self) -> int:
-        """Force out whatever is pending; returns the batch size."""
-        with self._lock:
-            batch = self._take_locked("inline")
-        if batch:
-            self._run_batch(batch)
-        return 0 if batch is None else len(batch)
-
-    # -- internals -----------------------------------------------------------
     def _take_locked(self, reason: str) -> list[_Entry] | None:
         """Detach up to ``max_batch`` entries (most urgent first when the
-        backlog is over-full).  Caller holds the lock and runs the batch
-        *outside* it."""
-        if not self._entries:
+        backlog is over-full) and close the gate behind them; ``None``
+        while another batch is in flight.  Caller holds the lock and runs
+        the batch *outside* it."""
+        if self._running or not self._entries:
             return None
         if len(self._entries) <= self.max_batch:
             batch = self._entries
@@ -349,6 +368,9 @@ class EvaluationBus:
             self._entries = [
                 e for i, e in enumerate(self._entries) if i not in chosen
             ]
+        for entry in batch:
+            entry.taken = True
+        self._running = True
         if reason == "threshold":
             self._threshold_flushes += 1
         elif reason == "linger":
@@ -374,16 +396,25 @@ class EvaluationBus:
         try:
             evaluations = self.evaluator.evaluate_batch(games)
         except BaseException as err:  # propagate to every waiter
+            self._open_gate(None)
             for entry in batch:
                 entry.fut.set_exception(err)
             return
-        with self._lock:
-            self._batches += 1
-            self._requests += len(batch)
-            if len(batch) > self._max_batch_seen:
-                self._max_batch_seen = len(batch)
+        self._open_gate(batch)
         for entry, ev in zip(batch, evaluations):
             entry.fut.set_result(ev)
+
+    def _open_gate(self, done: list[_Entry] | None) -> None:
+        """The batch in flight returned (*done*) or raised (``None``):
+        count it, and wake the waiters whose leaves accumulated."""
+        with self._lock:
+            if done is not None:
+                self._batches += 1
+                self._requests += len(done)
+                if len(done) > self._max_batch_seen:
+                    self._max_batch_seen = len(done)
+            self._running = False
+            self._batch_done.notify_all()
 
     # -- lifecycle / telemetry ------------------------------------------------
     def close(self) -> None:

@@ -6,13 +6,15 @@ of every concurrent game blocks on it.  These tests hammer it from many
 threads, each registered through ``begin_search`` as the engine registers
 its games, with batch caps that never divide the request count evenly.
 Correctness depends on the linger partial flush (no request may be
-stranded at a move tail), on ``end_search`` flushing the backlog a
+stranded at a move tail), on one fused batch at a time reaching the
+evaluator, on ``end_search`` flushing the backlog a
 smaller headcount meets, and on the statistics counters being updated
 under the lock (unsynchronised ``+=`` loses increments when flushes run
 concurrently on producer threads -- the race the counter assertions
 guard).
 """
 
+import sys
 import threading
 import time
 
@@ -25,18 +27,27 @@ from repro.serving import EvaluationBus
 
 class SlowEvaluator(UniformEvaluator):
     """Uniform evaluator with a deliberate stall inside evaluate_batch to
-    widen race windows between concurrent flushers."""
+    widen race windows between concurrent flushers; records the most
+    calls ever inside it at once (the bus allows one)."""
 
     def __init__(self, delay: float = 0.0005) -> None:
         self.delay = delay
         self.calls = 0
+        self.max_inside = 0
+        self._inside = 0
         self._lock = threading.Lock()
 
     def evaluate_batch(self, games):
         with self._lock:
             self.calls += 1
-        time.sleep(self.delay)
-        return super().evaluate_batch(games)
+            self._inside += 1
+            self.max_inside = max(self.max_inside, self._inside)
+        try:
+            time.sleep(self.delay)
+            return super().evaluate_batch(games)
+        finally:
+            with self._lock:
+                self._inside -= 1
 
 
 def hammer(bus: EvaluationBus, per_thread: list[int]) -> list:
@@ -66,11 +77,16 @@ def hammer(bus: EvaluationBus, per_thread: list[int]) -> list:
     threads = [threading.Thread(target=producer, args=(n,)) for n in per_thread]
     for _ in threads:
         bus.begin_search()
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + 60.0
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # more thread switches, more interleavings
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60.0
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads), "bus deadlocked"
     assert not errors, errors
     return results
@@ -92,6 +108,7 @@ class TestQueueStress:
         assert stats.busy_searches == 0
         assert stats.batches >= total // 7
         assert stats.max_batch_seen <= 7
+        assert evaluator.max_inside == 1  # one fused batch in flight
 
     def test_move_tail_resolves_via_linger(self):
         """Fewer pending leaves than busy searches (the rest are off in
@@ -243,3 +260,4 @@ class TestQueueStress:
         assert stats.requests == total
         assert stats.batches == evaluator.calls
         assert stats.mean_occupancy > 1.0
+        assert evaluator.max_inside == 1

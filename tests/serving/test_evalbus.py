@@ -29,7 +29,7 @@ from repro.mcts import SerialMCTS, UniformEvaluator
 from repro.mcts.budget import BudgetClock, SearchBudget, active_budget_snapshot
 from repro.serving import BusEvaluator, EvaluationBus, MatchGateway
 from repro.serving.evalbus import BusClosed
-from repro.utils.clock import VirtualClock
+from repro.utils.clock import VirtualClock, WallClock
 
 
 class RecordingEvaluator(UniformEvaluator):
@@ -146,6 +146,178 @@ class TestFusion:
         bus.close()  # idempotent
         with pytest.raises(BusClosed):
             bus.evaluate(TicTacToe())
+
+
+class GatedEvaluator(UniformEvaluator):
+    """Uniform evaluator whose first batch holds the device until
+    ``release`` is set (and then raises *first_error*, if given); it
+    records every batch and the most calls ever inside it at once."""
+
+    def __init__(self, first_error: BaseException | None = None) -> None:
+        self.first_error = first_error
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.batches: list[list] = []
+        self.max_inside = 0
+        self._inside = 0
+        self._lock = threading.Lock()
+
+    def evaluate_batch(self, games):
+        with self._lock:
+            first = not self.batches
+            self.batches.append(list(games))
+            self._inside += 1
+            self.max_inside = max(self.max_inside, self._inside)
+        try:
+            if first:
+                self.started.set()
+                assert self.release.wait(timeout=10.0)
+                if self.first_error is not None:
+                    raise self.first_error
+            return super().evaluate_batch(games)
+        finally:
+            with self._lock:
+                self._inside -= 1
+
+
+class CountingLock:
+    """A lock that counts its successful acquisitions per thread."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquisitions: dict[int, int] = {}
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        got = self._lock.acquire(blocking, timeout)
+        if got:
+            me = threading.get_ident()
+            self.acquisitions[me] = self.acquisitions.get(me, 0) + 1
+        return got
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+class FrozenWallClock(WallClock):
+    """Real waits (the bus's threaded mode) over a clock that never moves,
+    so no leaf ever ages past its linger window."""
+
+    __slots__ = ()
+
+    def perf_counter(self) -> float:
+        return 0.0
+
+
+def _until(predicate, timeout: float = 10.0) -> bool:
+    """Poll *predicate* until it holds (bounded; never a pass by delay)."""
+    stop = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > stop:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestOneBatchInFlight:
+    """At most one fused batch is inside ``evaluate_batch`` per bus.  The
+    gates are events held by the evaluator; the linger window is out of
+    play (generous, or on a clock that never moves), so each batch goes
+    out at the threshold, never by timing."""
+
+    def _spawn(self, bus, outcomes, key):
+        def worker():
+            outcomes[key] = threading.get_ident()
+            try:
+                outcomes[key] = (outcomes[key], bus.evaluate(TicTacToe()))
+            except BaseException as err:  # noqa: BLE001 - recorded for asserts
+                outcomes[key] = (outcomes[key], err)
+
+        t = threading.Thread(target=worker, daemon=True)  # a hang fails, not stalls
+        t.start()
+        return t
+
+    def test_no_reentry_and_backlog_leaves_as_one_batch(self):
+        rec = GatedEvaluator()
+        bus = EvaluationBus(rec, linger=10.0)
+        bus.begin_search()
+        bus.begin_search()  # threshold 2
+        outcomes: dict = {}
+        threads = [self._spawn(bus, outcomes, k) for k in "ab"]
+        assert rec.started.wait(timeout=10.0)
+        # three more leaves arrive while [a, b] is in evaluation; two of
+        # them already meet the threshold, yet none may enter the device
+        threads += [self._spawn(bus, outcomes, k) for k in "cde"]
+        assert _until(lambda: bus.pending_count == 3)
+        assert len(rec.batches) == 1
+        rec.release.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert rec.max_inside == 1
+        assert [len(b) for b in rec.batches] == [2, 3]
+        assert all(not isinstance(v, BaseException) for _, v in outcomes.values())
+        stats = bus.stats()
+        assert (stats.batches, stats.requests, stats.pending) == (2, 5, 0)
+        bus.close()
+
+    def test_failed_batch_releases_gate_and_fails_its_waiters(self):
+        rec = GatedEvaluator(first_error=RuntimeError("device lost"))
+        bus = EvaluationBus(rec, linger=10.0)
+        bus.begin_search()
+        bus.begin_search()
+        outcomes: dict = {}
+        threads = [self._spawn(bus, outcomes, k) for k in "ab"]
+        assert rec.started.wait(timeout=10.0)
+        threads.append(self._spawn(bus, outcomes, "c"))
+        assert _until(lambda: bus.pending_count == 1)
+        bus.end_search()  # c alone now meets the threshold, but the gate holds
+        assert bus.pending_count == 1
+        rec.release.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        for key in "ab":
+            err = outcomes[key][1]
+            assert isinstance(err, RuntimeError) and str(err) == "device lost"
+        assert not isinstance(outcomes["c"][1], BaseException)
+        assert [len(b) for b in rec.batches] == [2, 1]
+        # a later leaf still flushes through the released gate
+        assert bus.evaluate(TicTacToe()) is not None
+        assert bus.stats().batches == 2  # the failed batch is not counted
+        bus.close()
+
+    def test_rider_takes_the_lock_at_most_once_while_it_waits(self):
+        rec = GatedEvaluator()
+        linger = 0.002
+        bus = EvaluationBus(rec, linger=linger, clock=FrozenWallClock())
+        counting = CountingLock()
+        bus._lock = counting
+        bus._batch_done = threading.Condition(counting)
+        bus.begin_search()
+        bus.begin_search()
+        outcomes: dict = {}
+        rider = self._spawn(bus, outcomes, "rider")
+        assert _until(lambda: bus.pending_count == 1)
+        flusher = self._spawn(bus, outcomes, "flusher")  # meets the threshold
+        assert rec.started.wait(timeout=10.0)
+        rider_id = outcomes["rider"]
+        before = counting.acquisitions[rider_id]
+        # the batch stays in evaluation for many linger windows: a rider
+        # that polled the bus would take the lock once per window
+        time.sleep(50 * linger)
+        rec.release.set()
+        rider.join(timeout=10.0)
+        flusher.join(timeout=10.0)
+        assert not rider.is_alive() and not flusher.is_alive()
+        assert [len(b) for b in rec.batches] == [2]
+        assert counting.acquisitions[rider_id] - before <= 1
+        bus.close()
 
 
 class TestUrgency:
