@@ -26,6 +26,9 @@ Subpackages
   percentiles over a newline-JSON TCP wire layer.
 """
 
+# keeps NumPy's OpenBLAS thread count across os.fork (repro.utils.blas)
+from repro.utils import blas as _blas  # noqa: F401
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]

@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--playouts", type=int, default=40)
     p_train.add_argument(
         "--workers", type=int, default=4,
-        help="within-tree search workers (single-game mode), or self-play "
+        help="leaves in flight in the local-tree search (single-game "
+             "mode, flushed in sub-batches of half that), or self-play "
              "worker *processes* with --evaluator-backend process; ignored "
              "for thread-backend concurrent games (parallelism comes from "
              "games)",

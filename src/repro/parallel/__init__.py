@@ -3,7 +3,8 @@
 - :mod:`repro.parallel.shared_tree` -- Algorithm 2: N worker threads share
   one lock-protected tree.
 - :mod:`repro.parallel.local_tree`  -- Algorithm 3: a master thread owns the
-  tree; N worker threads run DNN inference fed through FIFO pipes.
+  tree and keeps N leaves in flight; its FIFO pipe of sub-batches is
+  drained, in order, by the master itself.
 - :mod:`repro.parallel.leaf_parallel`, :mod:`repro.parallel.root_parallel`
   -- the related-work baselines of Section 2.2.
 - :mod:`repro.parallel.locks`       -- striped per-node lock table.

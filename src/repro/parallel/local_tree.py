@@ -2,26 +2,32 @@
 
 A centralised **master thread** (the caller of :meth:`search`) owns the
 complete tree and executes *all* in-tree operations -- selection,
-expansion, backup -- with no locks at all.  N worker threads are dedicated
-to node evaluation (DNN inference); the master communicates with them
-through FIFO pipes (here: executor futures, completion-ordered).
+expansion, backup -- with no locks at all.  Algorithm 3 hands node
+evaluation (DNN inference) to N workers through FIFO pipes, so that
+inference overlaps the master's tree work.  Here the pipe is a FIFO of
+flushed sub-batches that the master drains itself: when it may launch no
+more leaves, it evaluates the oldest sub-batch and backs its leaves up in
+submission order.  Under the GIL a worker hand-off costs more than the
+forward it would overlap, and draining in submission order makes the
+search deterministic at any N.  The overlap on the paper's platform is
+modelled by :mod:`repro.simulator.local_tree_sim`.
 
 The ``batch_size`` parameter implements the CUDA-stream sub-batching of
 Sections 3.3/4.2: the master accumulates ``B`` evaluation requests before
-submitting them as one batched inference, so with N workers there are
-N/B requests in flight -- the knob Algorithm 4 tunes.
+submitting them as one batched inference, so with N leaves in flight
+there are N/B sub-batches in the pipe -- the knob Algorithm 4 tunes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from collections import deque
 
 import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.backend import TreeBackend
 from repro.mcts.budget import SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluation, Evaluator
+from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
@@ -38,16 +44,17 @@ __all__ = ["LocalTreeMCTS"]
 
 
 class LocalTreeMCTS(ParallelScheme):
-    """Master-thread tree with asynchronous worker-pool evaluation.
+    """Master-thread tree whose evaluation pipe the master drains in order.
 
     Parameters
     ----------
     evaluator : leaf evaluator; ``evaluate_batch`` is used, so a network
         evaluator performs genuinely batched inference.
-    num_workers : worker-pool capacity N (max evaluation requests in
-        flight; Algorithm 3 line 12).
+    num_workers : N, the most evaluation requests in flight (leaves
+        carrying virtual loss; Algorithm 3 line 12).
     batch_size : evaluation requests accumulated before submission
-        (B of Section 4.2; 1 = fully asynchronous, the CPU-only default).
+        (B of Section 4.2; 1, the CPU-only default, evaluates each leaf
+        on its own).
     vl_policy : defaults to WU-UCT unobserved-sample tracking [Liu 2020],
         the style the local-tree lineage uses; constant VL also works.
     """
@@ -85,19 +92,6 @@ class LocalTreeMCTS(ParallelScheme):
         # only the master thread touches the tree (Algorithm 3), so the
         # array backend is exact here too; Node stays the default
         self._resolve_backend(tree_backend, TreeBackend.NODE)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="local-tree"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- search (Algorithm 3, rollout_n_times) -------------------------------
     def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
@@ -112,21 +106,18 @@ class LocalTreeMCTS(ParallelScheme):
             add_dirichlet_noise(
                 root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
             )
-        pool = self._ensure_pool()
 
         pending: list[tuple[Node, Game]] = []  # accumulating sub-batch
-        inflight: dict[Future, list[tuple[Node, Game]]] = {}
+        # flushed sub-batches, oldest first: Algorithm 3's FIFO pipe
+        inflight: deque[list[tuple[Node, Game]]] = deque()
 
         def inflight_requests() -> int:
-            return sum(len(items) for items in inflight.values())
+            return sum(map(len, inflight))
 
         def flush() -> None:
-            if not pending:
-                return
-            items = pending.copy()
-            fut = pool.submit(self.evaluator.evaluate_batch, [g for _, g in items])
-            inflight[fut] = items
-            pending.clear()
+            if pending:
+                inflight.append(pending.copy())
+                pending.clear()
 
         launched = 1  # the root evaluation
         completed = 1
@@ -148,7 +139,7 @@ class LocalTreeMCTS(ParallelScheme):
             # recovers its virtual loss) before the move returns.
             expired = deadline_hit()
             # Master-thread in-tree operations: select new leaves while
-            # worker capacity remains (Algorithm 3 lines 7-11).
+            # fewer than N are in flight (Algorithm 3 lines 7-11).
             while (
                 not expired
                 and not reached(launched)
@@ -180,17 +171,15 @@ class LocalTreeMCTS(ParallelScheme):
                 # leaves and nothing is pending -- but the count says we
                 # still owe playouts, so selection must continue.
                 continue
-            # Wait for a task to finish (Algorithm 3 lines 12-16).
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for fut in done:
-                items = inflight.pop(fut)
-                evaluations: list[Evaluation] = fut.result()
-                for (leaf, leaf_game), ev in zip(items, evaluations):
-                    # Master-thread expansion and backup (no locks needed:
-                    # only this thread ever touches the tree).
-                    value = expand(leaf, leaf_game, ev)
-                    backup(leaf, value, self.vl_policy)
-                    completed += 1
+            # Complete the oldest sub-batch (Algorithm 3 lines 12-16): the
+            # master evaluates it, then expands and backs up its leaves in
+            # submission order (no locks: only this thread touches the tree).
+            items = inflight.popleft()
+            evaluations = self.evaluator.evaluate_batch([g for _, g in items])
+            for (leaf, leaf_game), ev in zip(items, evaluations):
+                value = expand(leaf, leaf_game, ev)
+                backup(leaf, value, self.vl_policy)
+                completed += 1
         return root
 
     def get_action_prior(
