@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Multiprocess self-play farm: worker processes, shared-memory evaluation.
+"""Multiprocess self-play farm: worker processes that evaluate their own leaves.
 
 Demonstrates ``repro.farm`` and the engine's ``backend="process"`` option:
 
 1. run a round of self-play episodes across N worker processes, each
-   running the array-backed serial search, with every leaf evaluation
-   shipped through shared-memory slabs to one evaluator process that
-   batches across workers (the Section-3.3 accelerator queue, scaled
-   past the GIL);
+   playing whole episodes with the array-backed serial search and
+   evaluating its own leaves through its own LRU cache -- no leaf ever
+   crosses a process boundary;
 2. verify the determinism contract: the farm round reproduces a serial
    loop over the same seed ladder transcript-for-transcript;
 3. compare against the PR-1 thread engine on the same workload and print
    both engines' serving statistics;
 4. run the same farm through ``MultiGameSelfPlayEngine`` inside the
-   Algorithm-1 training pipeline (weights are re-synced into the
-   evaluator process after every SGD stage).
+   Algorithm-1 training pipeline (weights are re-synced into every
+   worker, which clears its cache, after every SGD stage).
+
+Exits non-zero if the farm's transcripts differ from the serial loop's
+or the training pipeline fails.
 
 Run:  PYTHONPATH=src python examples/farm_selfplay.py
 """
@@ -45,7 +47,8 @@ def main() -> None:
         results, stats = farm.run_round(seed_ladder(0, EPISODES))
         print(f"farm      : {stats.games} episodes on {WORKERS} workers in "
               f"{stats.wall_time:.2f}s ({stats.sims_per_sec:.0f} sims/s)")
-        print(f"  batch occupancy : {stats.mean_batch_occupancy:.2f}")
+        print(f"  leaf evaluations: {stats.eval_requests} "
+              f"(in the workers, one row per call)")
         print(f"  cache hit rate  : {stats.cache_hit_rate:.1%} "
               f"({stats.cache_hits} hits / {stats.cache_misses} misses)")
         print(f"  supervision     : {stats.worker_restarts} restarts, "
@@ -57,6 +60,10 @@ def main() -> None:
             game, SerialMCTS(evaluator, rng=rng), PLAYOUTS, rng=rng
         )
         assert got.winner == expected.winner and got.moves == expected.moves
+        assert all(
+            (g.policy == e.policy).all()
+            for g, e in zip(got.examples, expected.examples)
+        )
     print("determinism : farm transcripts == serial transcripts (exact)")
 
     # -- same workload on the PR-1 thread engine -----------------------------

@@ -8,10 +8,10 @@ simulate  : execute one move's tree-based search on the virtual platform
     and print the timing summary (the unit the figures are built from).
 train     : run the Algorithm-1 training loop at small scale; with
     ``--concurrent-games G`` data collection runs G games per iteration
-    through the shared accelerator queue + evaluation cache, and
+    through the shared evaluation bus + evaluation cache, and
     ``--evaluator-backend process`` moves collection onto the multiprocess
-    farm (``--workers`` worker processes, shared-memory batched
-    evaluation).
+    farm (``--workers`` worker processes, each evaluating its own leaves
+    through its own cache).
 selfplay  : run one multi-game batched self-play round and print the
     serving statistics (games/sec, batch occupancy, cache hit rate);
     ``--backend process --workers N`` runs the round on the farm.
@@ -84,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--concurrent-games", type=int, default=1,
         help="collect data with G concurrent games per iteration (shared "
-             "accelerator queue + evaluation cache)",
+             "evaluation bus + evaluation cache)",
     )
     p_train.add_argument(
         "--evaluator-backend", default="thread", choices=["thread", "process"],
         help="with --concurrent-games > 1: run the games on a thread pool "
-             "(in-process queue) or on the multiprocess self-play farm "
-             "(shared-memory batched evaluation, --workers processes)",
+             "(in-process evaluation bus) or on the multiprocess self-play "
+             "farm (--workers processes, each evaluating its own leaves)",
     )
     p_train.add_argument(
         "--tree-backend", default="array", choices=["node", "array"],
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
         help="run the G games on a thread pool (default) or as a "
-             "multiprocess farm with shared-memory batched evaluation",
+             "multiprocess farm whose workers evaluate their own leaves",
     )
     p_sp.add_argument(
         "--workers", type=int, default=2,

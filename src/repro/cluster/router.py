@@ -18,9 +18,9 @@ logical surface as one :class:`~repro.serving.service.MatchGateway` --
   server-side instead of double-applying;
 - runs a :class:`~repro.cluster.health.HealthMonitor` that turns ping
   streak failures into failover (re-admit sessions on survivors) plus
-  an epoch-fenced respawn under a bounded restart budget -- the farm's
-  supervision moves (:mod:`repro.farm.supervision`) applied to whole
-  gateways.
+  an epoch-fenced respawn under a bounded restart budget -- the
+  supervision primitives of :mod:`repro.farm.supervision` (the farm
+  spends the retry budget per episode) applied to whole gateways.
 
 Every mutation of the fleet appends to :attr:`ShardRouter.events`, a
 wall-of-history the chaos suite compares across identically-seeded runs

@@ -1,45 +1,41 @@
-r"""Multiprocess self-play farm with shared-memory batched evaluation.
+r"""Multiprocess self-play farm: forked workers that evaluate their own leaves.
 
 The thread-based :class:`repro.serving.engine.MultiGameSelfPlayEngine`
-multiplexes G games over one accelerator queue, but all G searches share
+multiplexes G games over one evaluation bus, but all G searches share
 one GIL -- sims/sec plateaus near single-core throughput no matter the
 hardware.  The farm moves each game's search into its own *process*:
 
-    worker 0 (SerialMCTS) --\                       doorbell pipes
-    worker 1 (SerialMCTS) ---+--> shared-memory --> evaluator process
-       ...                   |    state slabs       (batched forward,
-    worker N-1 -------------/       ^                writes priors/values
-            ^                       |                back into the slabs)
-            |              SharedEvaluationCache
-       task pipes          (lock-striped, shm)
-      (supervisor)
+                  task pipes         worker 0: scheme --> CachingEvaluator
+    supervisor --------------------> worker 1: scheme     (own LRU cache)
+    (seeds, pull       ...              ...                    |
+     scheduling,  <----------------  worker N-1            forked copy of
+     requeue)     finished episodes                         the evaluator
 
-Workers run the unchanged array-backed search schemes; only *where* leaf
-evaluation happens differs (the Section-3.2 program-template property,
-now across address spaces).  Evaluation requests ride shared-memory rings
-(:mod:`repro.farm.rings`) and are batched by the evaluator process with
-the thread engine's evaluation-bus semantics (flush at the busy-worker
-headcount, linger timeout for tails -- :mod:`repro.farm.server`).  Leaf
-states any process has already evaluated are served from the lock-striped
-:class:`~repro.farm.cache.SharedEvaluationCache` without touching a pipe.
+Each worker plays whole episodes through the scheme factory and
+evaluates its leaves in-process, through its own LRU
+:class:`~repro.serving.cache.CachingEvaluator` wrapped around the
+evaluator it inherited at fork.  Nothing but episode seeds, weight syncs
+and finished episodes ever crosses a pipe: on a CPU host shipping every
+leaf to a central evaluator process costs more than the batching it
+buys (the paper's communication-versus-parallelism trade, Eqs. 3-6), so
+the farm pays no per-leaf IPC at all.
 
 Determinism: episodes are seeded by a ladder of generators spawned from
 one root ``SeedSequence`` and an episode's transcript depends only on its
 own generator (workers pull episodes, but the rng travels with the
 episode, not the worker), so a farm round reproduces a serial loop over
-the same ladder transcript-for-transcript.
+the same ladder transcript-for-transcript.  Evaluations are pure
+functions of the state, so which worker's cache holds what never
+changes a transcript either.
 
 Supervision: worker processes can die mid-episode (OOM killer, segfault,
 the fault-injection suite's SIGKILL).  The supervisor detects death via
-process sentinels, respawns the worker slot (same ring, same doorbell,
-epoch bumped so stale responses are fenced off), and requeues the lost
-episode -- re-running it under the *same* generator, so a crash never
-changes the round's transcripts.  Each episode has a bounded retry
-budget; exhausting it raises :class:`FarmError`.
-
-Everything is fork-based: workers inherit the game template, the scheme
-factory and the slabs directly, so nothing but doorbell tuples, episode
-seeds and finished episodes ever crosses a pipe.
+process sentinels, respawns the worker slot with a fresh task pipe (so
+nothing the corpse left behind can be read as the successor's reply),
+and requeues the lost episode -- re-running it under the *same*
+generator, so a crash never changes the round's transcripts.  Each
+episode has a bounded retry budget; exhausting it raises
+:class:`FarmError`.
 """
 
 from __future__ import annotations
@@ -54,15 +50,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.farm.cache import SharedEvaluationCache
-from repro.farm.counters import FarmCounters
-from repro.farm.rings import EvaluationRings, RingClient
-from repro.farm.server import evaluator_main, resolve_encoded_evaluator
-from repro.farm.shm import SegmentRegistry
-from repro.farm.supervision import EpochFence, RetryBudget
+from repro.farm.supervision import RetryBudget
 from repro.games.base import Game
 from repro.mcts.backend import TreeBackend, resolve_backend
-from repro.mcts.evaluation import Evaluator
+from repro.mcts.evaluation import Evaluation, Evaluator
+from repro.nn.infer import ensure_plan
+from repro.serving.cache import CachingEvaluator, EvaluationCache
 from repro.serving.engine import ServingStats
 from repro.training.selfplay import EpisodeResult, play_episode
 from repro.utils.clock import WALL_CLOCK, Clock
@@ -70,12 +63,12 @@ from repro.utils.rng import seed_ladder
 
 __all__ = ["FarmError", "FarmStats", "SelfPlayFarm"]
 
-#: builds one episode's search scheme around the worker's ring evaluator
+#: builds one episode's search scheme around the worker's evaluator
 SchemeFactory = Callable[[Evaluator, np.random.Generator], object]
 
 
 class FarmError(RuntimeError):
-    """Unrecoverable farm failure (retry budget exhausted, evaluator died)."""
+    """Unrecoverable farm failure (retry budget exhausted, weight sync failed)."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +79,9 @@ class FarmStats(ServingStats):
     the training pipeline's metrics fold it in unchanged) plus the
     process-farm specifics: worker headcount, supervision activity, and
     the figure of merit the E14 benchmark tracks, :attr:`sims_per_sec`.
+    ``eval_batches`` and ``eval_requests`` count the calls and rows that
+    reached the workers' evaluators; workers never flush partial
+    batches, so ``partial_flushes`` is 0.
     """
 
     # defaults are required by dataclass field ordering now that
@@ -112,26 +108,59 @@ class FarmStats(ServingStats):
         return d
 
 
-def _worker_main(farm: "SelfPlayFarm", worker_id: int, epoch: int) -> None:
-    """Worker-process entry point (runs post-fork; *farm* is inherited)."""
-    task_conn = farm._task_child_conns[worker_id]
-    client = RingClient(
-        worker_id,
-        epoch,
-        farm._rings,
-        farm._doorbell_worker_conns[worker_id],
-        farm.cache,
-    )
+class _CountingEvaluator(Evaluator):
+    """Counts the calls and rows that reach the wrapped evaluator."""
+
+    def __init__(self, evaluator: Evaluator) -> None:
+        self.evaluator = evaluator
+        self.calls = 0
+        self.rows = 0
+
+    def evaluate(self, game: Game) -> Evaluation:
+        self.calls += 1
+        self.rows += 1
+        return self.evaluator.evaluate(game)
+
+    def evaluate_batch(self, games: list[Game]) -> list[Evaluation]:
+        self.calls += 1
+        self.rows += len(games)
+        return self.evaluator.evaluate_batch(games)
+
+
+def _worker_main(farm: "SelfPlayFarm", conn) -> None:
+    """Worker-process entry point (runs post-fork; *farm* is inherited).
+
+    Messages on the task pipe: ``("episode", index, rng)`` plays one
+    episode and replies ``("done", index, result, counts)``;
+    ``("weights", state)`` loads new weights, clears the cache and
+    replies ``("synced",)``; ``None`` (or EOF) exits.
+    """
+    network = getattr(farm.evaluator, "network", None)
+    if farm._weights is not None:  # a respawn after sync_weights
+        network.load_state_dict(farm._weights)
+    # compile (or confirm) the fused plan before the first leaf
+    ensure_plan(network)
+    counting = _CountingEvaluator(farm.evaluator)
+    cache = EvaluationCache(farm.cache_capacity) if farm.cache_capacity > 0 else None
+    evaluator = counting if cache is None else CachingEvaluator(counting, cache)
     while True:
         try:
-            msg = task_conn.recv()
+            msg = conn.recv()
         except (EOFError, OSError):
             return
         if msg is None:
             return
-        episode_index, rng = msg
         try:
-            scheme = farm.scheme_factory(client, rng)
+            if msg[0] == "weights":
+                network.load_state_dict(msg[1])
+                if cache is not None:
+                    cache.clear()
+                ensure_plan(network)
+                conn.send(("synced",))
+                continue
+            _, episode_index, rng = msg
+            before = _counts(cache, counting)
+            scheme = farm.scheme_factory(evaluator, rng)
             try:
                 result = play_episode(
                     farm.game,
@@ -148,44 +177,46 @@ def _worker_main(farm: "SelfPlayFarm", worker_id: int, epoch: int) -> None:
                     close()
         except BaseException:
             try:
-                task_conn.send(("error", episode_index, traceback.format_exc()))
+                conn.send(("error", traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 pass
             raise
-        task_conn.send(("done", episode_index, result))
+        counts = tuple(b - a for a, b in zip(before, _counts(cache, counting)))
+        conn.send(("done", episode_index, result, counts))
+
+
+def _counts(
+    cache: EvaluationCache | None, counting: _CountingEvaluator
+) -> tuple[int, int, int, int]:
+    """(cache hits, cache misses, evaluator calls, evaluator rows)."""
+    hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+    return hits, misses, counting.calls, counting.rows
 
 
 class SelfPlayFarm:
-    """N self-play worker processes sharing one batched evaluator process.
+    """N self-play worker processes, each evaluating its own leaves.
 
     Parameters
     ----------
     game : template state; every episode plays from a fresh copy.
-    evaluator : backing evaluator; must expose ``evaluate_encoded`` (the
-        network and uniform evaluators do) because workers ship encoded
-        planes, not ``Game`` objects.
+    evaluator : any :class:`Evaluator`; every worker evaluates with its
+        own forked copy.
     num_workers : worker-process count N.
     num_playouts : per-move search budget of every episode.
     scheme_factory : builds each episode's search scheme around the
-        worker's ring evaluator; defaults to :class:`SerialMCTS` on the
-        array backend.  Must be fork-inheritable (plain function, bound
-        method or closure -- it is never pickled).
-    cache_capacity : shared evaluation-cache size in states; 0 disables
-        the cache.
-    cache_stripes : lock stripes of the shared cache.
-    linger : evaluator partial-flush timeout in seconds.
-    ring_depth : in-flight evaluation slots per worker (serial schemes
-        need 1; headroom is harmless).
+        worker's (cached) evaluator; defaults to :class:`SerialMCTS` on
+        the array backend.  Must be fork-inheritable (plain function,
+        bound method or closure -- it is never pickled).
+    cache_capacity : size of each worker's LRU evaluation cache in
+        states; 0 disables caching.
     max_retries : how many times one episode may be re-run after worker
         deaths before the round fails with :class:`FarmError`.
     tree_backend : storage layout for the default per-episode trees.
-    clock : time source for round wall-clock accounting and the
-        evaluator's linger bookkeeping (wall by default; process joins
-        and pipe waits are always real OS time).
+    clock : time source for round wall-clock accounting (wall by
+        default; process joins and pipe waits are always real OS time).
 
     Use :meth:`run_round` for episodes + stats; :meth:`close` (or the
-    context-manager form) terminates the processes and unlinks every
-    shared-memory segment.
+    context-manager form) stops the worker processes.
     """
 
     def __init__(
@@ -199,9 +230,6 @@ class SelfPlayFarm:
         temperature: float = 1.0,
         max_moves: int | None = None,
         cache_capacity: int = 8192,
-        cache_stripes: int = 8,
-        linger: float = 0.002,
-        ring_depth: int = 2,
         max_retries: int = 2,
         tree_backend: TreeBackend | str | None = None,
         clock: Clock | None = None,
@@ -212,7 +240,6 @@ class SelfPlayFarm:
             raise ValueError("num_playouts must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        resolve_encoded_evaluator(evaluator)  # fail fast on rollout-style
         self.game = game
         self.evaluator = evaluator
         self.num_workers = num_workers
@@ -220,9 +247,8 @@ class SelfPlayFarm:
         self.temperature_moves = temperature_moves
         self.temperature = temperature
         self.max_moves = max_moves
-        self.linger = linger
+        self.cache_capacity = cache_capacity
         self.clock: Clock = WALL_CLOCK if clock is None else clock
-        self.ring_depth = ring_depth
         self.max_retries = max_retries
         self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         if scheme_factory is None:
@@ -234,74 +260,22 @@ class SelfPlayFarm:
         self.scheme_factory = scheme_factory
 
         self._ctx = mp.get_context("fork")
-        self.registry = SegmentRegistry()
-        self._rings = EvaluationRings(
-            self.registry,
-            num_workers,
-            ring_depth,
-            (game.num_planes, *game.board_shape),
-            game.action_size,
-        )
-        self.cache: SharedEvaluationCache | None = (
-            SharedEvaluationCache(
-                game.action_size,
-                capacity=cache_capacity,
-                stripes=cache_stripes,
-                registry=self.registry,
-                ctx=self._ctx,
-            )
-            if cache_capacity > 0
-            else None
-        )
-        self.counters = FarmCounters(self._ctx)
-        self._active = self._ctx.Value("i", 0)
-        self._batch_cap = num_workers * ring_depth
-
         self._started = False
         self._closed = False
+        #: the last synced weights; a respawned worker loads them at start
+        self._weights: dict[str, np.ndarray] | None = None
         self.worker_restarts = 0
         self.episodes_requeued = 0
-        # one fence per worker slot (the cluster's shard supervision
-        # reuses the same primitive -- see repro.farm.supervision)
-        self._epochs = [EpochFence() for _ in range(num_workers)]
         self._workers: list[mp.process.BaseProcess | None] = [None] * num_workers
-        self._evaluator_proc: mp.process.BaseProcess | None = None
+        self._task_conns: list = [None] * num_workers
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Fork the evaluator and all worker processes (idempotent)."""
+        """Fork all worker processes (idempotent)."""
         if self._closed:
             raise RuntimeError("farm is closed")
         if self._started:
             return
-        ctx = self._ctx
-        # doorbell pipes: worker <-> evaluator, one duplex pair per worker
-        pairs = [ctx.Pipe(duplex=True) for _ in range(self.num_workers)]
-        self._doorbell_server_conns = [p[0] for p in pairs]
-        self._doorbell_worker_conns = [p[1] for p in pairs]
-        self._control_parent, self._control_child = ctx.Pipe(duplex=True)
-
-        # the evaluator forks BEFORE any task pipe exists, so it can never
-        # hold a task-pipe fd open (see _spawn_worker's EOF contract)
-        self._evaluator_proc = ctx.Process(
-            target=evaluator_main,
-            args=(
-                self.evaluator,
-                self._rings,
-                self._doorbell_server_conns,
-                self._control_child,
-                self._active,
-                self.counters,
-                self.linger,
-                self._batch_cap,
-                self.clock,
-            ),
-            name="farm-evaluator",
-            daemon=True,
-        )
-        self._evaluator_proc.start()
-        self._task_parent_conns: list = [None] * self.num_workers
-        self._task_child_conns: list = [None] * self.num_workers
         for w in range(self.num_workers):
             self._spawn_worker(w)
         self._started = True
@@ -309,19 +283,19 @@ class SelfPlayFarm:
     def _spawn_worker(self, worker_id: int) -> None:
         """Fork worker *worker_id* with a fresh task pipe.
 
-        EOF contract: after the fork, the parent drops its copy of the
-        worker-side pipe end, and pipes are created one-per-spawn (never
-        before another process forks), so the dying worker is the *only*
-        holder of that end.  A worker SIGKILLed mid-``send`` therefore
-        yields ``EOFError`` on the supervisor's blocking ``recv`` of the
-        torn frame instead of hanging it forever.
+        EOF contract: the pipe is created for this spawn only and the
+        parent drops its copy of the worker-side end right after the
+        fork, so the worker is the *only* holder of that end.  A worker
+        SIGKILLed mid-``send`` therefore yields ``EOFError`` on the
+        supervisor's blocking ``recv`` of the torn frame instead of
+        hanging it forever, and nothing the corpse wrote can reach the
+        successor's pipe.
         """
         parent, child = self._ctx.Pipe(duplex=True)
-        self._task_parent_conns[worker_id] = parent
-        self._task_child_conns[worker_id] = child
+        self._task_conns[worker_id] = parent
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self, worker_id, self._epochs[worker_id].current),
+            args=(self, child),
             name=f"farm-worker-{worker_id}",
             daemon=True,
         )
@@ -332,18 +306,15 @@ class SelfPlayFarm:
         self._workers[worker_id] = proc
 
     def _respawn_worker(self, worker_id: int) -> None:
-        """Replace a dead worker: fresh task pipe (discarding any torn
-        frame the SIGKILL left mid-result), same doorbell pipe and ring
-        (doorbell frames are atomic; the bumped epoch fences stale
-        responses)."""
+        """Replace a dead worker; its old task pipe (and any torn frame
+        the SIGKILL left in it) is discarded."""
         dead = self._workers[worker_id]
         if dead is not None:
             dead.join(timeout=1.0)
         try:
-            self._task_parent_conns[worker_id].close()
+            self._task_conns[worker_id].close()
         except OSError:
             pass
-        self._epochs[worker_id].bump()
         self.worker_restarts += 1
         self._spawn_worker(worker_id)
 
@@ -352,69 +323,85 @@ class SelfPlayFarm:
         """PIDs of the live worker processes (fault-injection hook)."""
         return [p.pid for p in self._workers if p is not None and p.pid]
 
-    @property
-    def evaluator_pid(self) -> int | None:
-        return self._evaluator_proc.pid if self._evaluator_proc else None
-
     def sync_weights(self, state: dict[str, np.ndarray]) -> None:
-        """Push new network weights into the running evaluator process.
+        """Load new network weights into every worker.
 
+        Each worker loads *state*, clears its evaluation cache (cached
+        evaluations came from the old weights) and recompiles its plan.
+        Blocks until every worker has acknowledged, so the next round is
+        guaranteed to evaluate with the new parameters; a worker that
+        dies meanwhile, or is respawned later, starts on *state* too.
         No-op before :meth:`start` -- the fork will inherit the weights.
-        Blocks until the evaluator acknowledges, so the next round is
-        guaranteed to evaluate with the new parameters.
+        A worker that fails to load *state* closes the farm and raises
+        :class:`FarmError`.
         """
         if not self._started:
             return
-        self._control_parent.send(("weights", state))
-        reply = self._control_parent.recv()
-        if reply[0] != "ok":
-            raise FarmError(f"weight sync failed: {reply!r}")
+        if self._closed:
+            raise RuntimeError("farm is closed")
+        if getattr(self.evaluator, "network", None) is None:
+            raise FarmError("weight sync needs an evaluator with a network")
+        self._weights = state
+        pending: set[int] = set()
+        for w in range(self.num_workers):
+            try:
+                self._task_conns[w].send(("weights", state))
+                pending.add(w)
+            except (BrokenPipeError, OSError):
+                self._respawn_worker(w)
+        error: str | None = None
+        while pending:
+            waitees = [self._task_conns[w] for w in pending]
+            waitees += [self._workers[w].sentinel for w in pending]
+            ready = set(wait(waitees))
+            for w in list(pending):
+                proc = self._workers[w]
+                if self._task_conns[w] in ready and proc.is_alive():
+                    try:
+                        msg = self._task_conns[w].recv()
+                    except (EOFError, OSError):
+                        continue  # death handled via the sentinel below
+                    if msg[0] == "synced":
+                        pending.discard(w)
+                    else:
+                        error = msg[1]
+                if not proc.is_alive():
+                    pending.discard(w)
+                    if error is None:
+                        self._respawn_worker(w)
+        if error is not None:
+            self.close()
+            raise FarmError(f"weight sync failed:\n{error}")
 
     def close(self) -> None:
-        """Terminate all processes and unlink shared memory; idempotent."""
+        """Stop every worker process; idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self._started:
-            for w, proc in enumerate(self._workers):
-                if proc is None:
-                    continue
-                try:
-                    self._task_parent_conns[w].send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-            deadline = time.monotonic() + 2.0
-            for proc in self._workers:
-                if proc is not None:
-                    proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=1.0)
-                    if proc.is_alive():  # pragma: no cover - stuck in D state
-                        proc.kill()
-                        proc.join(timeout=1.0)
-            if self._evaluator_proc is not None:
-                try:
-                    self._control_parent.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-                self._evaluator_proc.join(timeout=2.0)
-                if self._evaluator_proc.is_alive():
-                    self._evaluator_proc.terminate()
-                    self._evaluator_proc.join(timeout=1.0)
-            for conn in (
-                *self._task_parent_conns,
-                *self._task_child_conns,
-                *self._doorbell_server_conns,
-                *self._doorbell_worker_conns,
-                self._control_parent,
-                self._control_child,
-            ):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self.registry.close()
+        if not self._started:
+            return
+        for w, proc in enumerate(self._workers):
+            if proc is None:
+                continue
+            try:
+                self._task_conns[w].send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.monotonic() + 2.0
+        for proc in self._workers:
+            if proc is not None:
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+                if proc.is_alive():  # pragma: no cover - stuck in D state
+                    proc.kill()
+                    proc.join(timeout=1.0)
+        for conn in self._task_conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "SelfPlayFarm":
         return self
@@ -453,9 +440,6 @@ class SelfPlayFarm:
             raise ValueError("run_round needs at least one episode")
         self.start()
 
-        base = self.counters.snapshot()
-        base_hits = self.cache.hits if self.cache else 0
-        base_misses = self.cache.misses if self.cache else 0
         restarts_before = self.worker_restarts
         requeued_before = self.episodes_requeued
 
@@ -464,6 +448,8 @@ class SelfPlayFarm:
             for i, rng in enumerate(episode_rngs)
         )
         results: dict[int, EpisodeResult] = {}
+        # summed (cache hits, cache misses, evaluator calls, rows)
+        totals = np.zeros(4, dtype=np.int64)
         busy: dict[int, tuple[int, np.random.Generator, RetryBudget]] = {}
         idle = set(range(self.num_workers))
         last_error: str | None = None
@@ -474,19 +460,20 @@ class SelfPlayFarm:
                 w = idle.pop()
                 task = queue.popleft()
                 busy[w] = task
-                with self._active.get_lock():
-                    self._active.value = len(busy)
-                self._task_parent_conns[w].send((task[0], task[1]))
-            waitees: list = [self._task_parent_conns[w] for w in busy]
+                try:
+                    self._task_conns[w].send(("episode", task[0], task[1]))
+                except (BrokenPipeError, OSError):
+                    # died idle: the episode never started, so it goes
+                    # back unspent and the sentinel path respawns w
+                    queue.appendleft(busy.pop(w))
+            waitees: list = [self._task_conns[w] for w in busy]
             waitees += [p.sentinel for p in self._workers if p is not None]
-            if self._evaluator_proc is not None:
-                waitees.append(self._evaluator_proc.sentinel)
             ready = set(wait(waitees, timeout=1.0))
 
             # results first: a worker that finished and *then* died must
             # not have its completed episode requeued
             for w in list(busy):
-                conn = self._task_parent_conns[w]
+                conn = self._task_conns[w]
                 if conn not in ready:
                     continue
                 proc = self._workers[w]
@@ -501,21 +488,16 @@ class SelfPlayFarm:
                 except (EOFError, OSError):
                     continue  # death handled via the sentinel below
                 if msg[0] == "done":
-                    _, idx, episode = msg
+                    _, idx, episode, counts = msg
                     results[idx] = episode
+                    totals += counts
                     del busy[w]
                     idle.add(w)
                 elif msg[0] == "error":
-                    last_error = msg[2]
+                    last_error = msg[1]
                     # the worker re-raises and dies; the sentinel path
                     # requeues (or fails the round on budget exhaustion)
 
-            if (
-                self._evaluator_proc is not None
-                and self._evaluator_proc.sentinel in ready
-                and not self._evaluator_proc.is_alive()
-            ):
-                self._fail_round("evaluator process died", last_error)
             for w, proc in enumerate(self._workers):
                 if proc is None or proc.is_alive():
                     continue
@@ -533,27 +515,19 @@ class SelfPlayFarm:
                     self.episodes_requeued += 1
                 self._respawn_worker(w)
                 idle.add(w)
-            with self._active.get_lock():
-                self._active.value = len(busy)
         wall = self.clock.perf_counter() - t0
-        with self._active.get_lock():
-            self._active.value = 0
 
-        snap = self.counters.snapshot()
-        requests = snap["requests_served"] - base["requests_served"]
-        batches = snap["batches_flushed"] - base["batches_flushed"]
-        hits = (self.cache.hits if self.cache else 0) - base_hits
-        misses = (self.cache.misses if self.cache else 0) - base_misses
+        hits, misses, calls, rows = (int(t) for t in totals)
         ordered = [results[i] for i in range(len(episode_rngs))]
         stats = FarmStats(
             games=len(ordered),
             moves=sum(r.moves for r in ordered),
             playouts=sum(r.total_playouts for r in ordered),
             wall_time=wall,
-            eval_requests=requests,
-            eval_batches=batches,
-            mean_batch_occupancy=requests / batches if batches else 0.0,
-            partial_flushes=snap["partial_flushes"] - base["partial_flushes"],
+            eval_requests=rows,
+            eval_batches=calls,
+            mean_batch_occupancy=rows / calls if calls else 0.0,
+            partial_flushes=0,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,

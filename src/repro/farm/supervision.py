@@ -1,12 +1,14 @@
 """Supervision primitives shared by the farm and the serving cluster.
 
-PR 3 proved the restart idioms in process-tree form: a dead worker is
-*fenced* (its slot's epoch bumps, so anything the corpse left in flight
-is recognisably stale) and its work is *retried under a bounded budget*
-(so a poisoned task cannot respawn workers forever).  The cluster layer
-(:mod:`repro.cluster`) supervises whole gateway shards with exactly the
-same two moves, so the moves live here as two tiny, dependency-free
-classes instead of being re-derived per subsystem.
+Two restart idioms: a dead worker is *fenced* (its slot's epoch bumps,
+so anything the corpse left in flight is recognisably stale) and its
+work is *retried under a bounded budget* (so a poisoned task cannot
+respawn workers forever).  The self-play farm retries each episode under
+a :class:`RetryBudget`; it needs no fence, because a respawned farm
+worker gets a fresh task pipe that nothing stale can reach.  The cluster
+layer (:mod:`repro.cluster`) supervises whole gateway shards with both
+moves, so they live here as two tiny, dependency-free classes instead of
+being re-derived per subsystem.
 
 Neither class is thread-safe by itself; both the farm supervisor and the
 cluster router mutate them from a single supervising thread/task.

@@ -87,25 +87,6 @@ class Evaluator(abc.ABC):
         return [self.evaluate(g) for g in games]
 
 
-def _sanitize_masks(masks: np.ndarray) -> np.ndarray:
-    """Boolean-ise a ``(B, A)`` mask batch, mapping all-illegal rows to
-    all-legal.
-
-    An all-illegal row cannot come from a live game (search never
-    evaluates terminal states); it only appears when the multiprocess farm
-    evaluates a slab slot torn by a killed-and-respawned worker, and that
-    response is discarded by the epoch fence anyway -- the substitution
-    just keeps the batched forward from dividing by zero on a row nobody
-    will read.
-    """
-    masks = np.asarray(masks).astype(bool)
-    empty = ~masks.any(axis=-1)
-    if np.any(empty):
-        masks = masks.copy()
-        masks[empty] = True
-    return masks
-
-
 class NetworkEvaluator(Evaluator):
     """Policy/value-network evaluation (the paper's DNN inference).
 
@@ -139,21 +120,6 @@ class NetworkEvaluator(Evaluator):
         rows = priors if len(games) == 1 else [row.copy() for row in priors]
         return [Evaluation(priors=p, value=float(v)) for p, v in zip(rows, values)]
 
-    def evaluate_encoded(
-        self, states: np.ndarray, masks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate pre-encoded states: ``(B, C, H, W)`` planes and
-        ``(B, A)`` legality masks -> ``(priors (B, A), values (B,))``.
-
-        This is the multiprocess farm's evaluation surface: worker
-        processes ship ``encode()`` planes through shared memory, so by
-        the time the batch reaches the evaluator process there are no
-        ``Game`` objects left to call :meth:`evaluate_batch` with.  Both
-        run the same ``predict_masked``, so in-process and cross-process
-        evaluation of the same state agree exactly.
-        """
-        return self.network.predict_masked(np.asarray(states), _sanitize_masks(masks))
-
 
 class UniformEvaluator(Evaluator):
     """Uniform priors over legal moves, zero value."""
@@ -164,16 +130,6 @@ class UniformEvaluator(Evaluator):
         if count == 0:
             raise ValueError("cannot evaluate a state with no legal actions")
         return Evaluation(priors=mask.astype(np.float64) / count, value=0.0)
-
-    def evaluate_encoded(
-        self, states: np.ndarray, masks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Farm-facing pre-encoded path; row-wise identical to
-        :meth:`evaluate`, so cross-process runs stay transcript-exact."""
-        masks = _sanitize_masks(masks)
-        counts = masks.sum(axis=-1, keepdims=True)
-        priors = masks.astype(np.float64) / counts
-        return priors, np.zeros(len(priors), dtype=np.float64)
 
 
 class RandomRolloutEvaluator(Evaluator):

@@ -1,7 +1,7 @@
 """Fused float32 inference engine: plan compilation over trained towers.
 
 Every evaluator -- serial search, the parallel schemes, the thread engine
-and the farm's evaluator process -- bottoms out in this forward pass, and
+and the farm's worker processes -- bottoms out in this forward pass, and
 that forward *is* the iteration cost (``T_DNN`` in Equations 3-6).
 Inference needs no autodiff caches, so this module compiles a
 :class:`~repro.nn.layers.Module` tower into an immutable
@@ -406,7 +406,7 @@ class InferencePlan:
         return sum(ws.nbytes for ws in arenas.values())
 
     #: arenas retained per thread; each distinct input shape (in practice:
-    #: each distinct batch size) owns one, and queue/farm evaluators flush
+    #: each distinct batch size) owns one, and bus-fed evaluators flush
     #: at varying occupancy, so an unbounded map would slowly accumulate a
     #: multi-MB arena per batch size ever seen.  LRU-evicting beyond this
     #: cap bounds retention; a re-observed shape just rebinds (~100us).
@@ -551,7 +551,7 @@ def compile_plan(network: Module) -> InferencePlan:
 def ensure_plan(network) -> InferencePlan | None:
     """Compile (or refresh) *network*'s fused plan off the hot path.
 
-    Used by the serving engine and the farm's evaluator process at startup
+    Used by the serving engine and the farm's worker processes at startup
     and after weight re-syncs, so the first real evaluation batch never
     pays compilation.  Returns ``None`` (and does nothing) for networks
     without fused-inference support or with the reference backend selected.

@@ -1,7 +1,7 @@
 """Serving layer: cross-game batched evaluation at scale.
 
 Where :mod:`repro.parallel` parallelises *one* search tree, this package
-multiplexes many concurrent games through a single accelerator queue so
+multiplexes many concurrent games through a single evaluation bus so
 batch occupancy scales with the number of games (the stepping stone from
 single-game self-play to request-serving):
 
@@ -9,9 +9,10 @@ single-game self-play to request-serving):
   :meth:`repro.games.base.Game.canonical_key`; a hit never reaches the
   accelerator.
 - :mod:`repro.serving.engine` -- :class:`MultiGameSelfPlayEngine`, the
-  G-games-one-queue orchestrator with round-level serving statistics
+  G-games-one-bus orchestrator with round-level serving statistics
   (``backend="process"`` swaps the thread pool for the multiprocess
-  :mod:`repro.farm` behind the same interface).
+  :mod:`repro.farm`, whose workers evaluate their own leaves, behind the
+  same interface).
 - :mod:`repro.serving.evalbus` -- :class:`EvaluationBus`, the shared
   deadline-aware evaluation service: leaves from *all* live gateway
   sessions fuse into cross-session accelerator batches, scheduled by

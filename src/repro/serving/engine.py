@@ -32,8 +32,8 @@ so a hand-off between games stays on one core.  No other thread is
 pinned.  For true
 multi-core scale-out, ``backend="process"`` keeps the same ``play_round``
 surface but delegates the round to a :class:`repro.farm.farm.SelfPlayFarm`:
-worker processes, shared-memory batched evaluation, a lock-striped shared
-cache, and restart-and-requeue supervision.
+forked worker processes that each evaluate their own leaves through their
+own LRU cache, under restart-and-requeue supervision.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class ServingStats:
     #: partial flushes forced specifically by the bus's aged-oldest
     #: linger window (a subset of ``partial_flushes``; high counts mean
     #: games are too few or too slow to fill the threshold).  Default 0:
-    #: the process farm's headcount-flushing evaluator has no linger.
+    #: the process farm's workers evaluate their own leaves, unbatched.
     linger_flushes: int = 0
     #: per-move search latency percentiles over the round (milliseconds);
     #: 0.0 where untracked (the process backend runs moves in worker
@@ -236,30 +236,35 @@ class MultiGameSelfPlayEngine:
         evaluation per game, so batch occupancy ~ number of active
         games).  The bus flushes at the live-game headcount and caps a
         batch at ``num_games``.
-    cache_capacity : LRU evaluation-cache size (states).
-    linger : partial-flush window in seconds (the bus's, or the farm
-        evaluator's under the process backend).
+    cache_capacity : LRU evaluation-cache size (states); under the
+        process backend, the size of each worker's own cache.
+    linger : the bus's partial-flush window in seconds (thread backend
+        only; the process backend has no bus).
     tree_backend : storage layout for the default per-game search trees
         (array by default -- each game's tree is single-threaded, so the
         vectorised backend is exact); custom ``scheme_factory`` callables
         own their backend choice and can read :attr:`tree_backend`.
     backend : ``"thread"`` (default) runs the G games on a thread pool
         over the in-process bus + LRU cache; ``"process"`` delegates to
-        a :class:`repro.farm.farm.SelfPlayFarm` -- N worker processes,
-        shared-memory batched evaluation, lock-striped shared cache, and
-        restart-and-requeue supervision -- for true multi-core scale-out.
+        a :class:`repro.farm.farm.SelfPlayFarm` -- N forked worker
+        processes, each playing whole episodes and evaluating its own
+        leaves through its own LRU cache, under restart-and-requeue
+        supervision -- for true multi-core scale-out.  :attr:`cache` is
+        then ``None`` (the caches live in the workers; the weight sync
+        at each round's start clears them when the weights changed).
         Episodes stay seeded per-game from the engine rng, so both
         backends produce identical transcripts for a deterministic
         evaluator.
     num_workers : process backend only -- worker-process count (defaults
         to ``min(num_games, usable CPUs)``, the CPUs this process may run
-        on, not the host's count).
+        on, not the host's count); the farm's workers pull the G
+        episodes one at a time.
     max_retries : process backend only -- per-episode retry budget after
         worker deaths.
 
     Use :meth:`play_round` for episodes + stats, or :meth:`close` /
     context-manager form to release the game-thread pool (and, for the
-    process backend, the farm's processes and shared memory).
+    process backend, the farm's worker processes).
     """
 
     def __init__(
@@ -304,8 +309,8 @@ class MultiGameSelfPlayEngine:
         self.clock: Clock = WALL_CLOCK if clock is None else clock
         # compile the fused inference plan up front (no-op for network-less
         # or reference-backend evaluators) so the round's first batch never
-        # pays plan compilation; the farm's evaluator process does the same
-        # on its side of the fork
+        # pays plan compilation; the farm's workers inherit the plan at
+        # fork and confirm it before their first leaf
         ensure_plan(getattr(evaluator, "network", None))
 
         self._farm = None
@@ -322,15 +327,16 @@ class MultiGameSelfPlayEngine:
                 temperature=temperature,
                 max_moves=max_moves,
                 cache_capacity=cache_capacity,
-                linger=linger,
                 max_retries=max_retries,
                 tree_backend=self.tree_backend,
                 clock=self.clock,
             )
-            # the farm's shared cache serves the role of the LRU cache
-            # (same clear() contract the training pipeline relies on);
-            # there is no in-process bus to expose.
-            self.cache = self._farm.cache
+            # the caches live in the farm's workers, and the weight sync
+            # clears them; there is no in-process bus or cache to expose.
+            #: ``weights_version`` of the evaluator's network at the last
+            #: sync (or fork); a round syncs only when it has moved
+            self._synced_version: int | None = None
+            self.cache: EvaluationCache | None = None
             self.bus = None
             self.shared_evaluator = None
             self._pool = None
@@ -449,15 +455,20 @@ class MultiGameSelfPlayEngine:
         return results, stats
 
     def _sync_farm_weights(self) -> None:
-        """Propagate post-SGD network weights into the evaluator process.
+        """Propagate post-SGD network weights into the farm's workers.
 
-        The farm's evaluator holds a *forked copy* of the evaluator, so
-        in-place weight updates in this process (the training loop's SGD
-        stage) would otherwise go unseen.  A no-op before the farm's
-        first round (the fork inherits current weights) and for
-        network-less evaluators.
+        Each worker holds a *forked copy* of the evaluator, so in-place
+        weight updates in this process (the training loop's SGD stage)
+        would otherwise go unseen; the sync also clears the workers'
+        caches, whose evaluations came from the old weights.  Only runs
+        when the network's ``weights_version`` moved since the last sync,
+        so rounds without training keep their warm caches.  A no-op
+        before the farm's first round (the fork inherits current weights)
+        and for network-less evaluators.
         """
         network = getattr(self._farm.evaluator, "network", None)
-        state_dict = getattr(network, "state_dict", None)
-        if state_dict is not None:
-            self._farm.sync_weights(state_dict())
+        version = getattr(network, "weights_version", None)
+        if version is None or version == self._synced_version:
+            return
+        self._farm.sync_weights(network.state_dict())
+        self._synced_version = version

@@ -47,7 +47,7 @@ the result is deterministic and immediate.
 The bus is an overlay on the evaluator seam, not a rewrite of it:
 evaluations are value-identical with or without it, because a fused
 ``evaluate_batch`` row equals the singleton ``evaluate`` result (the
-farm's exact-determinism suite already stands on this), so
+engine's serial-parity suite already stands on this), so
 generous-deadline bit-parity is preserved for every scheme.
 
 **Placement.**  The threads that share a bus hand the GIL and each fused

@@ -106,10 +106,11 @@ class TrainingPipeline:
     :class:`repro.serving.engine.MultiGameSelfPlayEngine`) and every
     iteration collects a whole concurrent round of G episodes through the
     shared accelerator queue, folding the round's cache/occupancy counters
-    into :attr:`metrics`.  A process-backend engine works unchanged: the
-    post-SGD ``cache.clear()`` below clears the farm's shared-memory cache,
-    and the engine re-syncs the updated network weights into its evaluator
-    process at the start of the next round.
+    into :attr:`metrics`.  A process-backend engine works unchanged: it
+    has no cache of its own to clear (``engine.cache`` is ``None``), and
+    at the start of the next round it re-syncs the updated network
+    weights into the farm's workers, which clear their caches and
+    recompile their plans as they load them.
     """
 
     def __init__(
@@ -383,14 +384,15 @@ class TrainingPipeline:
         if self.engine is not None and self.engine.cache is not None:
             # SGD just updated the network the engine evaluates with;
             # cached evaluations are now stale and must not leak into the
-            # next round's self-play data.  (cache is None only for a
-            # process-backend engine built with caching disabled.)
+            # next round's self-play data.  (cache is None for a
+            # process-backend engine: the weight sync at the next round's
+            # start clears the workers' caches.)
             self.engine.cache.clear()
         # the compiled inference plan is equally stale (train_step bumped
         # weights_version); recompile here, between the SGD stage and the
         # next round, rather than inside the first leaf evaluation.  The
-        # process backend instead recompiles inside the evaluator process
-        # when the engine re-syncs weights at the next round's start.
+        # process backend's workers recompile their own copies when the
+        # engine re-syncs weights at the next round's start.
         ensure_plan(getattr(self.trainer, "network", None))
 
     def resume_from(self, checkpoints) -> int:

@@ -3,8 +3,8 @@
 Every time-touching layer of the serving stack (deadline arming in
 :class:`~repro.mcts.budget.BudgetClock`, session idle-GC and latency
 stamps in :class:`~repro.serving.service.MatchGateway`, round timing in
-:class:`~repro.serving.engine.MultiGameSelfPlayEngine`, the farm
-evaluator's linger) reads time through a :class:`Clock` instead of the
+:class:`~repro.serving.engine.MultiGameSelfPlayEngine` and the farm, the
+evaluation bus's linger) reads time through a :class:`Clock` instead of the
 ``time`` module directly.  Production injects nothing and gets
 :data:`WALL_CLOCK` -- behaviour is bit-identical to calling
 ``time.monotonic()`` / ``time.perf_counter()`` / ``asyncio.sleep()``.

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.farm import SelfPlayFarm
-from repro.games import ConnectFour, TicTacToe
-from repro.mcts.evaluation import UniformEvaluator
+from repro.games import ConnectFour, TicTacToe, build_network_for
+from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
 from repro.mcts.serial import SerialMCTS
 from repro.training.selfplay import play_episode
 from repro.utils.rng import seed_ladder
@@ -30,14 +30,15 @@ GAMES = {
 }
 
 
-def serial_transcripts(game, playouts, max_moves, seed):
+def serial_transcripts(game, playouts, max_moves, seed, evaluator=None):
     """The reference: a sequential loop over the same seed ladder."""
+    evaluator = UniformEvaluator() if evaluator is None else evaluator
     episodes = []
     for rng in seed_ladder(seed, EPISODES):
         episodes.append(
             play_episode(
                 game,
-                SerialMCTS(UniformEvaluator(), rng=rng),
+                SerialMCTS(evaluator, rng=rng),
                 playouts,
                 max_moves=max_moves,
                 rng=rng,
@@ -140,3 +141,31 @@ def test_cache_disabled_farm_still_exact():
         got, stats = farm.run_round(seed_ladder(SEED, EPISODES))
     assert_transcripts_equal(got, expected)
     assert stats.cache_hits == 0 and stats.cache_misses == 0
+
+
+@pytest.mark.parametrize("cache_capacity", [8192, 0])
+def test_network_evaluator_farm_reproduces_serial_run(cache_capacity):
+    """A real network behind each worker's own cache: every worker
+    evaluates with its forked copy, and a cache hit is the very
+    evaluation a fresh forward would return, so the round is still
+    bit-identical to the serial loop."""
+    game = ConnectFour()
+    evaluator = NetworkEvaluator(build_network_for(game, (4, 8, 8), rng=3))
+    expected = serial_transcripts(game, 16, 8, SEED, evaluator)
+    with SelfPlayFarm(
+        game,
+        evaluator,
+        num_workers=2,
+        num_playouts=16,
+        max_moves=8,
+        cache_capacity=cache_capacity,
+    ) as farm:
+        got, stats = farm.run_round(seed_ladder(SEED, EPISODES))
+    assert_transcripts_equal(got, expected)
+    # every leaf the cache missed reached the network as one row
+    assert stats.eval_requests == stats.eval_batches > 0
+    if cache_capacity:
+        assert stats.cache_misses == stats.eval_requests
+        assert stats.cache_hits > 0
+    else:
+        assert stats.cache_hits == stats.cache_misses == 0

@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.farm import FarmStats, SelfPlayFarm
+from repro.farm import FarmError, FarmStats, SelfPlayFarm
 from repro.games import TicTacToe
-from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
+from repro.mcts.evaluation import UniformEvaluator
 from repro.utils.rng import seed_ladder
 
 
 class TestValidation:
-    def test_rollout_evaluator_rejected(self):
-        """Rollout evaluation needs to *step* live Game objects; the farm
-        only ships encoded planes, so it must refuse up front rather than
-        fail inside a worker."""
-        with pytest.raises(TypeError, match="evaluate_encoded"):
-            SelfPlayFarm(TicTacToe(), RandomRolloutEvaluator())
-
     def test_invalid_args(self):
         game, ev = TicTacToe(), UniformEvaluator()
         with pytest.raises(ValueError):
@@ -52,6 +45,16 @@ class TestLifecycle:
         )
         farm.sync_weights({})  # forked evaluator will inherit anyway
         farm.close()
+
+    def test_sync_weights_needs_a_network_and_an_open_farm(self):
+        with SelfPlayFarm(
+            TicTacToe(), UniformEvaluator(), num_workers=1, num_playouts=4
+        ) as farm:
+            farm.start()
+            with pytest.raises(FarmError, match="network"):
+                farm.sync_weights({})
+        with pytest.raises(RuntimeError, match="closed"):
+            farm.sync_weights({})
 
 
 class TestFarmStats:

@@ -3,10 +3,9 @@
 Worker processes are killed *from inside* a search scheme (deterministic
 placement: mid-episode, after the first move completed), which exercises
 the full supervision path -- sentinel detection, episode requeue under
-the same generator, worker respawn with an epoch-fenced doorbell -- and
-the shared-memory hygiene the :class:`~repro.farm.shm.SegmentRegistry`
-guarantees: every segment the farm created is unlinked from ``/dev/shm``
-on close, crash or no crash.
+the same generator, worker respawn with a fresh task pipe -- and the
+process hygiene of :meth:`~repro.farm.farm.SelfPlayFarm.close`: no
+worker process the farm ever forked outlives it, crash or no crash.
 
 Marked ``slow``: each test forks a process tree and at least one test
 deliberately burns the retry budget.
@@ -124,31 +123,38 @@ class TestSigkillRequeue:
         assert stats.games_per_sec > 0
 
 
-class TestSharedMemoryHygiene:
-    def test_segments_unlinked_on_close(self):
+def assert_no_farm_children(pids):
+    """None of *pids* is alive and no farm worker is still a child."""
+    assert not [p for p in mp.active_children() if p.name.startswith("farm-")]
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+class TestChildProcessHygiene:
+    def test_no_child_alive_after_close(self):
         farm = SelfPlayFarm(
             TicTacToe(), UniformEvaluator(), num_workers=2, num_playouts=8
         )
-        names = farm.registry.names()
-        assert names  # slabs + cache actually live in /dev/shm
-        for name in names:
-            assert os.path.exists(f"/dev/shm/{name}")
         farm.run_round(seed_ladder(SEED, 2))
+        pids = farm.worker_pids
+        assert len(pids) == 2
         farm.close()
-        leaked = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
+        assert_no_farm_children(pids)
         farm.close()  # idempotent
 
-    def test_segments_unlinked_even_after_worker_kills(self):
+    def test_no_child_alive_after_worker_kills(self):
         flag = mp.get_context("fork").Value("i", 0)
         farm = make_kamikaze_farm(flag)
-        names = farm.registry.names()
+        farm.start()
+        pids = set(farm.worker_pids)
         try:
             farm.run_round(seed_ladder(SEED, EPISODES))
+            pids |= set(farm.worker_pids)
         finally:
             farm.close()
-        leaked = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
+        assert flag.value == 1 and len(pids) == 3  # two first, one respawn
+        assert_no_farm_children(pids)
 
 
 class TestRetryBudget:
@@ -161,23 +167,9 @@ class TestRetryBudget:
             max_retries=1,
             scheme_factory=lambda ev, rng: AlwaysKill(SerialMCTS(ev, rng=rng)),
         )
-        names = farm.registry.names()
         try:
             with pytest.raises(FarmError, match="retry budget"):
                 farm.run_round(seed_ladder(SEED, 3))
         finally:
             farm.close()
-        leaked = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-    def test_evaluator_death_is_fatal(self):
-        farm = SelfPlayFarm(
-            TicTacToe(), UniformEvaluator(), num_workers=2, num_playouts=8
-        )
-        try:
-            farm.start()
-            os.kill(farm.evaluator_pid, signal.SIGKILL)
-            with pytest.raises(FarmError, match="evaluator"):
-                farm.run_round(seed_ladder(SEED, 4))
-        finally:
-            farm.close()
+        assert_no_farm_children(farm.worker_pids)

@@ -70,56 +70,6 @@ class TestNetworkEvaluator:
         assert NetworkEvaluator(net).evaluate_batch([]) == []
 
 
-class TestEvaluateEncoded:
-    """The farm-facing pre-encoded surface must agree exactly with the
-    in-process Game-object path -- the multiprocess determinism suite
-    rests on this equality."""
-
-    def games(self):
-        g1, g2 = TicTacToe(), TicTacToe()
-        g2.step(4)
-        g2.step(0)
-        return [g1, g2]
-
-    def encode(self, games):
-        states = np.stack([g.encode() for g in games])
-        masks = np.stack([g.legal_mask() for g in games]).astype(np.float64)
-        return states, masks
-
-    def test_network_encoded_matches_batch(self):
-        games = self.games()
-        net = build_network_for(games[0], channels=(2, 4, 4), rng=3)
-        evaluator = NetworkEvaluator(net)
-        expected = evaluator.evaluate_batch(games)
-        priors, values = evaluator.evaluate_encoded(*self.encode(games))
-        for i, ev in enumerate(expected):
-            np.testing.assert_array_equal(priors[i], ev.priors)
-            assert float(values[i]) == ev.value
-
-    def test_uniform_encoded_matches_single(self):
-        games = self.games()
-        evaluator = UniformEvaluator()
-        priors, values = evaluator.evaluate_encoded(*self.encode(games))
-        for i, g in enumerate(games):
-            ev = evaluator.evaluate(g)
-            np.testing.assert_array_equal(priors[i], ev.priors)
-            assert float(values[i]) == ev.value == 0.0
-
-    def test_all_illegal_row_tolerated(self):
-        """Torn slab rows (killed-worker leftovers) may present an
-        all-zero mask; the batch must not divide by zero -- the doomed
-        row's output is discarded by the epoch fence anyway."""
-        games = self.games()
-        states, masks = self.encode(games)
-        masks[1] = 0.0
-        priors, values = UniformEvaluator().evaluate_encoded(states, masks)
-        assert np.isfinite(priors).all() and np.isfinite(values).all()
-        np.testing.assert_allclose(priors[1], 1.0 / 9.0)
-        net = build_network_for(games[0], channels=(2, 4, 4), rng=4)
-        priors, values = NetworkEvaluator(net).evaluate_encoded(states, masks)
-        assert np.isfinite(priors).all() and np.isfinite(values).all()
-
-
 class TestRandomRolloutEvaluator:
     def test_value_in_range(self):
         ev = RandomRolloutEvaluator(num_rollouts=4, rng=0)

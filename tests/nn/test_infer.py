@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.games import ConnectFour, Gomoku, SyntheticTreeGame, TicTacToe, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator, _sanitize_masks, mask_and_normalize
+from repro.mcts.evaluation import NetworkEvaluator, mask_and_normalize
 from repro.nn import (
     Adam,
     AlphaZeroLoss,
@@ -204,33 +204,6 @@ class TestMaskedEntry:
         masks[1] = False
         with pytest.raises(ValueError, match="no legal actions"):
             plan.predict_masked(states, masks)
-
-    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
-    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
-    def test_evaluate_batch_equals_evaluate_encoded(self, arch, batch):
-        game = ConnectFour()
-        evaluator = NetworkEvaluator(_make_net(arch, game, rng=20))
-        games = _games(GAMES["connect4"], batch, seed=batch)
-        states = np.stack([g.encode() for g in games])
-        masks = np.stack([g.legal_mask() for g in games])
-        priors, values = evaluator.evaluate_encoded(states, masks)
-        for i, ev in enumerate(evaluator.evaluate_batch(games)):
-            np.testing.assert_array_equal(_bits(ev.priors), _bits(priors[i]))
-            assert _bits(np.float64(ev.value)) == _bits(values[i])
-
-    def test_all_illegal_row_is_sanitized(self):
-        """A torn farm row (all-zero mask) is evaluated as all-legal,
-        through the same masked entry as the healthy rows."""
-        net = _make_net("policyvalue", ConnectFour(), rng=21)
-        evaluator = NetworkEvaluator(net)
-        states, masks = _states_masks(GAMES["connect4"], 3, seed=6)
-        torn = masks.astype(np.float64)
-        torn[2] = 0.0
-        priors, values = evaluator.evaluate_encoded(states, torn)
-        want_p, want_v = _oracle(net.inference_plan(), states, _sanitize_masks(torn))
-        np.testing.assert_array_equal(_bits(priors), _bits(want_p))
-        np.testing.assert_array_equal(_bits(values), _bits(want_v))
-        assert np.all(priors[2] > 0.0)  # every action counted as legal
 
     def test_reference_backend_is_the_oracle(self):
         net = _make_net("resnet", TicTacToe(), rng=22)

@@ -1,6 +1,5 @@
 """Multi-game engine: round semantics, stats accounting, serial parity."""
 
-import multiprocessing as mp
 import os
 
 import numpy as np
@@ -136,6 +135,33 @@ class TestProcessBackend:
         assert process_stats.num_workers == 2
         assert process_stats.worker_restarts == 0
 
+    def test_weight_change_between_rounds_reaches_the_workers(self):
+        """New weights loaded between rounds (as the SGD stage does) must
+        reach the forked workers and flush their caches: round 2 then
+        equals the thread backend's round 2 on the same weights."""
+        game = TicTacToe()
+        new_state = build_network_for(game, (2, 4, 4), rng=1).state_dict()
+
+        def second_round(**kwargs):
+            net = build_network_for(game, (2, 4, 4), rng=0)
+            with MultiGameSelfPlayEngine(
+                game, NetworkEvaluator(net), num_games=2, num_playouts=8,
+                rng=0, **kwargs,
+            ) as engine:
+                engine.play_round()
+                net.load_state_dict(new_state)
+                if engine.cache is not None:
+                    engine.cache.clear()  # what the pipeline does post-SGD
+                results, _ = engine.play_round()
+            return results
+
+        thread_results = second_round()
+        process_results = second_round(backend="process", num_workers=2)
+        for t, p in zip(thread_results, process_results):
+            assert t.moves == p.moves
+            for te, pe in zip(t.examples, p.examples):
+                np.testing.assert_array_equal(te.policy, pe.policy)
+
     def test_default_workers_count_usable_cpus(self, monkeypatch):
         """Under a cpuset or taskset the default worker count follows the
         CPUs this process may use, not the host's CPU count."""
@@ -166,8 +192,9 @@ class TestProcessBackend:
 
     def test_pipeline_integration_with_weight_sync(self):
         """Process-backend engine inside the training loop: SGD updates
-        the parent's network, the engine must push the new weights into
-        the forked evaluator process and clear the shared cache."""
+        the parent's network, and the engine must push the new weights
+        into the forked workers (tests/farm/test_weight_sync.py checks
+        that the synced round equals a serial loop on the new weights)."""
         game = TicTacToe()
         net = build_network_for(game, channels=(2, 4, 4), rng=0)
         engine = MultiGameSelfPlayEngine(
@@ -181,57 +208,10 @@ class TestProcessBackend:
         )
         with engine:
             metrics = pipeline.run(2)
-            assert len(engine.cache) == 0  # cleared after the SGD stage
+            assert engine.cache is None  # the caches live in the workers
         assert metrics.episodes == 4
         assert metrics.eval_requests > 0
         assert len(metrics.loss_history) == 2
-
-
-def _hammer_counter(counter, n):
-    for _ in range(n):
-        counter.add(1)
-
-
-class TestStatsAtomicityUnderProcessBackend:
-    """PR-1 hardening follow-up: the serving counters stay exact when the
-    mutators are *processes*, not threads."""
-
-    def test_partial_flush_counter_survives_concurrent_processes(self):
-        from repro.farm import FarmCounters
-
-        ctx = mp.get_context("fork")
-        counters = FarmCounters(ctx)
-        procs = [
-            ctx.Process(
-                target=_hammer_counter, args=(counters.partial_flushes, 2000)
-            )
-            for _ in range(4)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-            assert p.exitcode == 0
-        # unsynchronised += across 4 processes loses updates; the atomic
-        # counter must account for every single one
-        assert counters.partial_flushes.value == 8000
-
-    def test_atomic_counter_mixed_increments(self):
-        from repro.farm import AtomicCounter
-
-        ctx = mp.get_context("fork")
-        counter = AtomicCounter(ctx)
-        procs = [
-            ctx.Process(target=_hammer_counter, args=(counter, 1500))
-            for _ in range(3)
-        ]
-        for p in procs:
-            p.start()
-        counter.add(5)
-        for p in procs:
-            p.join(timeout=60)
-            assert p.exitcode == 0
-        assert counter.value == 3 * 1500 + 5
 
 
 class TestPipelineIntegration:
