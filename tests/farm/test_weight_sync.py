@@ -11,6 +11,8 @@ old cache entries plays a different transcript.
 """
 
 import multiprocessing as mp
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -98,6 +100,28 @@ def test_respawn_after_sync_runs_on_synced_weights():
         second, stats = farm.run_round(seed_ladder(SEED, EPISODES))
     assert flag.value == 1  # the kill actually fired
     assert stats.worker_restarts == 1 and stats.episodes_requeued == 1
+    assert_same(policies(second), serial_policies(new_net))
+
+
+def test_worker_dead_at_sync_is_respawned_on_the_new_weights():
+    """A worker that died idle between rounds cannot take the sync: the
+    sync respawns it, and the respawn loads the synced state."""
+    game = ConnectFour()
+    net = build_network_for(game, CHANNELS, rng=0)
+    new_net = build_network_for(game, CHANNELS, rng=1)
+    with SelfPlayFarm(
+        game, NetworkEvaluator(net), num_workers=2,
+        num_playouts=PLAYOUTS, max_moves=MAX_MOVES,
+    ) as farm:
+        farm.run_round(seed_ladder(SEED, EPISODES))
+        victim = farm._workers[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        assert not victim.is_alive()
+        farm.sync_weights(new_net.state_dict())
+        assert farm.worker_restarts == 1
+        second, stats = farm.run_round(seed_ladder(SEED, EPISODES))
+    assert stats.worker_restarts == 0  # the respawn happened at the sync
     assert_same(policies(second), serial_policies(new_net))
 
 

@@ -69,6 +69,20 @@ class TestNetworkEvaluator:
         net = build_network_for(TicTacToe(), channels=(2, 4, 4), rng=2)
         assert NetworkEvaluator(net).evaluate_batch([]) == []
 
+    def test_batch_rows_do_not_share_memory(self):
+        """Evaluations outlive their batch (the LRU cache keeps them), so
+        each row of a multi-row batch is its own array, not a view that
+        pins the whole batch or aliases a neighbour."""
+        games = [TicTacToe() for _ in range(3)]
+        games[1].step(4)
+        games[2].step(0)
+        net = build_network_for(games[0], channels=(2, 4, 4), rng=2)
+        batch = NetworkEvaluator(net).evaluate_batch(games)
+        for i, ev in enumerate(batch):
+            assert ev.priors.base is None
+            for other in batch[i + 1:]:
+                assert not np.shares_memory(ev.priors, other.priors)
+
 
 class TestRandomRolloutEvaluator:
     def test_value_in_range(self):

@@ -205,6 +205,24 @@ class TestMaskedEntry:
         with pytest.raises(ValueError, match="no legal actions"):
             plan.predict_masked(states, masks)
 
+    @pytest.mark.parametrize("arch", ["policyvalue", "resnet"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_evaluate_batch_equals_predict_masked(self, arch, batch):
+        """The evaluator's Game-object path builds its masks its own way
+        (no ``np.stack`` at B=1) and copies rows out; neither may move a
+        bit against the masked entry fed the stacked planes."""
+        game = ConnectFour()
+        net = _make_net(arch, game, rng=20)
+        games = _games(GAMES["connect4"], batch, seed=batch)
+        states = np.stack([g.encode() for g in games])
+        masks = np.stack([g.legal_mask() for g in games])
+        priors, values = net.predict_masked(states, masks)
+        evaluations = NetworkEvaluator(net).evaluate_batch(games)
+        assert len(evaluations) == batch
+        for i, ev in enumerate(evaluations):
+            np.testing.assert_array_equal(_bits(ev.priors), _bits(priors[i]))
+            assert _bits(np.float64(ev.value)) == _bits(values[i])
+
     def test_reference_backend_is_the_oracle(self):
         net = _make_net("resnet", TicTacToe(), rng=22)
         games = _games(GAMES["tictactoe"], 3, seed=7)

@@ -26,7 +26,12 @@ import pytest
 
 from repro.games import TicTacToe
 from repro.mcts import SerialMCTS, UniformEvaluator
-from repro.mcts.budget import BudgetClock, SearchBudget, active_budget_snapshot
+from repro.mcts.budget import (
+    BudgetClock,
+    BudgetSnapshot,
+    SearchBudget,
+    active_budget_snapshot,
+)
 from repro.serving import BusEvaluator, EvaluationBus, MatchGateway
 from repro.serving.evalbus import BusClosed
 from repro.utils.clock import VirtualClock, WallClock
@@ -317,6 +322,64 @@ class TestOneBatchInFlight:
         assert not rider.is_alive() and not flusher.is_alive()
         assert [len(b) for b in rec.batches] == [2]
         assert counting.acquisitions[rider_id] - before <= 1
+        bus.close()
+
+
+    def test_flush_waits_for_the_batch_in_flight(self):
+        rec = GatedEvaluator()
+        bus = EvaluationBus(rec, linger=10.0)
+        bus.begin_search()
+        bus.begin_search()
+        outcomes: dict = {}
+        threads = [self._spawn(bus, outcomes, k) for k in "ab"]
+        assert rec.started.wait(timeout=10.0)
+        threads.append(self._spawn(bus, outcomes, "c"))
+        assert _until(lambda: bus.pending_count == 1)
+        flushed: list[int] = []
+        flusher = threading.Thread(
+            target=lambda: flushed.append(bus.flush()), daemon=True
+        )
+        flusher.start()
+        flusher.join(timeout=0.05)
+        assert flusher.is_alive()  # held while [a, b] is in evaluation
+        rec.release.set()
+        for t in [*threads, flusher]:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in [*threads, flusher])
+        # the forced flush entered the device only after [a, b] returned,
+        # and took c: the lone leaf meets neither threshold nor window
+        assert rec.max_inside == 1
+        assert flushed == [1]
+        assert [len(b) for b in rec.batches] == [2, 1]
+        assert bus.stats().inline_flushes == 1
+        bus.close()
+
+    def test_urgent_leaf_goes_out_when_the_batch_returns(self):
+        rec = GatedEvaluator()
+        bus = EvaluationBus(rec, linger=10.0, deadline_lead_ms=5.0)
+        bus.begin_search()
+        bus.begin_search()
+        outcomes: dict = {}
+        threads = [self._spawn(bus, outcomes, k) for k in "ab"]
+        assert rec.started.wait(timeout=10.0)
+        urgent = BudgetSnapshot(at=0.0, deadline=0.001)  # 1 ms left
+        got: list = []
+        rider = threading.Thread(
+            target=lambda: got.append(bus.evaluate(TicTacToe(), snapshot=urgent)),
+            daemon=True,
+        )
+        rider.start()
+        assert _until(lambda: bus.pending_count == 1)
+        assert len(rec.batches) == 1  # urgency does not open the gate
+        rec.release.set()
+        for t in [*threads, rider]:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in [*threads, rider])
+        assert rec.max_inside == 1
+        assert [len(b) for b in rec.batches] == [2, 1]
+        assert len(got) == 1 and got[0] is not None
+        stats = bus.stats()
+        assert stats.deadline_flushes == 1 and stats.linger_flushes == 0
         bus.close()
 
 

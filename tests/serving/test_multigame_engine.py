@@ -162,6 +162,50 @@ class TestProcessBackend:
             for te, pe in zip(t.examples, p.examples):
                 np.testing.assert_array_equal(te.policy, pe.policy)
 
+    @staticmethod
+    def _count_syncs(engine) -> list[int]:
+        """Wrap the farm's sync_weights; returns the list the wrapper
+        appends to on every call."""
+        calls: list[int] = []
+        sync = engine._farm.sync_weights
+
+        def counting(state):
+            calls.append(len(state))
+            sync(state)
+
+        engine._farm.sync_weights = counting
+        return calls
+
+    def test_rounds_without_new_weights_skip_the_sync(self):
+        """A sync clears every worker's cache, so the engine sends one
+        only when the network's weights_version moved."""
+        game = TicTacToe()
+        net = build_network_for(game, (2, 4, 4), rng=0)
+        with MultiGameSelfPlayEngine(
+            game, NetworkEvaluator(net), num_games=2, num_playouts=6,
+            rng=0, backend="process", num_workers=1,
+        ) as engine:
+            calls = self._count_syncs(engine)
+            counts = []
+            for _ in range(3):  # round 1's sync is the farm's pre-fork no-op
+                engine.play_round()
+                counts.append(len(calls))
+            net.bump_weights_version()
+            engine.play_round()
+            counts.append(len(calls))
+        assert counts == [1, 1, 1, 2]
+
+    def test_network_less_evaluator_never_syncs(self):
+        with MultiGameSelfPlayEngine(
+            TicTacToe(), UniformEvaluator(), num_games=2, num_playouts=6,
+            rng=0, backend="process", num_workers=1,
+        ) as engine:
+            calls = self._count_syncs(engine)
+            engine.play_round()
+            engine.play_round()
+            assert engine.cache is None and engine.bus is None
+        assert calls == []
+
     def test_default_workers_count_usable_cpus(self, monkeypatch):
         """Under a cpuset or taskset the default worker count follows the
         CPUs this process may use, not the host's CPU count."""

@@ -55,3 +55,20 @@ def test_hooks_reapply_the_count_in_child_and_parent(monkeypatch):
     monkeypatch.setattr(blas, "set_openblas_threads", applied.append)
     assert fork_and_report(lambda: applied) == [before]
     assert applied == [before]
+
+
+def test_set_then_get_round_trips():
+    default = blas.openblas_threads()
+    try:
+        blas.set_openblas_threads(1)
+        assert blas.openblas_threads() == 1
+    finally:
+        blas.set_openblas_threads(default)
+    assert blas.openblas_threads() == default
+
+
+def test_without_openblas_every_function_does_nothing(monkeypatch):
+    monkeypatch.setattr(blas, "_OPENBLAS", None)
+    assert blas.openblas_threads() is None
+    blas.set_openblas_threads(3)  # no library: nothing to set, no error
+    blas._reapply_count()
