@@ -166,7 +166,6 @@ def measure(sessions: int, evalbus: bool, *, serial_device: bool = False) -> dic
         deadline_ms = DEVICE_DEADLINE_MS
     gateway = MatchGateway(
         evaluator,
-        backend="thread",
         workers=sessions,
         deadline_ms=deadline_ms,
         num_playouts=PLAYOUT_CAP,

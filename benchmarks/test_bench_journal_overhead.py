@@ -71,7 +71,6 @@ def measure(policy: str, journal_root) -> dict:
     journal_dir = None if policy == "off-journal" else journal_root / policy
     gateway = MatchGateway(
         UniformEvaluator(),
-        backend="thread",
         workers=SESSIONS,
         deadline_ms=DEADLINE_MS,
         num_playouts=PLAYOUTS,

@@ -3,7 +3,7 @@
 
 Demonstrates ``repro.serving.service``:
 
-1. start a :class:`MatchGateway` (thread backend, warm per-session trees
+1. start a :class:`MatchGateway` (search threads, warm per-session trees
    over the shared evaluation cache) behind the newline-JSON TCP
    :class:`GatewayServer`;
 2. drive several concurrent clients through :class:`GatewayClient`:
@@ -73,8 +73,8 @@ async def human_vs_engine(host: str, port: int, rng: np.random.Generator) -> Non
 
 async def main() -> None:
     gateway = MatchGateway(
-        backend="thread", workers=4, deadline_ms=DEADLINE_MS,
-        num_playouts=PLAYOUTS, idle_timeout_s=30.0, seed=0,
+        workers=4, deadline_ms=DEADLINE_MS, num_playouts=PLAYOUTS,
+        idle_timeout_s=30.0, seed=0,
     )
     server = GatewayServer(gateway)
     host, port = await server.start()

@@ -158,14 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--game", default="tictactoe",
                        choices=["gomoku", "tictactoe", "connect4"])
     p_srv.add_argument("--size", type=int, default=9, help="board size (gomoku)")
-    p_srv.add_argument(
-        "--backend", default="thread", choices=["thread", "process"],
-        help="search executor: thread pool over the shared cached "
-             "evaluator (warm per-session trees) or forked worker "
-             "processes (stateless per-move searches)",
-    )
     p_srv.add_argument("--workers", type=int, default=4,
-                       help="search executor size (threads or processes)")
+                       help="search threads (to use more cores, run "
+                            "'cluster' with several shards)")
     p_srv.add_argument("--deadline-ms", type=float, default=200.0,
                        help="default per-move wall-clock budget")
     p_srv.add_argument("--playouts", type=int, default=256,
@@ -180,21 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = kernel-assigned, printed at startup)")
     p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument(
-        "--tree-backend", default="array", choices=["node", "array"],
-    )
-    p_srv.add_argument(
         "--evaluator", default="network", choices=["network", "uniform"],
         help="serve a freshly-initialised policy/value net (default) or "
              "uniform priors (latency testing without inference cost)",
     )
     p_srv.add_argument(
-        "--inference-backend", default="fused", choices=["reference", "fused"],
-    )
-    p_srv.add_argument(
-        "--evalbus", default="auto", choices=["auto", "on", "off"],
+        "--evalbus", default="on", choices=["on", "off"],
         help="cross-session evaluation bus fusing leaves from all live "
-             "sessions into shared accelerator batches (auto = on for "
-             "the thread backend, off for process)",
+             "sessions into shared accelerator batches",
     )
     p_srv.add_argument(
         "--bus-linger-ms", type=float, default=2.0,
@@ -239,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard evaluator (network required for --roll-weights)",
     )
     p_cl.add_argument(
-        "--evalbus", default="auto", choices=["auto", "on", "off"],
-        help="per-shard cross-session evaluation bus (auto = gateway "
-             "default: on, one bus per shard)",
+        "--evalbus", default="on", choices=["on", "off"],
+        help="per-shard cross-session evaluation bus (one bus per shard)",
     )
     p_cl.add_argument("--demo-games", type=int, default=4,
                       help="concurrent engine-vs-engine sessions to play "
@@ -459,7 +446,6 @@ def cmd_serve(args) -> int:
     template = None
     if args.evaluator == "network":
         net = build_network_for(game, channels=(8, 16, 16), rng=args.seed)
-        net.set_inference_backend(args.inference_backend)
         evaluator = NetworkEvaluator(net)
         template = game  # the net only fits this game: reject mismatches
     else:
@@ -467,15 +453,13 @@ def cmd_serve(args) -> int:
     gateway = MatchGateway(
         evaluator,
         game_template=template,
-        backend=args.backend,
         workers=args.workers,
         deadline_ms=args.deadline_ms,
         num_playouts=args.playouts,
         max_inflight=args.max_inflight,
         idle_timeout_s=args.idle_timeout,
-        tree_backend=args.tree_backend,
         seed=args.seed + 1,
-        evalbus={"auto": None, "on": True, "off": False}[args.evalbus],
+        evalbus=args.evalbus == "on",
         bus_linger_ms=args.bus_linger_ms,
         journal_dir=args.journal_dir,
         journal_fsync=args.journal_fsync,
@@ -527,7 +511,7 @@ def cmd_serve(args) -> int:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-Unix loop: Ctrl-C falls through to KeyboardInterrupt
         print(f"gateway listening on {host}:{port} "
-              f"(backend={args.backend}, workers={args.workers}, "
+              f"(workers={args.workers}, "
               f"deadline={args.deadline_ms:g}ms, playouts<={args.playouts})",
               flush=True)
         stats = gateway.stats()
@@ -589,7 +573,7 @@ def cmd_cluster(args) -> int:
         deadline_ms=args.deadline_ms,
         num_playouts=args.playouts,
         workers=args.workers,
-        evalbus={"auto": None, "on": True, "off": False}[args.evalbus],
+        evalbus=args.evalbus == "on",
         journal_dir=args.journal_dir,
         journal_fsync=args.journal_fsync,
     )

@@ -66,14 +66,11 @@ class ShardSpec:
     max_sessions: int = 512
     idle_timeout_s: float = 300.0
     gc_interval_s: float = 5.0
-    tree_backend: str | None = None
-    inference_backend: str = "fused"
     rpc_timeout_s: float = 5.0
     host: str = "127.0.0.1"
-    #: cross-session evaluation bus: ``None`` lets the gateway pick its
-    #: default (on for the thread backend every shard uses); each shard
-    #: gets its *own* bus -- shared-nothing extends to the batch queue
-    evalbus: bool | None = None
+    #: cross-session evaluation bus; each shard gets its *own* bus --
+    #: shared-nothing extends to the batch queue
+    evalbus: bool = True
     bus_linger_ms: float = 2.0
     #: base directory for durable per-session move journals (``None``
     #: journals nothing).  Each shard *life* writes under its own
@@ -111,7 +108,6 @@ class ShardSpec:
             from repro.mcts.evaluation import NetworkEvaluator
 
             net = build_network_for(game, channels=(8, 16, 16), rng=self.seed)
-            net.set_inference_backend(self.inference_backend)
             evaluator = NetworkEvaluator(net)
             template = game  # the net only fits this game's shape
         elif self.evaluator == "uniform":
@@ -122,7 +118,6 @@ class ShardSpec:
             raise ValueError(f"unknown evaluator {self.evaluator!r}")
         return MatchGateway(
             evaluator,
-            backend="thread",
             workers=self.workers,
             deadline_ms=self.deadline_ms,
             num_playouts=self.num_playouts,
@@ -131,7 +126,6 @@ class ShardSpec:
             idle_timeout_s=self.idle_timeout_s,
             gc_interval_s=self.gc_interval_s,
             game_template=template,
-            tree_backend=self.tree_backend,
             # the seed ladder rung is per (shard, epoch): a respawned
             # shard must not replay its predecessor's rng stream
             seed=self.seed + 7919 * self.shard_id + epoch,

@@ -19,9 +19,11 @@ single-game self-play to request-serving):
   budget urgency (closest-to-deadline first) with a single armed linger
   window.
 - :mod:`repro.serving.service` -- :class:`MatchGateway`, the async
-  request-facing front door: deadline-budgeted match sessions with
-  admission control, idle GC and latency percentiles, plus the
-  newline-JSON TCP :class:`GatewayServer` / :class:`GatewayClient` pair.
+  request-facing front door: deadline-budgeted match sessions searched
+  on threads, with admission control, idle GC and latency percentiles,
+  plus the newline-JSON TCP :class:`GatewayServer` /
+  :class:`GatewayClient` pair.  One gateway serves on one core; the
+  :mod:`repro.cluster` router shards sessions over gateway processes.
 - :mod:`repro.serving.simulate` -- the virtual-time scenario harness:
   scripted client populations driving a real gateway on a
   :class:`~repro.utils.clock.VirtualClock`, compressing hours of soak

@@ -19,21 +19,19 @@ needs:
   requests 503-style instead of queueing unboundedly, and
   :class:`GatewayStats` tracks p50/p95/p99 move latency, deadline
   misses, and rejection counts.
-- **Backends.**  ``backend="thread"`` runs searches on a thread pool
-  sharing one GIL against the shared in-process evaluator stack (LRU
-  evaluation cache + fused-inference network, the PR-1/PR-4
-  components), with a warm :class:`~repro.mcts.reuse.TreeReuseMCTS`
-  tree per session.  When that pool is the gateway's own and its
-  searches share the evaluation bus, its threads are pinned to the CPU
-  the constructing thread runs on
+- **Search threads.**  Searches run on a thread pool sharing one GIL
+  against the shared in-process evaluator stack (LRU evaluation cache +
+  fused-inference network), with a warm
+  :class:`~repro.mcts.reuse.TreeReuseMCTS` tree per session.  When that
+  pool is the gateway's own and its searches share the evaluation bus,
+  its threads are pinned to the CPU the constructing thread runs on
   (:func:`~repro.serving.evalbus.colocating_initializer`): they hand the
   GIL and each fused batch to each other at every leaf, so spreading
   them over cores buys no parallelism.  The bus-off pool, an injected
   executor and every thread the gateway did not create keep their
-  placement.
-  ``backend="process"`` uses the farm's fork model: worker processes
-  inherit the evaluator at executor creation and run stateless per-move
-  searches, for multi-core scale-out past the GIL.
+  placement.  To serve on more than one core, run several gateways as
+  :class:`~repro.cluster.shard.ProcessShard` processes behind a
+  :class:`~repro.cluster.router.ShardRouter`.
 
 A thin newline-delimited-JSON TCP layer (:class:`GatewayServer` /
 :class:`GatewayClient`, pure stdlib asyncio) exposes the same surface to
@@ -45,10 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import itertools
 import json
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +55,6 @@ from repro.games.base import Game
 from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import Evaluator, UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
-from repro.mcts.serial import SerialMCTS
 from repro.nn.infer import ensure_plan
 from repro.serving.cache import CachingEvaluator, EvaluationCache
 from repro.serving.engine import LatencyTracker
@@ -72,7 +68,6 @@ from repro.utils.clock import (
     WALL_CLOCK,
     Clock,
     ClockTimeout,
-    WallClock,
     clock_timeout,
 )
 from repro.utils.rng import new_rng
@@ -187,13 +182,12 @@ class SessionStatus(str, enum.Enum):
 
 
 class _Session:
-    """One hosted match: game state + (thread backend) a warm search tree."""
+    """One hosted match: game state + a warm search tree."""
 
     __slots__ = (
         "session_id",
         "game",
         "agent",
-        "rng",
         "status",
         "created_at",
         "last_active",
@@ -206,15 +200,13 @@ class _Session:
         self,
         session_id: int,
         game: Game,
-        agent: TreeReuseMCTS | None,
-        rng: np.random.Generator,
+        agent: TreeReuseMCTS,
         now: float,
         history: list[int] | None = None,
     ) -> None:
         self.session_id = session_id
         self.game = game
         self.agent = agent
-        self.rng = rng
         self.status = SessionStatus.ACTIVE
         self.created_at = now
         self.last_active = now
@@ -320,41 +312,6 @@ class GatewayStats:
         }
 
 
-# -- process-backend worker plumbing ------------------------------------------
-# Evaluators are installed in a module-level registry *before* the
-# fork-context ProcessPoolExecutor spawns its workers, so children
-# inherit them through the fork (the farm's model) -- no pickling of
-# networks, plans, or the thread-local workspaces they carry.  The
-# registry is keyed per gateway because workers fork *lazily* at first
-# submit: with a single slot, a second gateway constructed in between
-# would silently swap the first gateway's evaluator.
-_FORK_REGISTRY: dict[int, Evaluator] = {}
-_FORK_KEYS = itertools.count(1)
-
-
-def _install_fork_evaluator(evaluator: Evaluator) -> int:
-    key = next(_FORK_KEYS)
-    _FORK_REGISTRY[key] = evaluator
-    return key
-
-
-def _process_move_search(
-    fork_key: int,
-    game: Game,
-    budget: SearchBudget,
-    c_puct: float,
-    tree_backend,
-    seed: int,
-) -> np.ndarray:
-    """Stateless per-move search inside a forked worker process."""
-    evaluator = _FORK_REGISTRY.get(fork_key)
-    assert evaluator is not None, "fork evaluator not installed"
-    agent = SerialMCTS(
-        evaluator, c_puct=c_puct, rng=seed, tree_backend=tree_backend
-    )
-    return agent.get_action_prior(game, budget)
-
-
 class MatchGateway:
     """Asyncio gateway hosting concurrent deadline-budgeted match sessions.
 
@@ -363,9 +320,11 @@ class MatchGateway:
     evaluator : leaf evaluator behind every session's search (defaults to
         :class:`~repro.mcts.evaluation.UniformEvaluator` -- tests and
         demos; serve a real model by passing a ``NetworkEvaluator``).
-    backend : ``"thread"`` (shared cached evaluator, warm per-session
-        trees) or ``"process"`` (forked stateless workers).
-    workers : search executor size (threads or processes).
+    backend : ``"thread"``, the only value accepted: searches run on
+        threads over the shared cached evaluator with warm per-session
+        trees.  To serve on more cores, shard gateways across processes
+        (:mod:`repro.cluster`).
+    workers : search thread count.
     deadline_ms : default per-move wall-clock allowance; each request may
         override it.
     num_playouts : per-move playout cap -- search returns at the cap or
@@ -391,25 +350,20 @@ class MatchGateway:
         idle-GC sweep cadence.  ``None`` (the default) is
         :data:`~repro.utils.clock.WALL_CLOCK`: production behaviour,
         bit-identical to the pre-seam gateway.  Virtual-time tests
-        inject a :class:`~repro.utils.clock.VirtualClock`; the process
-        backend rejects non-wall clocks (a forked worker cannot share a
-        simulated timeline).
-    executor : search executor override (thread backend only).  The
-        deterministic simulation harness injects an inline executor so
-        searches run synchronously on the event-loop thread and virtual
-        time cannot advance mid-search; ``None`` builds the usual
+        inject a :class:`~repro.utils.clock.VirtualClock`.
+    executor : search executor override.  The deterministic simulation
+        harness injects an inline executor so searches run synchronously
+        on the event-loop thread and virtual time cannot advance
+        mid-search; ``None`` builds the usual
         :class:`~concurrent.futures.ThreadPoolExecutor`.  Injected
         executors are *borrowed*: :meth:`aclose` does not shut them
         down.
-    evalbus : route the thread backend's leaf evaluations through one
-        cross-session :class:`~repro.serving.evalbus.EvaluationBus`, so
+    evalbus : route leaf evaluations through one cross-session
+        :class:`~repro.serving.evalbus.EvaluationBus` (the default), so
         leaves from *different* concurrent sessions fuse into shared
         accelerator batches instead of racing N singleton forwards
-        through the GIL.  ``None`` (the default) auto-enables it for the
-        thread backend and leaves the process backend bus-less (forked
-        workers cannot share an in-process queue; explicitly passing
-        ``True`` there raises).  ``False`` forces per-session evaluation
-        -- the pre-bus behaviour, kept for A/B benchmarks.
+        through the GIL.  ``False`` forces per-session evaluation -- the
+        pre-bus behaviour, kept for A/B benchmarks.
     bus_linger_ms : how long the oldest pending leaf may wait for
         batch-mates before a partial flush goes out.
     bus_deadline_lead_ms : urgency horizon -- a leaf whose session has no
@@ -453,12 +407,11 @@ class MatchGateway:
         deadline_tolerance_ms: float = 50.0,
         game_template: Game | None = None,
         c_puct: float = 5.0,
-        tree_backend: str | None = None,
         cache_capacity: int = 8192,
         seed: int | np.random.Generator | None = 0,
         clock: Clock | None = None,
         executor: Executor | None = None,
-        evalbus: bool | None = None,
+        evalbus: bool = True,
         bus_linger_ms: float = 2.0,
         bus_deadline_lead_ms: float = 5.0,
         shard_id: str | None = None,
@@ -466,26 +419,12 @@ class MatchGateway:
         journal_dir: str | os.PathLike | None = None,
         journal_fsync: str = "batched",
     ) -> None:
-        if backend not in ("thread", "process"):
+        if backend != "thread":
             raise ValueError(f"unknown backend {backend!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend == "process" and evalbus:
-            raise ValueError(
-                "evalbus is a thread-backend feature: forked workers "
-                "cannot share an in-process evaluation queue"
-            )
         if bus_linger_ms <= 0:
             raise ValueError("bus_linger_ms must be positive")
-        if backend == "process" and clock is not None and not isinstance(
-            clock, WallClock
-        ):
-            raise ValueError(
-                "backend='process' only serves wall time: forked workers "
-                "cannot observe an in-process virtual clock"
-            )
-        if backend == "process" and executor is not None:
-            raise ValueError("executor injection is a thread-backend knob")
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if num_playouts < 1:
@@ -495,7 +434,6 @@ class MatchGateway:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.evaluator = evaluator or UniformEvaluator()
-        self.backend = backend
         self.workers = workers
         self.deadline_ms = deadline_ms
         self.num_playouts = num_playouts
@@ -506,7 +444,6 @@ class MatchGateway:
         self.deadline_tolerance_ms = deadline_tolerance_ms
         self.game_template = game_template
         self.c_puct = c_puct
-        self.tree_backend = tree_backend
         self.rng = new_rng(seed)
         self.clock: Clock = WALL_CLOCK if clock is None else clock
         self.latency = LatencyTracker(clock=self.clock)
@@ -563,51 +500,36 @@ class MatchGateway:
         self._deduped = 0
         self._deadline_misses = 0
 
-        self._executor: Executor
         self._owns_executor = executor is None
-        self._fork_key: int | None = None
-        if backend == "process":
-            import multiprocessing
-
-            # compile the fused plan before forking so workers inherit it
-            ensure_plan(getattr(self.evaluator, "network", None))
-            self._fork_key = _install_fork_evaluator(self.evaluator)
-            self._executor = ProcessPoolExecutor(
+        ensure_plan(getattr(self.evaluator, "network", None))
+        # the cross-session bus fuses cache *misses* from all live
+        # sessions into shared accelerator batches; the LRU cache sits
+        # above it so hits never pay bus latency.  Sized to max_inflight:
+        # the gateway never admits more concurrent searches than that, so
+        # no larger batch can ever fill.
+        self._bus: EvaluationBus | None = None
+        base: Evaluator = self.evaluator
+        if evalbus:
+            self._bus = EvaluationBus(
+                self.evaluator,
+                max_batch=self.max_inflight,
+                linger=bus_linger_ms / 1e3,
+                deadline_lead_ms=bus_deadline_lead_ms,
+                clock=self.clock,
+            )
+            base = BusEvaluator(self._bus)
+        # sessions share one LRU evaluation cache: a position any session
+        # has evaluated never reaches the network again
+        self._shared_evaluator = CachingEvaluator(
+            base, EvaluationCache(cache_capacity)
+        )
+        self._executor: Executor = executor if executor is not None else (
+            ThreadPoolExecutor(
                 max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
+                thread_name_prefix="gateway-search",
+                initializer=colocating_initializer(self._bus),
             )
-            self._shared_evaluator = None
-            self._bus = None
-        else:
-            ensure_plan(getattr(self.evaluator, "network", None))
-            # the cross-session bus fuses cache *misses* from all live
-            # sessions into shared accelerator batches; the LRU cache
-            # sits above it so hits never pay bus latency.  Sized to
-            # max_inflight: the gateway never admits more concurrent
-            # searches than that, so no larger batch can ever fill.
-            self._bus: EvaluationBus | None = None
-            base: Evaluator = self.evaluator
-            if evalbus or evalbus is None:
-                self._bus = EvaluationBus(
-                    self.evaluator,
-                    max_batch=self.max_inflight,
-                    linger=bus_linger_ms / 1e3,
-                    deadline_lead_ms=bus_deadline_lead_ms,
-                    clock=self.clock,
-                )
-                base = BusEvaluator(self._bus)
-            # sessions share one LRU evaluation cache: a position any
-            # session has evaluated never reaches the network again
-            self._shared_evaluator = CachingEvaluator(
-                base, EvaluationCache(cache_capacity)
-            )
-            self._executor = executor if executor is not None else (
-                ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="gateway-search",
-                    initializer=colocating_initializer(self._bus),
-                )
-            )
+        )
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "MatchGateway":
@@ -637,9 +559,6 @@ class MatchGateway:
         # submit their last leaves before the bus refuses them
         if self._bus is not None:
             self._bus.close()
-        if self._fork_key is not None:
-            _FORK_REGISTRY.pop(self._fork_key, None)
-            self._fork_key = None
         if self._journal is not None:
             self._journal.close()
 
@@ -751,9 +670,14 @@ class MatchGateway:
         Decodes the :mod:`repro.utils.wire` payload and feeds it through
         ``load_state_dict``, which bumps ``weights_version`` -- the PR-4
         seam: the next fused evaluation lazily recompiles its plan from
-        the new weights, atomically per process.  Returns the new
-        version.  Raises a 400-coded error for evaluators without
-        network weights (uniform) or malformed payloads.
+        the new weights, atomically per process.  The shared evaluation
+        cache is then cleared, so no search is answered from the old
+        net's evaluations.  A search already running while the weights
+        load is not covered: its leaves may mix both nets, and what it
+        inserts into the cache after the clear may be the old net's.
+        Returns the new version.  Raises a 400-coded error for
+        evaluators without network weights (uniform) or malformed
+        payloads.
         """
         network = getattr(self.evaluator, "network", None)
         if network is None:
@@ -767,6 +691,7 @@ class MatchGateway:
             network.load_state_dict(state)
         except (ValueError, KeyError, TypeError) as exc:
             raise GatewayError(f"bad weights payload: {exc}") from exc
+        self._shared_evaluator.cache.clear()
         return int(network.weights_version)
 
     @property
@@ -864,16 +789,16 @@ class MatchGateway:
                 f"{template.board_shape}; cannot host "
                 f"{type(state).__name__} {state.board_shape}"
             )
-        agent = None
-        if self.backend == "thread":
-            # a warm tree per session: the subtree behind each played move
-            # carries over, so later moves start from reused statistics
-            agent = TreeReuseMCTS(
-                self._shared_evaluator,
-                c_puct=self.c_puct,
-                rng=self.rng.spawn(1)[0],
-                tree_backend=self.tree_backend,
-            )
+        # a warm tree per session: the subtree behind each played move
+        # carries over, so later moves start from reused statistics.  Each
+        # session takes two children of the gateway rng and seeds its tree
+        # with the first: session k's tree seed is child 2(k-1) of the
+        # gateway seed, the numbering sessions have always had.
+        agent = TreeReuseMCTS(
+            self._shared_evaluator,
+            c_puct=self.c_puct,
+            rng=self.rng.spawn(2)[0],
+        )
         if session_id is None:
             session_id = self._next_session_id
             self._next_session_id += 1
@@ -885,7 +810,6 @@ class MatchGateway:
             session_id,
             state,
             agent,
-            self.rng.spawn(1)[0],
             self.clock.monotonic(),
             history=history,
         )
@@ -1110,8 +1034,7 @@ class MatchGateway:
             game.step(int(action))
             session.moves += 1
             session.history.append(int(action))
-            if session.agent is not None:
-                session.agent.observe(int(action))
+            session.agent.observe(int(action))
             if game.is_terminal:
                 self._finish(session)
                 return None, None, True, int(game.winner)
@@ -1119,56 +1042,48 @@ class MatchGateway:
             self._finish(session)
             return None, None, True, int(game.winner)
 
-        # the search gets whatever wall clock the request has left after
-        # validation/queueing; floor at 1ms so an exhausted allowance
-        # still yields the budget's min_playouts (a valid, if tiny, prior)
+        loop = asyncio.get_running_loop()
+        search = (self._search, session.agent, game, deadline, t0)
+        if self._bus is not None:
+            # busy-headcount bracketing: the bus flushes a fused batch as
+            # soon as every *currently searching* session has a leaf
+            # pending, so the threshold tracks real concurrency instead
+            # of a static guess
+            self._bus.begin_search()
+            try:
+                prior = await loop.run_in_executor(self._executor, *search)
+            finally:
+                self._bus.end_search()
+        else:
+            prior = await loop.run_in_executor(self._executor, *search)
+        engine_action = int(np.argmax(prior))
+        game.step(engine_action)
+        session.moves += 1
+        session.history.append(engine_action)
+        session.agent.observe(engine_action)
+        if game.is_terminal:
+            self._finish(session)
+            return engine_action, prior, True, int(game.winner)
+        return engine_action, prior, False, None
+
+    def _search(
+        self, agent: TreeReuseMCTS, game: Game, deadline: float, t0: float
+    ) -> np.ndarray:
+        """Run one move's search on the executor thread.
+
+        The search gets whatever clock the request has left when it
+        starts here, so validation, queueing and the executor hand-off
+        all count against the move's deadline.  The floor of 1 ms lets
+        an exhausted allowance still yield the budget's min_playouts (a
+        valid, if tiny, prior).
+        """
         elapsed_ms = (self.clock.monotonic() - t0) * 1e3
         budget = SearchBudget(
             num_playouts=self.num_playouts,
             time_budget_ms=max(1.0, deadline - elapsed_ms),
             clock=self.clock,
         )
-        loop = asyncio.get_running_loop()
-        if self.backend == "process":
-            prior = await loop.run_in_executor(
-                self._executor,
-                _process_move_search,
-                self._fork_key,
-                game.copy(),
-                budget,
-                self.c_puct,
-                self.tree_backend,
-                int(session.rng.integers(np.iinfo(np.int64).max)),
-            )
-        else:
-            agent = session.agent
-            assert agent is not None
-            if self._bus is not None:
-                # busy-headcount bracketing: the bus flushes a fused
-                # batch as soon as every *currently searching* session
-                # has a leaf pending, so the threshold tracks real
-                # concurrency instead of a static guess
-                self._bus.begin_search()
-                try:
-                    prior = await loop.run_in_executor(
-                        self._executor, agent.get_action_prior, game, budget
-                    )
-                finally:
-                    self._bus.end_search()
-            else:
-                prior = await loop.run_in_executor(
-                    self._executor, agent.get_action_prior, game, budget
-                )
-        engine_action = int(np.argmax(prior))
-        game.step(engine_action)
-        session.moves += 1
-        session.history.append(engine_action)
-        if session.agent is not None:
-            session.agent.observe(engine_action)
-        if game.is_terminal:
-            self._finish(session)
-            return engine_action, prior, True, int(game.winner)
-        return engine_action, prior, False, None
+        return agent.get_action_prior(game, budget)
 
     def _finish(self, session: _Session) -> None:
         session.status = SessionStatus.FINISHED

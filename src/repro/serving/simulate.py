@@ -375,7 +375,6 @@ class ScenarioRunner:
         executor = SimulatedSearchExecutor(clock)
         gateway = MatchGateway(
             self._evaluator or UniformEvaluator(),
-            backend="thread",
             workers=spec.workers,
             deadline_ms=max(spec.deadline_ms),
             num_playouts=spec.playouts,

@@ -108,8 +108,7 @@ async def clock_timeout(clock: Clock, aw: Awaitable[T], timeout_s: float) -> T:
 class WallClock:
     """Production time: the ``time`` module and real ``asyncio.sleep``.
 
-    Stateless, picklable (process-backend budgets carry one across the
-    executor boundary), and safe to share as the :data:`WALL_CLOCK`
+    Stateless, picklable, and safe to share as the :data:`WALL_CLOCK`
     singleton.
     """
 

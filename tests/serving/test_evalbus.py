@@ -467,7 +467,7 @@ class TestGatewayWiring:
     def test_thread_backend_defaults_bus_on(self):
         async def run():
             async with MatchGateway(
-                UniformEvaluator(), backend="thread", workers=2, num_playouts=8
+                UniformEvaluator(), workers=2, num_playouts=8
             ) as gw:
                 session = await gw.create_session("tictactoe")
                 await gw.play_move(session)
@@ -482,7 +482,6 @@ class TestGatewayWiring:
         async def run():
             async with MatchGateway(
                 UniformEvaluator(),
-                backend="thread",
                 workers=2,
                 num_playouts=8,
                 evalbus=False,
@@ -496,12 +495,6 @@ class TestGatewayWiring:
         assert not stats.bus_enabled
         assert stats.bus_requests == 0
 
-    def test_process_backend_rejects_explicit_bus(self):
-        with pytest.raises(ValueError, match="thread-backend"):
-            MatchGateway(
-                UniformEvaluator(), backend="process", evalbus=True
-            )
-
     def test_bus_on_off_transcripts_identical_under_generous_deadline(self):
         """Same seed, generous deadline: the bus must not change a single
         move (batched evaluation rows are value-equal to singletons, and
@@ -511,7 +504,6 @@ class TestGatewayWiring:
             moves = []
             async with MatchGateway(
                 UniformEvaluator(),
-                backend="thread",
                 workers=2,
                 deadline_ms=10_000.0,
                 num_playouts=24,
@@ -538,7 +530,6 @@ class TestGatewayWiring:
         async def run():
             async with MatchGateway(
                 UniformEvaluator(),
-                backend="thread",
                 workers=8,
                 max_inflight=8,
                 deadline_ms=2_000.0,

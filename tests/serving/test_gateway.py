@@ -29,12 +29,10 @@ from repro.serving import (
 )
 
 
-def make_gateway(**kwargs) -> MatchGateway:
-    defaults = dict(
-        backend="thread", workers=2, deadline_ms=100.0, num_playouts=24, seed=0
-    )
+def make_gateway(evaluator=None, **kwargs) -> MatchGateway:
+    defaults = dict(workers=2, deadline_ms=100.0, num_playouts=24, seed=0)
     defaults.update(kwargs)
-    return MatchGateway(UniformEvaluator(), **defaults)
+    return MatchGateway(evaluator or UniformEvaluator(), **defaults)
 
 
 class SlowUniform(UniformEvaluator):
@@ -44,24 +42,6 @@ class SlowUniform(UniformEvaluator):
     def evaluate(self, game):
         time.sleep(self.delay)
         return super().evaluate(game)
-
-
-class BiasedEvaluator(UniformEvaluator):
-    """Puts almost all prior mass on the lowest (or highest) legal move --
-    distinguishable fingerprints for the fork-registry test."""
-
-    def __init__(self, prefer_high: bool) -> None:
-        self.prefer_high = prefer_high
-
-    def evaluate(self, game):
-        from repro.mcts import Evaluation
-
-        legal = game.legal_actions()
-        target = int(legal[-1] if self.prefer_high else legal[0])
-        priors = np.full(game.action_size, 1e-4)
-        priors[game.legal_mask() == 0] = 0.0
-        priors[target] = 1.0
-        return Evaluation(priors=priors / priors.sum(), value=0.0)
 
 
 class TestSessions:
@@ -177,7 +157,7 @@ class TestSessions:
     def test_game_template_rejects_mismatched_sessions(self):
         async def run():
             gw = MatchGateway(
-                UniformEvaluator(), backend="thread", workers=1,
+                UniformEvaluator(), workers=1,
                 game_template=TicTacToe(), seed=0,
             )
             async with gw:
@@ -300,7 +280,7 @@ class TestDeadlines:
         async def run():
             gw = MatchGateway(
                 SlowUniform(0.01),  # 10ms/eval >> the 1ms deadline
-                backend="thread", workers=1, deadline_ms=1.0,
+                workers=1, deadline_ms=1.0,
                 num_playouts=64, deadline_tolerance_ms=0.0, seed=0,
             )
             async with gw:
@@ -336,46 +316,34 @@ class TestDeadlines:
         asyncio.run(run())
 
 
-class TestProcessBackend:
-    def test_full_game_on_forked_workers(self):
-        async def run():
-            gw = make_gateway(backend="process", workers=2)
-            async with gw:
-                session = await gw.create_session()
-                moves = 0
-                while True:
-                    reply = await gw.play_move(session)
-                    moves += 1
-                    if reply.done:
-                        return moves, gw.stats()
+class TestLoadWeights:
+    def test_new_session_searches_with_the_loaded_net(self):
+        """After load_weights no search is answered from the old net's
+        cached evaluations: a session opened after the load plays what a
+        gateway built on the new net plays, bit for bit."""
+        from repro.games import build_network_for
+        from repro.mcts import NetworkEvaluator
+        from repro.utils.wire import encode_state
 
-        moves, stats = asyncio.run(run())
-        assert moves >= 3 and stats.sessions_finished == 1
-
-    def test_coexisting_gateways_keep_their_own_evaluators(self):
-        """Workers fork lazily at the first submit: a second gateway
-        constructed before that fork must not hijack the first one's
-        evaluator (regression: single-slot fork global)."""
-
-        async def first_move(gw: MatchGateway) -> int:
-            async with gw:
-                session = await gw.create_session("tictactoe")
-                return (await gw.play_move(session)).engine_action
-
-        async def run():
-            low = MatchGateway(
-                BiasedEvaluator(prefer_high=False), backend="process",
-                workers=1, deadline_ms=200.0, num_playouts=24, seed=0,
+        def gateway(seed: int) -> MatchGateway:
+            net = build_network_for(TicTacToe(), channels=(8, 16, 16), rng=seed)
+            return make_gateway(
+                evaluator=NetworkEvaluator(net), deadline_ms=60_000.0,
+                num_playouts=16, game_template=TicTacToe(),
             )
-            # constructed BEFORE low's workers fork
-            high = MatchGateway(
-                BiasedEvaluator(prefer_high=True), backend="process",
-                workers=1, deadline_ms=200.0, num_playouts=24, seed=0,
-            )
-            return await first_move(low), await first_move(high)
 
-        low_move, high_move = asyncio.run(run())
-        assert low_move == 0 and high_move == 8
+        async def second_prior(gw: MatchGateway, load=None) -> np.ndarray:
+            async with gw:
+                await gw.play_move(await gw.create_session())
+                if load is not None:
+                    gw.load_weights(encode_state(load.state_dict()))
+                reply = await gw.play_move(await gw.create_session())
+                return reply.prior
+
+        net_b = build_network_for(TicTacToe(), channels=(8, 16, 16), rng=2)
+        rolled = asyncio.run(second_prior(gateway(1), load=net_b))
+        fresh = asyncio.run(second_prior(gateway(2)))
+        assert np.array_equal(rolled, fresh)
 
 
 class TestWireLayer:
@@ -560,8 +528,11 @@ class TestLatencyTracker:
 
 
 def test_gateway_rejects_bad_config():
-    with pytest.raises(ValueError):
-        MatchGateway(UniformEvaluator(), backend="quantum")
+    # threads are the gateway's only backend; multi-core serving is the
+    # cluster's ProcessShard
+    for backend in ("quantum", "process"):
+        with pytest.raises(ValueError):
+            MatchGateway(UniformEvaluator(), backend=backend)
     with pytest.raises(ValueError):
         MatchGateway(UniformEvaluator(), workers=0)
     with pytest.raises(ValueError):

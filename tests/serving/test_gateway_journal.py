@@ -20,9 +20,7 @@ from repro.storage import SessionJournal, read_journal, replay_sessions
 
 
 def make_gateway(**kwargs) -> MatchGateway:
-    defaults = dict(
-        backend="thread", workers=2, deadline_ms=200.0, num_playouts=16, seed=0
-    )
+    defaults = dict(workers=2, deadline_ms=200.0, num_playouts=16, seed=0)
     defaults.update(kwargs)
     return MatchGateway(UniformEvaluator(), **defaults)
 
@@ -229,7 +227,7 @@ class TestGracefulShutdown:
 
         async def run():
             gw = MatchGateway(
-                Stall(), backend="thread", workers=2,
+                Stall(), workers=2,
                 deadline_ms=10_000.0, num_playouts=4096, seed=0,
                 evalbus=True, cache_capacity=1,  # every leaf hits the bus
             )

@@ -68,7 +68,6 @@ class TestGatewayWallSmoke:
     def smoke_run(self):
         gw = MatchGateway(
             UniformEvaluator(),
-            backend="thread",
             workers=WORKERS,
             deadline_ms=DEADLINE_MS,
             num_playouts=64,
@@ -126,7 +125,6 @@ class TestForcedBackpressure:
     def test_rejections_are_exact_under_overload(self):
         gw = MatchGateway(
             UniformEvaluator(),
-            backend="thread",
             workers=1,
             deadline_ms=200.0,
             num_playouts=4096,
@@ -159,30 +157,3 @@ class TestForcedBackpressure:
         assert served >= 1 and rejected >= 1
         assert stats.rejected == rejected
         assert stats.moves_served == served
-
-
-class TestProcessBackendSmoke:
-    def test_concurrent_sessions_on_forked_workers(self):
-        sessions = 16
-        gw = MatchGateway(
-            UniformEvaluator(),
-            backend="process",
-            workers=2,
-            deadline_ms=DEADLINE_MS,
-            num_playouts=32,
-            max_inflight=4,
-            seed=2,
-        )
-        results: list = []
-
-        async def run():
-            async with gw:
-                await asyncio.gather(
-                    *[_play_to_completion(gw, results) for _ in range(sessions)]
-                )
-                return gw.stats(), gw.session_count
-
-        stats, leftover = asyncio.run(run())
-        assert len(results) == sessions
-        assert stats.sessions_finished == sessions
-        assert leftover == 0

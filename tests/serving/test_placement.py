@@ -103,7 +103,6 @@ def play_gateway_match(evaluator=None, **kwargs):
         moves = []
         async with MatchGateway(
             evaluator or UniformEvaluator(),
-            backend="thread",
             workers=2,
             deadline_ms=10_000.0,
             num_playouts=24,

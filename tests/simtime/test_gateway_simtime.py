@@ -22,8 +22,10 @@ import asyncio
 import pytest
 
 from repro.mcts import UniformEvaluator
+from repro.mcts.budget import active_budget_snapshot
 from repro.serving import (
     GatewayOverloaded,
+    InlineExecutor,
     MatchGateway,
     SimulatedSearchExecutor,
 )
@@ -69,7 +71,6 @@ def _run_soak(sessions: int, seed: int = 0):
     executor = SimulatedSearchExecutor(clock, default_duration_s=SERVICE_S)
     gw = MatchGateway(
         UniformEvaluator(),
-        backend="thread",
         workers=1,
         deadline_ms=DEADLINE_MS,
         num_playouts=16,
@@ -147,7 +148,6 @@ class TestForcedBackpressureExact:
         executor = SimulatedSearchExecutor(clock, default_duration_s=0.1)
         gw = MatchGateway(
             UniformEvaluator(),
-            backend="thread",
             workers=1,
             deadline_ms=200.0,
             num_playouts=8,
@@ -185,7 +185,6 @@ class TestModelledLatency:
         executor = SimulatedSearchExecutor(clock)
         gw = MatchGateway(
             UniformEvaluator(),
-            backend="thread",
             workers=1,
             deadline_ms=50.0,
             num_playouts=4,
@@ -211,28 +210,63 @@ class TestModelledLatency:
         assert stats.moves_served == 2
 
 
-class TestClockSeamGuards:
-    def test_process_backend_rejects_virtual_clock(self):
-        with pytest.raises(ValueError, match="wall time"):
-            MatchGateway(
-                UniformEvaluator(), backend="process", clock=VirtualClock()
-            )
+class HandOffExecutor(InlineExecutor):
+    """Inline executor whose hand-off costs *delay_s* of virtual time
+    before the submitted search starts."""
 
-    def test_process_backend_rejects_injected_executor(self):
+    def __init__(self, clock: VirtualClock, delay_s: float) -> None:
+        self.clock = clock
+        self.delay_s = delay_s
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.clock.advance(self.delay_s)
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestDeadlineArming:
+    @pytest.mark.parametrize(
+        "hand_off_ms, remaining_ms", [(30.0, 70.0), (150.0, 1.0)]
+    )
+    def test_executor_hand_off_counts_against_the_deadline(
+        self, hand_off_ms, remaining_ms
+    ):
+        """The search's allowance is what the move has left when the
+        search starts on the executor: a 30 ms hand-off leaves 70 of a
+        100 ms deadline, and an exhausted one still gets the 1 ms floor."""
         clock = VirtualClock()
-        with pytest.raises(ValueError, match="thread-backend"):
-            MatchGateway(
-                UniformEvaluator(),
-                backend="process",
-                executor=SimulatedSearchExecutor(clock),
-            )
+        seen: list[float] = []
 
+        class Recording(UniformEvaluator):
+            def evaluate(self, game):
+                seen.append(active_budget_snapshot().remaining_ms)
+                return super().evaluate(game)
+
+        gw = MatchGateway(
+            Recording(),
+            workers=1,
+            deadline_ms=100.0,
+            num_playouts=4,
+            seed=0,
+            clock=clock,
+            executor=HandOffExecutor(clock, hand_off_ms / 1e3),
+            evalbus=False,
+        )
+
+        async def main():
+            async with gw:
+                session = await gw.create_session("tictactoe")
+                return await gw.play_move(session)
+
+        reply = clock.run(main())
+        assert seen[0] == pytest.approx(remaining_ms)
+        assert reply.latency_ms == pytest.approx(hand_off_ms)
+
+
+class TestClockSeamGuards:
     def test_injected_executor_is_borrowed_not_owned(self):
         clock = VirtualClock()
         executor = SimulatedSearchExecutor(clock)
-        gw = MatchGateway(
-            UniformEvaluator(), backend="thread", clock=clock, executor=executor
-        )
+        gw = MatchGateway(UniformEvaluator(), clock=clock, executor=executor)
 
         async def main():
             async with gw:

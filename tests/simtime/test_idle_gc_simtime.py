@@ -36,7 +36,6 @@ pytestmark = pytest.mark.simtime
 
 def _gateway(clock, executor=None, **overrides) -> MatchGateway:
     kwargs = dict(
-        backend="thread",
         workers=1,
         deadline_ms=50.0,
         num_playouts=2,

@@ -21,7 +21,6 @@ class TestParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.backend == "thread"
         assert args.deadline_ms == 200.0
         assert args.demo_games == 0
         assert args.port == 0
@@ -29,6 +28,25 @@ class TestParser:
     def test_serve_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "quantum"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--backend", "thread"),
+        ("--backend", "process"),
+        ("--tree-backend", "array"),
+        ("--inference-backend", "fused"),
+        ("--evalbus", "auto"),
+    ])
+    def test_serve_rejects_removed_flags(self, flag, value):
+        """serve searches on threads over the array tree and the fused
+        plan, with the evaluation bus on or off; nothing else to pick."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag, value])
+
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_evalbus_defaults_on(self, command):
+        assert build_parser().parse_args([command]).evalbus == "on"
+        args = build_parser().parse_args([command, "--evalbus", "off"])
+        assert args.evalbus == "off"
 
 
 class TestCommands:
