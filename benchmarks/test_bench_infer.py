@@ -5,11 +5,12 @@ The PR-4 headline: compiling the policy/value towers into
 float32 GEMM-ready weights, NHWC channels-last execution, zero-allocation
 thread-local workspaces.  Reported on the paper's Gomoku 15x15 shapes:
 
-- forward-pass latency, reference vs fused, across batch sizes and both
+- forward-pass latency, the float64 reference forward of
+  ``tests/nn/conv_oracle.py`` vs fused, across batch sizes and both
   architectures (the paper's 5-conv+3-FC tower and the AlphaZero-style
   residual tower) -- the ``T_DNN`` knob of Equations 3-6;
 - end-to-end self-play throughput on the thread engine (playouts/sec)
-  with each backend, i.e. how much of the forward win survives a full
+  with each forward, i.e. how much of the forward win survives a full
   search loop.
 
 Acceptance bar: fused >= 3x reference forward latency at batch 8 on the
@@ -30,6 +31,7 @@ import pytest
 from repro.games import Gomoku
 from repro.mcts.evaluation import NetworkEvaluator
 from repro.nn import PolicyValueNet, ResNetPolicyValueNet
+from tests.nn.conv_oracle import ReferenceEvaluator, reference_predict
 
 BATCH_SIZES = (1, 8, 32)
 
@@ -60,18 +62,16 @@ def _forward_latencies(net, batch: int) -> tuple[float, float]:
     """(reference, fused) seconds per forward at *batch*."""
     states = np.random.default_rng(batch).random((batch, 4, 15, 15))
     repeats = max(3, 40 // batch)
-    net.set_inference_backend("fused")
     net.predict(states)  # compile + warm the workspace arena
     fused = _best_latency(lambda: net.predict(states), repeats)
-    net.set_inference_backend("reference")
-    reference = _best_latency(lambda: net.predict(states), repeats)
-    net.set_inference_backend("fused")
+    reference = _best_latency(lambda: reference_predict(net, states), repeats)
     return reference, fused
 
 
-def _engine_playouts_per_sec(backend: str) -> float:
+def _engine_playouts_per_sec(evaluator_class) -> float:
     """One thread-engine round of Gomoku self-play, network evaluations
-    through the shared accelerator queue; returns playouts/sec."""
+    by *evaluator_class* through the shared accelerator queue; returns
+    playouts/sec."""
     from repro.serving import MultiGameSelfPlayEngine
 
     game = Gomoku(9, 5)
@@ -82,10 +82,9 @@ def _engine_playouts_per_sec(backend: str) -> float:
         action_size=game.action_size,
         rng=2,
     )
-    net.set_inference_backend(backend)
     with MultiGameSelfPlayEngine(
         game,
-        NetworkEvaluator(net),
+        evaluator_class(net),
         num_games=4,
         num_playouts=24,
         max_moves=20,
@@ -114,7 +113,10 @@ def test_fused_inference_throughput(emit):
                 }
             )
 
-    engine_rates = {b: _engine_playouts_per_sec(b) for b in ("reference", "fused")}
+    engine_rates = {
+        "reference": _engine_playouts_per_sec(ReferenceEvaluator),
+        "fused": _engine_playouts_per_sec(NetworkEvaluator),
+    }
     rows.append(
         {
             "arch": "thread engine (Gomoku 9x9, 4 games)",
@@ -157,13 +159,11 @@ def test_smoke_fused_parity(arch):
         net = ResNetPolicyValueNet(5, num_blocks=2, channels=8, rng=11)
     states = np.random.default_rng(12).random((4, 4, 5, 5))
     fused = net.predict(states)
-    net.set_inference_backend("reference")
-    ref = net.predict(states)
-    net.set_inference_backend("fused")
+    ref = reference_predict(net, states)
     np.testing.assert_allclose(fused.policy, ref.policy, rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(fused.value, ref.value, rtol=1e-5, atol=1e-5)
-    # selecting "reference" dropped the plan; recompile, warm, then check
-    # repeatability and arena stability on the fresh plan
+    # the float64 forward left the plan alone: check repeatability and
+    # arena stability on it
     again = net.predict(states)
     np.testing.assert_array_equal(fused.policy, again.policy)
     plan = net.inference_plan()

@@ -18,10 +18,10 @@ import time
 import pytest
 
 from repro.games import SyntheticTreeGame, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator
 from repro.mcts.serial import SerialMCTS
 from repro.serving import MultiGameSelfPlayEngine
 from repro.training.selfplay import play_episode
+from tests.nn.conv_oracle import ReferenceEvaluator
 
 GAME_COUNTS = (2, 4, 8)
 PLAYOUTS = 24
@@ -37,22 +37,21 @@ def make_game():
 
 @pytest.fixture(scope="module")
 def network():
-    net = build_network_for(make_game(), channels=(4, 8, 8), rng=0)
     # E12 isolates the *serving layer*: what batching + caching buy over
     # per-leaf invocation at a fixed per-call evaluator cost.  The fused
     # plan (E15) compresses that per-call cost so far that the effect
     # under measurement disappears into noise at this tiny network size,
-    # so both the sequential baseline and the engine run the reference
-    # backend here -- the same measurement as before fused inference
-    # existed.  E15_infer gates the fused path itself.
-    return net.set_inference_backend("reference")
+    # so both the sequential baseline and the engine evaluate through the
+    # float64 ReferenceEvaluator here -- the same measurement as before
+    # fused inference existed.  E15_infer gates the fused path itself.
+    return build_network_for(make_game(), channels=(4, 8, 8), rng=0)
 
 
 def run_sequential(network, num_games: int) -> float:
     """The single-game baseline: G games one after another, every leaf
     evaluated as its own batch-of-one forward pass."""
     game = make_game()
-    evaluator = NetworkEvaluator(network)
+    evaluator = ReferenceEvaluator(network)
     t0 = time.perf_counter()
     for seed in range(num_games):
         play_episode(game, SerialMCTS(evaluator, rng=seed), PLAYOUTS, rng=seed)
@@ -65,7 +64,7 @@ def throughput_rows(network):
     for g in GAME_COUNTS:
         sequential = run_sequential(network, g)
         engine = MultiGameSelfPlayEngine(
-            make_game(), NetworkEvaluator(network), num_games=g,
+            make_game(), ReferenceEvaluator(network), num_games=g,
             num_playouts=PLAYOUTS, rng=0,
         )
         with engine:
@@ -87,7 +86,7 @@ def throughput_rows(network):
 
 def test_bench_multigame_throughput(benchmark, network, throughput_rows, emit):
     engine = MultiGameSelfPlayEngine(
-        make_game(), NetworkEvaluator(network), num_games=4,
+        make_game(), ReferenceEvaluator(network), num_games=4,
         num_playouts=PLAYOUTS, rng=0,
     )
     with engine:
@@ -111,7 +110,7 @@ def test_multigame_speedup_at_least_2x(throughput_rows, network):
     if speedup < 2.0:
         sequential = run_sequential(network, top["G"])
         engine = MultiGameSelfPlayEngine(
-            make_game(), NetworkEvaluator(network), num_games=top["G"],
+            make_game(), ReferenceEvaluator(network), num_games=top["G"],
             num_playouts=PLAYOUTS, rng=0,
         )
         with engine:

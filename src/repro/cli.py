@@ -93,17 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
              "farm (--workers processes, each evaluating its own leaves)",
     )
     p_train.add_argument(
-        "--tree-backend", default="array", choices=["node", "array"],
-        help="search-tree storage: heap Node objects or the vectorised "
-             "structure-of-arrays backend (default)",
-    )
-    p_train.add_argument(
-        "--inference-backend", default="fused", choices=["reference", "fused"],
-        help="self-play leaf evaluation: the compiled fused float32 plan "
-             "(default) or the float64 layer-by-layer reference forward; "
-             "SGD always trains in float64",
-    )
-    p_train.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="save crash-safe training checkpoints under DIR (atomic "
              "manifest commit, keep-last-3)",
@@ -134,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--cache-capacity", type=int, default=8192)
     p_sp.add_argument("--seed", type=int, default=0)
     p_sp.add_argument(
-        "--tree-backend", default="array", choices=["node", "array"],
-        help="search-tree storage for the per-game serial searches",
-    )
-    p_sp.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
         help="run the G games on a thread pool (default) or as a "
              "multiprocess farm whose workers evaluate their own leaves",
@@ -145,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument(
         "--workers", type=int, default=2,
         help="worker-process count for --backend process",
-    )
-    p_sp.add_argument(
-        "--inference-backend", default="fused", choices=["reference", "fused"],
-        help="leaf evaluation: compiled fused float32 plan (default) or "
-             "the float64 layer-by-layer reference forward",
     )
 
     p_srv = sub.add_parser(
@@ -322,7 +302,6 @@ def cmd_train(args) -> int:
 
     game = _make_game(args.game, args.size)
     net = build_network_for(game, channels=(8, 16, 16), rng=args.seed)
-    net.set_inference_backend(args.inference_backend)
     evaluator = NetworkEvaluator(net)
     max_moves = game.board_shape[0] * game.board_shape[1]
     scheme = None
@@ -342,8 +321,7 @@ def cmd_train(args) -> int:
             num_playouts=args.playouts, max_moves=max_moves,
             # same root exploration noise as the single-game path
             scheme_factory=lambda ev, game_rng: SerialMCTS(
-                ev, dirichlet_epsilon=0.25, rng=game_rng,
-                tree_backend=args.tree_backend,
+                ev, dirichlet_epsilon=0.25, rng=game_rng
             ),
             rng=args.seed + 1,
             backend=args.evaluator_backend,
@@ -353,7 +331,7 @@ def cmd_train(args) -> int:
         scheme = LocalTreeMCTS(
             evaluator, num_workers=args.workers,
             batch_size=max(1, args.workers // 2), dirichlet_epsilon=0.25,
-            rng=args.seed + 1, tree_backend=args.tree_backend,
+            rng=args.seed + 1, tree_backend="array",
         )
     trainer = Trainer(net, Adam(net.parameters(), lr=2e-3), AlphaZeroLoss(1e-4))
     pipeline = TrainingPipeline(
@@ -413,13 +391,11 @@ def cmd_selfplay(args) -> int:
 
     game = _make_game(args.game, args.size)
     net = build_network_for(game, channels=(8, 16, 16), rng=args.seed)
-    net.set_inference_backend(args.inference_backend)
     engine = MultiGameSelfPlayEngine(
         game, NetworkEvaluator(net), num_games=args.games,
         num_playouts=args.playouts, cache_capacity=args.cache_capacity,
         max_moves=game.board_shape[0] * game.board_shape[1],
-        rng=args.seed + 1, tree_backend=args.tree_backend,
-        backend=args.backend, num_workers=args.workers,
+        rng=args.seed + 1, backend=args.backend, num_workers=args.workers,
     )
     with engine:
         for r in range(args.rounds):

@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.farm.supervision import RetryBudget
 from repro.games.base import Game
-from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.nn.infer import ensure_plan
 from repro.serving.cache import CachingEvaluator, EvaluationCache
@@ -211,7 +210,6 @@ class SelfPlayFarm:
         states; 0 disables caching.
     max_retries : how many times one episode may be re-run after worker
         deaths before the round fails with :class:`FarmError`.
-    tree_backend : storage layout for the default per-episode trees.
     clock : time source for round wall-clock accounting (wall by
         default; process joins and pipe waits are always real OS time).
 
@@ -231,7 +229,6 @@ class SelfPlayFarm:
         max_moves: int | None = None,
         cache_capacity: int = 8192,
         max_retries: int = 2,
-        tree_backend: TreeBackend | str | None = None,
         clock: Clock | None = None,
     ) -> None:
         if num_workers < 1:
@@ -250,13 +247,10 @@ class SelfPlayFarm:
         self.cache_capacity = cache_capacity
         self.clock: Clock = WALL_CLOCK if clock is None else clock
         self.max_retries = max_retries
-        self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         if scheme_factory is None:
             from repro.mcts.serial import SerialMCTS
 
-            scheme_factory = lambda ev, rng: SerialMCTS(  # noqa: E731
-                ev, rng=rng, tree_backend=self.tree_backend
-            )
+            scheme_factory = lambda ev, rng: SerialMCTS(ev, rng=rng)  # noqa: E731
         self.scheme_factory = scheme_factory
 
         self._ctx = mp.get_context("fork")

@@ -47,10 +47,9 @@ def mask_and_normalize(probs: np.ndarray, legal_mask: np.ndarray) -> np.ndarray:
     training).
 
     Accepts a single ``(A,)`` vector or any batched ``(..., A)`` stack.
-    This is the legality-normalisation contract: the float64 reference
-    backend runs it after ``predict``, and the fused
+    This is the legality-normalisation contract: the fused
     :meth:`repro.nn.infer.InferencePlan.predict_masked` reproduces it bit
-    for bit (handing its rare underflow rows back to it).
+    for bit after its softmax (handing its rare underflow rows back to it).
     """
     probs = np.asarray(probs, dtype=np.float64)
     legal_mask = np.asarray(legal_mask, dtype=bool)
@@ -93,11 +92,10 @@ class NetworkEvaluator(Evaluator):
     Both batched paths are one ``network.predict_masked`` call: states and
     legality masks in, ``(priors (B, A), values (B,))`` out, the forward
     pass, masking and renormalisation all whole-batch array operations.
-    The default fused backend runs the compiled float32 plan
-    (:mod:`repro.nn.infer`), an immutable snapshot; the float64 reference
-    backend forces eval mode for the duration.  Evaluation therefore never
-    mutates network state, and repeated evaluation of the same states is
-    bit-identical even on a network left in training mode.
+    The network runs its compiled float32 plan (:mod:`repro.nn.infer`), an
+    immutable snapshot, so evaluation never mutates network state, and
+    repeated evaluation of the same states is bit-identical even on a
+    network left in training mode.
     """
 
     def __init__(self, network) -> None:

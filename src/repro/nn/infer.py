@@ -501,7 +501,7 @@ class InferencePlan:
         totals = priors.sum(axis=-1, keepdims=True)
         if totals.min() > 1e-12:
             priors /= totals
-        else:  # an underflowed, empty or NaN row: the reference takes over
+        else:  # an underflowed, empty or NaN row: mask_and_normalize takes over
             from repro.mcts.evaluation import mask_and_normalize
 
             priors = mask_and_normalize(probs, legal_masks)
@@ -554,8 +554,8 @@ def ensure_plan(network) -> InferencePlan | None:
     Used by the serving engine and the farm's worker processes at startup
     and after weight re-syncs, so the first real evaluation batch never
     pays compilation.  Returns ``None`` (and does nothing) for networks
-    without fused-inference support or with the reference backend selected.
+    without fused-inference support.
     """
-    if getattr(network, "inference_backend", None) != "fused":
+    if not hasattr(network, "inference_plan"):
         return None
     return network.inference_plan()

@@ -19,8 +19,8 @@ Evaluators never call ``forward`` directly: the networks'
 ``predict``/``predict_masked`` run a compiled
 :class:`repro.nn.infer.InferencePlan` (immutable float32 weights,
 thread-local workspaces), so one network is safe to share across search
-threads.  Only the float64 reference path and training are
-single-threaded per module instance.
+threads.  Only the float64 ``forward``/``backward`` path, which training
+runs, is single-threaded per module instance.
 """
 
 from __future__ import annotations

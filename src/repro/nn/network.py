@@ -15,7 +15,6 @@ Total: 5 conv + 3 FC, matching the paper's Gomoku network.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,48 +76,22 @@ class FusedInferenceModule(Module):
     """Inference plumbing shared by the policy/value towers.
 
     Provides the ``predict`` / ``predict_masked`` / ``predict_batch``
-    entry points, backed by one of two backends:
+    entry points, all run by a compiled :class:`repro.nn.infer.InferencePlan`
+    -- BatchNorm folded, float32 GEMM-ready weights, zero-allocation
+    thread-local workspaces.  The plan is compiled lazily and re-compiled
+    whenever :attr:`~Module.weights_version` moves (``load_state_dict``,
+    the trainer's SGD step, or an explicit :meth:`invalidate_plan`).
 
-    - ``"fused"`` (default): a compiled :class:`repro.nn.infer.InferencePlan`
-      -- BatchNorm folded, float32 GEMM-ready weights, zero-allocation
-      thread-local workspaces.  Compiled lazily and re-compiled whenever
-      :attr:`~Module.weights_version` moves (``load_state_dict``, the
-      trainer's SGD step, or an explicit :meth:`invalidate_plan`).
-    - ``"reference"``: the float64 layer-by-layer forward, forced into
-      eval mode for the duration of the call so inference can never
-      mutate BatchNorm running statistics or dropout state.
-
-    Training is untouched either way: ``forward``/``backward`` remain the
-    float64 autodiff path (on the same channels-last conv gather).
+    Training is untouched: ``forward``/``backward`` remain the float64
+    autodiff path (on the same channels-last conv gather).
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.inference_backend = "fused"
         self._plan = None
-        # the reference path toggles the module-wide train/eval flag; engine
-        # threads can evaluate concurrently, so the toggle+forward+restore
-        # must be atomic or thread B would run (and mutate BatchNorm stats)
-        # in training mode while thread A restores.  The fused path needs no
-        # lock -- plans are immutable with thread-local workspaces.
-        self._reference_lock = threading.Lock()
-
-    # -- backend selection -------------------------------------------------
-    def set_inference_backend(self, backend: str) -> "FusedInferenceModule":
-        """Select ``"fused"`` (compiled float32 plan) or ``"reference"``
-        (float64 eval-mode forward) for ``predict``/``predict_batch``."""
-        if backend not in ("fused", "reference"):
-            raise ValueError(
-                f"unknown inference backend {backend!r}; "
-                "expected 'fused' or 'reference'"
-            )
-        self.inference_backend = backend
-        if backend == "reference":
-            self._plan = None
-        return self
 
     def invalidate_plan(self) -> None:
-        """Drop the compiled plan (next fused call recompiles).  Needed only
+        """Drop the compiled plan (next call recompiles).  Needed only
         after weight mutations that bypass ``load_state_dict`` and the
         trainer (which both bump ``weights_version`` themselves)."""
         self._plan = None
@@ -137,33 +110,22 @@ class FusedInferenceModule(Module):
     def predict(self, states: np.ndarray) -> NetworkOutput:
         """Unmasked inference on a state ``(C, H, W)`` or a batch
         ``(B, C, H, W)``.  Never mutates network state (BatchNorm
-        statistics, caches): the fused backend executes an immutable
-        compiled snapshot; the reference backend runs with eval mode forced.
+        statistics, caches): the plan is an immutable compiled snapshot.
         """
         states = np.asarray(states)
         if states.ndim == 3:
             states = states[None]
-        if self.inference_backend == "fused":
-            return self.inference_plan().predict(states)
-        return self._reference_forward(np.asarray(states, dtype=np.float64))
+        return self.inference_plan().predict(states)
 
     def predict_masked(
         self, inputs, legal_masks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Leaf evaluation: ``(B, C, H, W)`` encoded planes or a sequence of
         game states, plus ``(B, A)`` legality masks -> float64
-        ``(priors (B, A), values (B,))``.  The fused backend runs
-        :meth:`repro.nn.infer.InferencePlan.predict_masked`; the reference
-        backend runs its oracle, ``predict`` then ``mask_and_normalize``.
+        ``(priors (B, A), values (B,))``, by
+        :meth:`repro.nn.infer.InferencePlan.predict_masked`.
         """
-        if self.inference_backend == "fused":
-            return self.inference_plan().predict_masked(inputs, legal_masks)
-        from repro.mcts.evaluation import mask_and_normalize  # import cycle guard
-
-        if not isinstance(inputs, np.ndarray):
-            inputs = np.stack([g.encode() for g in inputs])
-        out = self.predict(inputs)
-        return mask_and_normalize(out.policy, legal_masks), out.value
+        return self.inference_plan().predict_masked(inputs, legal_masks)
 
     def predict_batch(
         self, states: np.ndarray, legal_masks: np.ndarray | None = None
@@ -174,26 +136,6 @@ class FusedInferenceModule(Module):
             return self.predict(states)
         policy, value = self.predict_masked(np.asarray(states), legal_masks)
         return NetworkOutput(policy=policy, value=value, logits=None)
-
-    def _reference_forward(self, states: np.ndarray) -> NetworkOutput:
-        """Float64 forward with eval mode forced for the duration.
-
-        Inference through a network left in training mode used to silently
-        update BatchNorm running statistics -- changing outputs between
-        identical calls and corrupting the statistics training relies on.
-        Serialised: the mode flag is module-global state, so concurrent
-        reference-backend evaluation takes a lock (the default fused
-        backend runs lock-free).
-        """
-        with self._reference_lock:
-            was_training = self.training
-            if was_training:
-                self.eval()
-            try:
-                return self.forward(states)
-            finally:
-                if was_training:
-                    self.train()
 
     # -- persistence -------------------------------------------------------
     def save(self, path: str) -> None:
@@ -283,5 +225,4 @@ class PolicyValueNet(FusedInferenceModule):
         self.trunk.backward(gh_policy + gh_value, input_grad=False)
 
     # predict / predict_masked / predict_batch / save / load come from
-    # FusedInferenceModule:
-    # fused float32 plan by default, float64 eval-forced reference otherwise.
+    # FusedInferenceModule: the compiled fused float32 plan.

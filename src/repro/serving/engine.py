@@ -48,7 +48,6 @@ from typing import Callable
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.serial import SerialMCTS
 from repro.nn.infer import ensure_plan
@@ -232,18 +231,14 @@ class MultiGameSelfPlayEngine:
     num_games : G, the number of games multiplexed per round.
     num_playouts : per-move search budget of every game.
     scheme_factory : builds each game's search scheme around the shared
-        evaluator; defaults to :class:`SerialMCTS` (one outstanding leaf
-        evaluation per game, so batch occupancy ~ number of active
-        games).  The bus flushes at the live-game headcount and caps a
-        batch at ``num_games``.
+        evaluator; defaults to :class:`SerialMCTS` on its array tree
+        (each game's tree is single-threaded, so the vectorised backend
+        is exact), one outstanding leaf evaluation per game, so batch
+        occupancy ~ number of active games.  The bus flushes at the
+        live-game headcount, caps a batch at ``num_games`` and lingers
+        its default window for batch-mates.
     cache_capacity : LRU evaluation-cache size (states); under the
         process backend, the size of each worker's own cache.
-    linger : the bus's partial-flush window in seconds (thread backend
-        only; the process backend has no bus).
-    tree_backend : storage layout for the default per-game search trees
-        (array by default -- each game's tree is single-threaded, so the
-        vectorised backend is exact); custom ``scheme_factory`` callables
-        own their backend choice and can read :attr:`tree_backend`.
     backend : ``"thread"`` (default) runs the G games on a thread pool
         over the in-process bus + LRU cache; ``"process"`` delegates to
         a :class:`repro.farm.farm.SelfPlayFarm` -- N forked worker
@@ -258,9 +253,8 @@ class MultiGameSelfPlayEngine:
     num_workers : process backend only -- worker-process count (defaults
         to ``min(num_games, usable CPUs)``, the CPUs this process may run
         on, not the host's count); the farm's workers pull the G
-        episodes one at a time.
-    max_retries : process backend only -- per-episode retry budget after
-        worker deaths.
+        episodes one at a time and re-run an episode whose worker died
+        up to the farm's default retry budget.
 
     Use :meth:`play_round` for episodes + stats, or :meth:`close` /
     context-manager form to release the game-thread pool (and, for the
@@ -275,15 +269,12 @@ class MultiGameSelfPlayEngine:
         num_playouts: int = 50,
         scheme_factory: SchemeFactory | None = None,
         cache_capacity: int = 8192,
-        linger: float = 0.002,
         temperature_moves: int = 8,
         temperature: float = 1.0,
         max_moves: int | None = None,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
         backend: str = "thread",
         num_workers: int | None = None,
-        max_retries: int = 2,
         clock: Clock | None = None,
     ) -> None:
         if num_games < 1:
@@ -296,11 +287,8 @@ class MultiGameSelfPlayEngine:
         self.backend = backend
         self.num_games = num_games
         self.num_playouts = num_playouts
-        self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         self.scheme_factory = scheme_factory or (
-            lambda ev, game_rng: SerialMCTS(
-                ev, rng=game_rng, tree_backend=self.tree_backend
-            )
+            lambda ev, game_rng: SerialMCTS(ev, rng=game_rng)
         )
         self.temperature_moves = temperature_moves
         self.temperature = temperature
@@ -308,9 +296,9 @@ class MultiGameSelfPlayEngine:
         self.rng = new_rng(rng)
         self.clock: Clock = WALL_CLOCK if clock is None else clock
         # compile the fused inference plan up front (no-op for network-less
-        # or reference-backend evaluators) so the round's first batch never
-        # pays plan compilation; the farm's workers inherit the plan at
-        # fork and confirm it before their first leaf
+        # evaluators) so the round's first batch never pays plan
+        # compilation; the farm's workers inherit the plan at fork and
+        # confirm it before their first leaf
         ensure_plan(getattr(evaluator, "network", None))
 
         self._farm = None
@@ -327,8 +315,6 @@ class MultiGameSelfPlayEngine:
                 temperature=temperature,
                 max_moves=max_moves,
                 cache_capacity=cache_capacity,
-                max_retries=max_retries,
-                tree_backend=self.tree_backend,
                 clock=self.clock,
             )
             # the caches live in the farm's workers, and the weight sync
@@ -345,7 +331,7 @@ class MultiGameSelfPlayEngine:
         self.cache = EvaluationCache(cache_capacity)
         #: the shared batching queue all games feed
         self.bus: EvaluationBus | None = EvaluationBus(
-            evaluator, max_batch=num_games, linger=linger, clock=self.clock
+            evaluator, max_batch=num_games, clock=self.clock
         )
         #: what each game's scheme actually evaluates against
         self.shared_evaluator: Evaluator = CachingEvaluator(

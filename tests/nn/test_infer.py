@@ -1,6 +1,7 @@
 """Tests for the fused float32 inference engine (`repro.nn.infer`).
 
-Covers the plan/reference parity contract (all four games x both
+Covers the plan/reference parity contract against the float64 oracle of
+``tests/nn/conv_oracle.py`` (all four games x both
 architectures x varying batch sizes, including the legality-masking
 path), the masked entry's bitwise contract with ``predict`` +
 ``mask_and_normalize``, the merged head GEMM, BatchNorm-folding
@@ -39,6 +40,7 @@ from repro.nn import (
 from repro.nn.infer import _compile_chain, _Workspace
 from repro.nn.layers import Dropout, Linear, Module, ReLU
 from repro.training.trainer import Trainer
+from tests.nn.conv_oracle import ReferenceEvaluator, reference_predict
 
 # float32 forward against the float64 reference: worst observed error is
 # ~1e-7 on these towers; 1e-5 leaves two orders of magnitude of margin
@@ -64,14 +66,6 @@ def _make_net(arch: str, game, rng: int):
         action_size=game.action_size,
         rng=rng,
     )
-
-
-def _reference_output(net, states):
-    net.set_inference_backend("reference")
-    try:
-        return net.predict(states)
-    finally:
-        net.set_inference_backend("fused")
 
 
 def _games(game_factory, batch: int, seed: int = 0) -> list:
@@ -106,7 +100,7 @@ class TestPlanReferenceParity:
         net = _make_net(arch, game, rng=7)
         states, _ = _states_masks(GAMES[game_name], batch, seed=batch)
         fused = net.predict(states)
-        ref = _reference_output(net, states)
+        ref = reference_predict(net, states)
         np.testing.assert_allclose(fused.logits, ref.logits, **TOL)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
         np.testing.assert_allclose(fused.value, ref.value, **TOL)
@@ -120,7 +114,7 @@ class TestPlanReferenceParity:
         net = _make_net(arch, game, rng=11)
         states, masks = _states_masks(GAMES[game_name], 5, seed=3)
         out = net.predict_batch(states, masks)
-        ref = _reference_output(net, states)
+        ref = reference_predict(net, states)
         expected = mask_and_normalize(ref.policy, masks)
         np.testing.assert_allclose(out.policy, expected, **TOL)
         assert np.all(out.policy[~masks] == 0.0)
@@ -133,7 +127,7 @@ class TestPlanReferenceParity:
         net = PolicyValueNet(board_size=4, channels=(3, 5, 5), rng=2)
         states = np.random.default_rng(seed).standard_normal((batch, 4, 4, 4))
         fused = net.predict(states)
-        ref = _reference_output(net, states)
+        ref = reference_predict(net, states)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
         np.testing.assert_allclose(fused.value, ref.value, **TOL)
 
@@ -147,7 +141,7 @@ class TestPlanReferenceParity:
             net.forward(rng.standard_normal((4, 4, 4, 4)))
         states = rng.standard_normal((3, 4, 4, 4))
         fused = net.predict(states)
-        ref = _reference_output(net, states)
+        ref = reference_predict(net, states)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
         np.testing.assert_allclose(fused.value, ref.value, **TOL)
 
@@ -223,17 +217,21 @@ class TestMaskedEntry:
             np.testing.assert_array_equal(_bits(ev.priors), _bits(priors[i]))
             assert _bits(np.float64(ev.value)) == _bits(values[i])
 
-    def test_reference_backend_is_the_oracle(self):
+    def test_reference_evaluator_is_the_oracle(self):
         net = _make_net("resnet", TicTacToe(), rng=22)
         games = _games(GAMES["tictactoe"], 3, seed=7)
         states = np.stack([g.encode() for g in games])
         masks = np.stack([g.legal_mask() for g in games])
-        net.set_inference_backend("reference")
-        want = mask_and_normalize(net.predict(states).policy, masks)
+        want = reference_predict(net, states)
+        want_p = mask_and_normalize(want.policy, masks)
+        oracle = ReferenceEvaluator(net)
         for inputs in (states, games):
-            priors, values = net.predict_masked(inputs, masks)
-            np.testing.assert_array_equal(_bits(priors), _bits(want))
-            np.testing.assert_array_equal(_bits(values), _bits(net.predict(states).value))
+            priors, values = oracle.predict_masked(inputs, masks)
+            np.testing.assert_array_equal(_bits(priors), _bits(want_p))
+            np.testing.assert_array_equal(_bits(values), _bits(want.value))
+        for i, ev in enumerate(oracle.evaluate_batch(games)):
+            np.testing.assert_array_equal(_bits(ev.priors), _bits(want_p[i]))
+            assert _bits(np.float64(ev.value)) == _bits(want.value[i])
 
 
 class TestHeadMerge:
@@ -298,7 +296,7 @@ class TestPlanLifecycle:
         trainer.train_step(states, pi, rng.uniform(-1, 1, 4))
 
         fused = net.predict(states)
-        ref = _reference_output(net, states)
+        ref = reference_predict(net, states)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
         np.testing.assert_allclose(fused.value, ref.value, **TOL)
         # and the update was actually visible (the stale plan did not leak)
@@ -326,16 +324,6 @@ class TestPlanLifecycle:
         after = plan.predict(x)
         np.testing.assert_array_equal(before.logits, after.logits)
 
-    def test_reference_backend_selection(self):
-        net = PolicyValueNet(board_size=3, channels=(2, 4, 4), rng=8)
-        net.set_inference_backend("reference")
-        assert net._plan is None
-        x = np.random.default_rng(3).random((1, 4, 3, 3))
-        out = net.predict(x)
-        assert out.policy.dtype == np.float64
-        with pytest.raises(ValueError, match="inference backend"):
-            net.set_inference_backend("float16")
-
     def test_unsupported_tower_raises(self):
         class Flat(Module):
             def __init__(self):
@@ -356,7 +344,7 @@ class TestPlanLifecycle:
         net.policy_head.layers.insert(2, Dropout(0.5, rng=0))
         x = np.random.default_rng(4).random((2, 4, 3, 3))
         fused = net.predict(x)
-        ref = _reference_output(net, x)
+        ref = reference_predict(net, x)
         np.testing.assert_allclose(fused.policy, ref.policy, **TOL)
 
     def test_ensure_plan(self):
@@ -364,8 +352,6 @@ class TestPlanLifecycle:
         plan = ensure_plan(net)
         assert isinstance(plan, InferencePlan)
         assert ensure_plan(net) is plan
-        net.set_inference_backend("reference")
-        assert ensure_plan(net) is None
         assert ensure_plan(None) is None
         assert ensure_plan(object()) is None
 
@@ -393,10 +379,7 @@ class TestEvalModeRegression:
     """Inference through a network left in training mode must neither
     mutate BatchNorm running statistics nor drift between calls."""
 
-    @pytest.mark.parametrize("backend", ["fused", "reference"])
-    def test_repeated_evaluate_batch_bit_identical_and_stats_untouched(
-        self, backend
-    ):
+    def test_repeated_evaluate_batch_bit_identical_and_stats_untouched(self):
         game = TicTacToe()
         net = ResNetPolicyValueNet(
             game.board_shape,
@@ -406,7 +389,6 @@ class TestEvalModeRegression:
             action_size=game.action_size,
             rng=21,
         )
-        net.set_inference_backend(backend)
         assert net.training  # deliberately left in training mode
         stem_bn = net.stem.layers[1]
         means = stem_bn.running_mean.copy()
@@ -444,15 +426,13 @@ class TestEvalModeRegression:
         got = other.predict(states)
         np.testing.assert_array_equal(got.policy, want.policy)
         np.testing.assert_array_equal(got.value, want.value)
-        # and through the on-disk format too
-        for backend in ("fused", "reference"):
-            fresh = ResNetPolicyValueNet(3, num_blocks=1, channels=6, rng=25)
-            with tempfile.TemporaryDirectory() as d:
-                path = os.path.join(d, "w.npz")
-                net.save(path)
-                fresh.load(path)
-            fresh.set_inference_backend(backend)
-            got = fresh.predict(states)
+        # and through the on-disk format too, fused and float64 alike
+        fresh = ResNetPolicyValueNet(3, num_blocks=1, channels=6, rng=25)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "w.npz")
+            net.save(path)
+            fresh.load(path)
+        for got in (fresh.predict(states), reference_predict(fresh, states)):
             np.testing.assert_allclose(got.policy, want.policy, **TOL)
 
     def test_legacy_param_only_state_still_loads(self):
@@ -466,34 +446,6 @@ class TestEvalModeRegression:
         kept = other.stem.layers[1].running_mean.copy()
         other.load_state_dict(params_only)
         np.testing.assert_array_equal(other.stem.layers[1].running_mean, kept)
-
-    def test_concurrent_reference_inference_leaves_stats_untouched(self):
-        """The reference backend toggles the module-wide train/eval flag;
-        concurrent evaluation from engine threads must not let a forward
-        slip through in training mode and mutate BatchNorm statistics."""
-        net = ResNetPolicyValueNet(3, num_blocks=1, channels=6, rng=28)
-        net.set_inference_backend("reference")
-        assert net.training
-        stem_bn = net.stem.layers[1]
-        means = stem_bn.running_mean.copy()
-        states = np.random.default_rng(13).standard_normal((2, 4, 3, 3))
-        errors: list = []
-
-        def worker() -> None:
-            try:
-                for _ in range(20):
-                    net.predict(states)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        np.testing.assert_array_equal(stem_bn.running_mean, means)
-        assert net.training
 
     def test_training_forward_still_updates_stats(self):
         """The fix must not leak into training: an explicit training-mode
@@ -574,7 +526,7 @@ class TestWorkspaces:
         net.trunk.layers[2] = Conv2d(4, 4, 3, padding=0, rng=36)  # 5x5 -> 3x3
         net.trunk.layers[4] = Conv2d(4, 8, 3, padding=2, rng=37)  # 3x3 -> 5x5
         x = np.random.default_rng(15).random((3, 4, 5, 5))
-        ref = _reference_output(net, x)
+        ref = reference_predict(net, x)
         for _ in range(2):  # first call binds, second runs bound views
             np.testing.assert_allclose(net.predict(x).policy, ref.policy, **TOL)
 

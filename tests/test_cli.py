@@ -29,18 +29,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "quantum"])
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--backend", "thread"),
-        ("--backend", "process"),
-        ("--tree-backend", "array"),
-        ("--inference-backend", "fused"),
-        ("--evalbus", "auto"),
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("serve", "--backend", "thread", id="--backend-thread"),
+        pytest.param("serve", "--backend", "process", id="--backend-process"),
+        pytest.param("serve", "--tree-backend", "array", id="--tree-backend-array"),
+        pytest.param("serve", "--inference-backend", "fused",
+                     id="--inference-backend-fused"),
+        pytest.param("serve", "--evalbus", "auto", id="--evalbus-auto"),
+        *(
+            pytest.param(command, flag, value, id=f"{command}-{flag}-{value}")
+            for command in ("train", "selfplay")
+            for flag, value in (("--tree-backend", "array"),
+                                ("--inference-backend", "fused"))
+        ),
     ])
-    def test_serve_rejects_removed_flags(self, flag, value):
-        """serve searches on threads over the array tree and the fused
-        plan, with the evaluation bus on or off; nothing else to pick."""
+    def test_serve_rejects_removed_flags(self, command, flag, value):
+        """Every command searches over the array tree (local-tree training
+        included) and evaluates on the fused plan; serve also always
+        searches on threads, with the evaluation bus on or off."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", flag, value])
+            build_parser().parse_args([command, flag, value])
 
     @pytest.mark.parametrize("command", ["serve", "cluster"])
     def test_evalbus_defaults_on(self, command):
@@ -85,6 +93,19 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "throughput" in out
+
+    @pytest.mark.parametrize("backend_args", [
+        ["--backend", "thread"],
+        ["--backend", "process", "--workers", "2"],
+    ], ids=["thread", "process"])
+    def test_selfplay_smoke(self, capsys, backend_args):
+        rc = main(["selfplay", "--game", "tictactoe", "--games", "2",
+                   "--playouts", "8", "--rounds", "1", *backend_args])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "round 1:" in out
+        assert "games                  2" in out
+        assert "outcomes" in out
 
     def test_serve_demo_smoke(self, capsys):
         """The CI gateway smoke: demo sessions through the TCP client,

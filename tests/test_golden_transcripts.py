@@ -85,7 +85,6 @@ def play_transcript(spec: dict) -> dict:
     net = build_network_for(
         game, channels=tuple(spec["channels"]), rng=spec["net_seed"]
     )
-    net.set_inference_backend("fused")
     agent = SerialMCTS(
         NetworkEvaluator(net),
         dirichlet_epsilon=0.25,
