@@ -10,17 +10,16 @@ distribution (admission -> search -> state update -> reply), with the
 cross-session evaluation bus **on and off** so the fused-batch win is
 measured on the same host in the same run.
 
-Why the bus moves the tail: with it off, C GIL-sharing searches each
-push singleton forwards through the evaluator, so every leaf waits
-behind up to C-1 others' calls.  With it on, those C leaves fuse into
-one batched call, and at most one fused batch is in evaluation at a
-time: leaves that arrive meanwhile accumulate and leave together when it
-returns.  How much that buys depends on what a call costs.
+Why the bus moves the tail: one master thread steps all C searches.
+With the bus off it evaluates their pending leaves one call each, so
+every leaf waits behind up to C-1 others' calls.  With it on, the
+master sends those C leaves as one batched call per round.  How much
+that buys depends on what a call costs.
 
 - **cpu rows**: the network runs on the host CPU, where fusion saves
-  per-call overhead and GIL hand-offs but not the arithmetic (on a
-  2-vCPU host one forward costs 118 us at b=1 and 60 us per row at
-  b=16), and the tree work of C sessions shares one GIL.  Both modes
+  per-call overhead but not the arithmetic (on a 2-vCPU host one
+  forward costs 118 us at b=1 and 60 us per row at b=16), and the tree
+  work of C sessions runs on the one master thread.  Both modes
   also share the deadline floor: a move ends at the first playout past
   the deadline, so bus-on p50 sits just above it and a 0.5x p99 bar
   would hold only when bus-off is at least twice the deadline -- a fact
@@ -29,11 +28,11 @@ returns.  How much that buys depends on what a call costs.
   deadline at the matched concurrency.
 - **serial rows**: the same network behind one serial device with a
   fixed ``LAUNCH_MS`` per call (:class:`SerialLaunchEvaluator`; the
-  launch is a sleep, which leaves the GIL to the other sessions like a
-  kernel launch does).  This is the regime Section 3.3's accelerator
+  launch is a sleep, which releases the GIL like a kernel launch
+  does).  This is the regime Section 3.3's accelerator
   queue is for, and the one where fusion must cut the tail.  The launch
   cost and deadline come from this reckoning, with C sessions, launch L,
-  deadline D, linger w and the budget's m = ``min_playouts``:
+  deadline D and the budget's m = ``min_playouts``:
 
   - bus-off: every leaf is its own launch and the C sessions share the
     device, so each session gets one leaf per C launches; a move whose
@@ -41,14 +40,14 @@ returns.  How much that buys depends on what a call costs.
     at least m * C * L = 2 * 16 * 5 = 160 ms, however fast the host (a
     slower host only adds);
   - bus-on: one launch carries every pending leaf, so each session gets
-    one leaf per launch; m launches (~2 * (L + w) = 18 ms) fit inside D,
-    so the deadline binds and a move ends about D + L + w = 29 ms after
-    it starts (the launch in flight plus one window past the deadline);
-  - the 0.5x bar then asks bus-on p99 <= 80 ms against a ~29 ms estimate,
-    leaving the rest for 16 sessions' tree work on one GIL.  A bus that
-    lets partial batches queue at the device pays one launch per partial
-    batch and loses the halving, and so does a bus that cannot fuse
-    (``max_batch=1``: occupancy 1.0).
+    one leaf per launch; m launches (~2 * L = 10 ms) fit inside D, so the
+    deadline binds and a move ends about D + L = 25 ms after it starts
+    (the launch in flight past the deadline);
+  - the 0.5x bar then asks bus-on p99 <= 80 ms against a ~25 ms estimate,
+    leaving the rest for 16 sessions' tree work on one thread.  A master
+    that split a round's leaves over several calls would pay one launch
+    per call and lose the halving, and so would one that cannot fuse
+    (occupancy 1.0).
 
 The workload has to be *evaluation-bound* for that A/B to measure the
 bus rather than tree-walk time, which rules TicTacToe out: its state
@@ -94,11 +93,6 @@ BUS_CONCURRENCY = 16  # the bus-halves-p99 gate applies here
 CONCURRENCY = (GATED_CONCURRENCY, BUS_CONCURRENCY)
 BUS_SPEEDUP_FACTOR = 0.5  # bus-on p99 <= factor * bus-off p99
 OCCUPANCY_FLOOR = 1.5  # fused batches must actually fuse
-BUS_LINGER_MS = 4.0  # wider than the 2ms default: deeper fusion at C=16
-BUS_DEADLINE_LEAD_MS = 2.0  # narrower than default: with every session on
-# the same per-move deadline, a wide urgency horizon makes all C sessions
-# "urgent" at once near the deadline and shatters the fused batches back
-# into singletons exactly when the tail is decided
 
 # The serial-device rows (see module docstring for the reckoning).
 LAUNCH_MS = 5.0  # fixed cost of one evaluate_batch call on the device
@@ -106,8 +100,8 @@ DEVICE_DEADLINE_MS = 20.0
 MIN_PLAYOUTS = SearchBudget(time_budget_ms=DEVICE_DEADLINE_MS).min_playouts
 # bus-off floor: each session gets one leaf per C launches
 DEVICE_OFF_FLOOR_MS = MIN_PLAYOUTS * BUS_CONCURRENCY * LAUNCH_MS
-# bus-on estimate: the deadline, the launch in flight, one window
-DEVICE_ON_ESTIMATE_MS = DEVICE_DEADLINE_MS + LAUNCH_MS + BUS_LINGER_MS
+# bus-on estimate: the deadline and the launch in flight
+DEVICE_ON_ESTIMATE_MS = DEVICE_DEADLINE_MS + LAUNCH_MS
 # the estimate may use at most half of what the bar allows bus-on p99
 assert DEVICE_ON_ESTIMATE_MS < BUS_SPEEDUP_FACTOR * DEVICE_OFF_FLOOR_MS / 2
 
@@ -116,7 +110,7 @@ class SerialLaunchEvaluator(Evaluator):
     """The network behind one serial device with a fixed per-call cost.
 
     Every call holds the device for ``launch_s`` (a sleep, which, like a
-    kernel launch, leaves the GIL to the other sessions) and then runs
+    kernel launch, releases the GIL) and then runs
     the batched forward pass, so a call of B rows costs one launch
     whatever B is: the accelerator regime of Section 3.3.
     """
@@ -172,8 +166,6 @@ def measure(sessions: int, evalbus: bool, *, serial_device: bool = False) -> dic
         max_inflight=sessions,  # no admission queueing: pure search latency
         seed=1,
         evalbus=evalbus,
-        bus_linger_ms=BUS_LINGER_MS,
-        bus_deadline_lead_ms=BUS_DEADLINE_LEAD_MS,
     )
 
     async def run() -> None:

@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["gomoku", "tictactoe", "connect4"])
     p_srv.add_argument("--size", type=int, default=9, help="board size (gomoku)")
     p_srv.add_argument("--workers", type=int, default=4,
-                       help="search threads (to use more cores, run "
-                            "'cluster' with several shards)")
+                       help="searches stepped at once (to use more cores, "
+                            "run 'cluster' with several shards)")
     p_srv.add_argument("--deadline-ms", type=float, default=200.0,
                        help="default per-move wall-clock budget")
     p_srv.add_argument("--playouts", type=int, default=256,
@@ -161,13 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--evalbus", default="on", choices=["on", "off"],
-        help="cross-session evaluation bus fusing leaves from all live "
-             "sessions into shared accelerator batches",
-    )
-    p_srv.add_argument(
-        "--bus-linger-ms", type=float, default=2.0,
-        help="max milliseconds the oldest pending leaf waits for "
-             "cross-session batch-mates before a partial flush",
+        help="fuse the leaves all live sessions have pending into one "
+             "accelerator batch (off: evaluate each leaf alone)",
     )
     p_srv.add_argument(
         "--demo-games", type=int, default=0,
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--shards", type=int, default=2,
                       help="gateway shard processes behind the router")
     p_cl.add_argument("--workers", type=int, default=2,
-                      help="search threads per shard")
+                      help="searches stepped at once per shard")
     p_cl.add_argument("--deadline-ms", type=float, default=200.0)
     p_cl.add_argument("--playouts", type=int, default=64)
     p_cl.add_argument("--seed", type=int, default=0)
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cl.add_argument(
         "--evalbus", default="on", choices=["on", "off"],
-        help="per-shard cross-session evaluation bus (one bus per shard)",
+        help="fuse each shard's sessions' pending leaves into one batch",
     )
     p_cl.add_argument("--demo-games", type=int, default=4,
                       help="concurrent engine-vs-engine sessions to play "
@@ -436,7 +431,6 @@ def cmd_serve(args) -> int:
         idle_timeout_s=args.idle_timeout,
         seed=args.seed + 1,
         evalbus=args.evalbus == "on",
-        bus_linger_ms=args.bus_linger_ms,
         journal_dir=args.journal_dir,
         journal_fsync=args.journal_fsync,
     )

@@ -68,10 +68,9 @@ class ShardSpec:
     gc_interval_s: float = 5.0
     rpc_timeout_s: float = 5.0
     host: str = "127.0.0.1"
-    #: cross-session evaluation bus; each shard gets its *own* bus --
-    #: shared-nothing extends to the batch queue
+    #: fuse sessions' pending leaves into one batch per master round;
+    #: each shard batches only its own sessions' leaves
     evalbus: bool = True
-    bus_linger_ms: float = 2.0
     #: base directory for durable per-session move journals (``None``
     #: journals nothing).  Each shard *life* writes under its own
     #: ``shard-{id}/epoch-{e}`` subdirectory: a respawned successor
@@ -132,7 +131,6 @@ class ShardSpec:
             clock=clock,
             executor=executor,
             evalbus=self.evalbus,
-            bus_linger_ms=self.bus_linger_ms,
             shard_id=f"shard-{self.shard_id}",
             journal_dir=self.journal_path(epoch),
             journal_fsync=self.journal_fsync,

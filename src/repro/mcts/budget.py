@@ -121,9 +121,8 @@ def as_budget(budget: "int | SearchBudget") -> SearchBudget:
 
 # -- deadline exposure to the evaluator seam ----------------------------------
 # A search scheme drains its BudgetClock deep inside its playout loop,
-# but the component that most wants the deadline is *below* the scheme:
-# the shared evaluation bus deciding whether this leaf can afford to
-# linger for batch-mates or must flush now.  Threading a clock parameter
+# but a component below the scheme -- an evaluator -- may want to know
+# how much of the move's deadline is left.  Threading a clock parameter
 # through every scheme's evaluate() call would break the Section-3.2
 # program-template interchangeability (and the historic Evaluator
 # surface), so the armed clock is published per *thread* instead: each

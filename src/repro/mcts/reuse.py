@@ -12,13 +12,15 @@ arrives earlier, interacting with the adaptive choice).
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, make_root, resolve_backend
-from repro.mcts.budget import SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluator
+from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
+from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
@@ -99,9 +101,32 @@ class TreeReuseMCTS:
         With a :class:`~repro.mcts.budget.SearchBudget` the deadline is
         checked between fresh playouts -- a warm tree under a tight
         deadline still returns a valid prior from its reused statistics
-        plus at least one fresh playout.
+        plus at least one fresh playout.  Runs :meth:`search_program`
+        inline, each leaf through ``evaluator.evaluate``.
         """
-        budget = as_budget(num_playouts)
+        root, clock = self._arm(game, as_budget(num_playouts))
+        program = self._playouts(root, clock, game)
+        evaluate = self.evaluator.evaluate
+        # expose the armed deadline to the evaluator seam (observational
+        # only -- see BudgetClock.activated)
+        with clock.activated():
+            try:
+                leaf = next(program)
+                while True:
+                    leaf = program.send(evaluate(leaf))
+            except StopIteration as stop:
+                return stop.value
+
+    def search_program(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> Generator[Game, Evaluation, Node]:
+        """The search as a generator: it yields each leaf state it needs
+        evaluated, is sent that leaf's :class:`Evaluation`, and returns
+        the root.  The budget is armed on the first step."""
+        root, clock = self._arm(game, as_budget(num_playouts))
+        return (yield from self._playouts(root, clock, game))
+
+    def _arm(self, game: Game, budget: SearchBudget) -> tuple[Node, BudgetClock]:
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         if self._root is None:
@@ -114,25 +139,22 @@ class TreeReuseMCTS:
         needed = None
         if budget.num_playouts is not None:
             needed = max(1, budget.num_playouts - root.visit_count)
-        clock = budget.start(target=needed)
-        # expose the armed deadline to the evaluator seam (observational
-        # only -- see BudgetClock.activated); the cross-session bus reads
-        # it to decide how urgently this session's leaves must flush
-        with clock.activated():
-            while True:
-                self._playout(root, game.copy())
-                clock.note()
-                if clock.done():
-                    return root
+        return root, budget.start(target=needed)
 
-    def _playout(self, root: Node, game: Game) -> None:
-        leaf, leaf_game, _ = select_leaf(
-            root, game, self.c_puct, apply_virtual_loss=False
-        )
-        if leaf.is_terminal:
-            value = leaf.terminal_value
-            assert value is not None
-        else:
-            evaluation = self.evaluator.evaluate(leaf_game)
-            value = expand(leaf, leaf_game, evaluation)
-        backup(leaf, value)
+    def _playouts(
+        self, root: Node, clock: BudgetClock, game: Game
+    ) -> Generator[Game, Evaluation, Node]:
+        while True:
+            leaf, leaf_game, _ = select_leaf(
+                root, game.copy(), self.c_puct, apply_virtual_loss=False
+            )
+            if leaf.is_terminal:
+                value = leaf.terminal_value
+                assert value is not None
+            else:
+                value = expand(leaf, leaf_game, (yield leaf_game))
+            backup(leaf, value)
+            clock.note()
+            if clock.done():
+                return root
+

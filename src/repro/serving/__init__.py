@@ -13,14 +13,15 @@ single-game self-play to request-serving):
   (``backend="process"`` swaps the thread pool for the multiprocess
   :mod:`repro.farm`, whose workers evaluate their own leaves, behind the
   same interface).
-- :mod:`repro.serving.evalbus` -- :class:`EvaluationBus`, the shared
-  deadline-aware evaluation service: leaves from *all* live gateway
-  sessions fuse into cross-session accelerator batches, scheduled by
-  budget urgency (closest-to-deadline first) with a single armed linger
-  window.
+- :mod:`repro.serving.evalbus` -- :class:`EvaluationBus`, the batching
+  queue the engine's game threads share: leaves fuse into one batch at
+  the busy headcount or once the oldest has lingered its window.
+- :mod:`repro.serving.master` -- :class:`~repro.serving.master.SearchMaster`,
+  the gateway's one search thread: it steps every session's search
+  program and sends each round's cache misses out as one batch.
 - :mod:`repro.serving.service` -- :class:`MatchGateway`, the async
   request-facing front door: deadline-budgeted match sessions searched
-  on threads, with admission control, idle GC and latency percentiles,
+  on the master, with admission control, idle GC and latency percentiles,
   plus the newline-JSON TCP :class:`GatewayServer` /
   :class:`GatewayClient` pair.  One gateway serves on one core; the
   :mod:`repro.cluster` router shards sessions over gateway processes.

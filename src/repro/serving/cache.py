@@ -100,9 +100,9 @@ class EvaluationCache:
 class CachingEvaluator(Evaluator):
     """Evaluator decorator: consult an :class:`EvaluationCache` first.
 
-    Misses are delegated to the wrapped evaluator (typically a
-    :class:`repro.serving.evalbus.BusEvaluator` whose bus is shared
-    across games or sessions) and inserted on the way back.  The batched path
+    Misses are delegated to the wrapped evaluator (in the self-play
+    engine a :class:`repro.serving.evalbus.BusEvaluator` whose bus is
+    shared across games) and inserted on the way back.  The batched path
     partitions the batch into hits and misses and evaluates only the
     misses -- as one sub-batch, preserving the vectorised forward.
     """

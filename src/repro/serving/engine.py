@@ -17,8 +17,9 @@ again.  Each game keeps running the unmodified search algorithm -- the
 engine only changes *where* leaf evaluations execute, preserving the
 Section-3.2 program-template property.
 
-The queue is the same :class:`~repro.serving.evalbus.EvaluationBus` the
-gateway uses.  Every game registers as one busy search for the length of
+The queue is an :class:`~repro.serving.evalbus.EvaluationBus` (the
+match gateway batches its sessions' leaves on one master thread
+instead).  Every game registers as one busy search for the length of
 its episode, so the flush threshold is the number of games still playing:
 as games finish, the tail of the round is not condemned to linger stalls
 on every request, and the last game alone flushes every leaf inline.
@@ -346,7 +347,7 @@ class MultiGameSelfPlayEngine:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.num_games,
                 thread_name_prefix="selfplay-game",
-                initializer=colocating_initializer(self.bus),
+                initializer=colocating_initializer(),
             )
         return self._pool
 

@@ -19,19 +19,15 @@ needs:
   requests 503-style instead of queueing unboundedly, and
   :class:`GatewayStats` tracks p50/p95/p99 move latency, deadline
   misses, and rejection counts.
-- **Search threads.**  Searches run on a thread pool sharing one GIL
-  against the shared in-process evaluator stack (LRU evaluation cache +
-  fused-inference network), with a warm
-  :class:`~repro.mcts.reuse.TreeReuseMCTS` tree per session.  When that
-  pool is the gateway's own and its searches share the evaluation bus,
-  its threads are pinned to the CPU the constructing thread runs on
-  (:func:`~repro.serving.evalbus.colocating_initializer`): they hand the
-  GIL and each fused batch to each other at every leaf, so spreading
-  them over cores buys no parallelism.  The bus-off pool, an injected
-  executor and every thread the gateway did not create keep their
-  placement.  To serve on more than one core, run several gateways as
-  :class:`~repro.cluster.shard.ProcessShard` processes behind a
-  :class:`~repro.cluster.router.ShardRouter`.
+- **One search master.**  Each session keeps a warm
+  :class:`~repro.mcts.reuse.TreeReuseMCTS` tree, and each move's search
+  is a program that yields the leaves it needs evaluated.  One master
+  thread (:class:`~repro.serving.master.SearchMaster`) steps every live
+  program against the shared LRU evaluation cache and sends each
+  round's misses to the fused-inference network as one batch (or one
+  call per leaf with the bus off).  To serve on more than one core, run
+  several gateways as :class:`~repro.cluster.shard.ProcessShard`
+  processes behind a :class:`~repro.cluster.router.ShardRouter`.
 
 A thin newline-delimited-JSON TCP layer (:class:`GatewayServer` /
 :class:`GatewayClient`, pure stdlib asyncio) exposes the same surface to
@@ -55,14 +51,11 @@ from repro.games.base import Game
 from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import Evaluator, UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
+from repro.mcts.search import action_prior_from_root
 from repro.nn.infer import ensure_plan
 from repro.serving.cache import CachingEvaluator, EvaluationCache
 from repro.serving.engine import LatencyTracker
-from repro.serving.evalbus import (
-    BusEvaluator,
-    EvaluationBus,
-    colocating_initializer,
-)
+from repro.serving.master import BatchCounter, SearchMaster
 from repro.storage import SessionJournal, SessionReplay, replay_sessions
 from repro.utils.clock import (
     WALL_CLOCK,
@@ -258,8 +251,8 @@ class GatewayStats:
     draining: bool = False
     shard_id: str | None = None
     weights_version: int | None = None
-    # evaluation-bus fields (zero/False when the bus is off, so bus-less
-    # gateways and old stats consumers are unchanged)
+    # evaluation-bus fields: the rows and calls the bus-on gateway sent to
+    # its evaluator.  Nothing lingers any more; both flush counts stay 0.
     bus_enabled: bool = False
     bus_requests: int = 0
     bus_batches: int = 0
@@ -320,11 +313,12 @@ class MatchGateway:
     evaluator : leaf evaluator behind every session's search (defaults to
         :class:`~repro.mcts.evaluation.UniformEvaluator` -- tests and
         demos; serve a real model by passing a ``NetworkEvaluator``).
-    backend : ``"thread"``, the only value accepted: searches run on
-        threads over the shared cached evaluator with warm per-session
-        trees.  To serve on more cores, shard gateways across processes
-        (:mod:`repro.cluster`).
-    workers : search thread count.
+    backend : ``"thread"``, the only value accepted: one master thread
+        steps every search over the shared cached evaluator with warm
+        per-session trees.  To serve on more cores, shard gateways
+        across processes (:mod:`repro.cluster`).
+    workers : searches stepped at once; later moves wait in the
+        master's queue.
     deadline_ms : default per-move wall-clock allowance; each request may
         override it.
     num_playouts : per-move playout cap -- search returns at the cap or
@@ -351,24 +345,14 @@ class MatchGateway:
         :data:`~repro.utils.clock.WALL_CLOCK`: production behaviour,
         bit-identical to the pre-seam gateway.  Virtual-time tests
         inject a :class:`~repro.utils.clock.VirtualClock`.
-    executor : search executor override.  The deterministic simulation
-        harness injects an inline executor so searches run synchronously
-        on the event-loop thread and virtual time cannot advance
-        mid-search; ``None`` builds the usual
-        :class:`~concurrent.futures.ThreadPoolExecutor`.  Injected
-        executors are *borrowed*: :meth:`aclose` does not shut them
-        down.
-    evalbus : route leaf evaluations through one cross-session
-        :class:`~repro.serving.evalbus.EvaluationBus` (the default), so
-        leaves from *different* concurrent sessions fuse into shared
-        accelerator batches instead of racing N singleton forwards
-        through the GIL.  ``False`` forces per-session evaluation -- the
-        pre-bus behaviour, kept for A/B benchmarks.
-    bus_linger_ms : how long the oldest pending leaf may wait for
-        batch-mates before a partial flush goes out.
-    bus_deadline_lead_ms : urgency horizon -- a leaf whose session has no
-        more than this many milliseconds of move budget left flushes
-        immediately rather than lingering.
+    executor : runs each search whole, one leaf at a time, instead of
+        the master.  The simulation harness injects an inline executor so
+        virtual time cannot advance mid-search.  Injected executors are
+        *borrowed*: :meth:`aclose` does not shut them down.
+    evalbus : fuse the leaves that concurrent sessions have pending into
+        one ``evaluate_batch`` call per master round (the default).
+        ``False`` evaluates each leaf alone, in order -- kept for A/B
+        benchmarks; the two produce identical transcripts.
     shard_id : cluster-assigned label stamped into stats / ``version``
         replies so fleet telemetry can attribute numbers to shards
         (``None`` for a standalone gateway).
@@ -412,8 +396,6 @@ class MatchGateway:
         clock: Clock | None = None,
         executor: Executor | None = None,
         evalbus: bool = True,
-        bus_linger_ms: float = 2.0,
-        bus_deadline_lead_ms: float = 5.0,
         shard_id: str | None = None,
         reply_cache_size: int = 1024,
         journal_dir: str | os.PathLike | None = None,
@@ -423,8 +405,6 @@ class MatchGateway:
             raise ValueError(f"unknown backend {backend!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if bus_linger_ms <= 0:
-            raise ValueError("bus_linger_ms must be positive")
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if num_playouts < 1:
@@ -500,36 +480,22 @@ class MatchGateway:
         self._deduped = 0
         self._deadline_misses = 0
 
-        self._owns_executor = executor is None
         ensure_plan(getattr(self.evaluator, "network", None))
-        # the cross-session bus fuses cache *misses* from all live
-        # sessions into shared accelerator batches; the LRU cache sits
-        # above it so hits never pay bus latency.  Sized to max_inflight:
-        # the gateway never admits more concurrent searches than that, so
-        # no larger batch can ever fill.
-        self._bus: EvaluationBus | None = None
+        self._bus: BatchCounter | None = None
         base: Evaluator = self.evaluator
         if evalbus:
-            self._bus = EvaluationBus(
-                self.evaluator,
-                max_batch=self.max_inflight,
-                linger=bus_linger_ms / 1e3,
-                deadline_lead_ms=bus_deadline_lead_ms,
-                clock=self.clock,
-            )
-            base = BusEvaluator(self._bus)
+            base = self._bus = BatchCounter(self.evaluator)
         # sessions share one LRU evaluation cache: a position any session
         # has evaluated never reaches the network again
         self._shared_evaluator = CachingEvaluator(
             base, EvaluationCache(cache_capacity)
         )
-        self._executor: Executor = executor if executor is not None else (
-            ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="gateway-search",
-                initializer=colocating_initializer(self._bus),
+        self._executor = executor
+        self._master: SearchMaster | None = None
+        if executor is None:
+            self._master = SearchMaster(
+                base, self._shared_evaluator.cache, workers=workers, fuse=evalbus
             )
-        )
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "MatchGateway":
@@ -551,14 +517,11 @@ class MatchGateway:
                 pass
             self._gc_task = None
         self._sessions.clear()
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
-            if self._journal_writes is not None:
-                self._journal_writes.shutdown(wait=True)
-        # after the executor drains: in-flight searches must be able to
-        # submit their last leaves before the bus refuses them
-        if self._bus is not None:
-            self._bus.close()
+        # moves already handed to the master finish (or fail) first
+        if self._master is not None:
+            await self._master.aclose()
+        if self._executor is None and self._journal_writes is not None:
+            self._journal_writes.shutdown(wait=True)
         if self._journal is not None:
             self._journal.close()
 
@@ -1042,20 +1005,14 @@ class MatchGateway:
             self._finish(session)
             return None, None, True, int(game.winner)
 
-        loop = asyncio.get_running_loop()
-        search = (self._search, session.agent, game, deadline, t0)
-        if self._bus is not None:
-            # busy-headcount bracketing: the bus flushes a fused batch as
-            # soon as every *currently searching* session has a leaf
-            # pending, so the threshold tracks real concurrency instead
-            # of a static guess
-            self._bus.begin_search()
-            try:
-                prior = await loop.run_in_executor(self._executor, *search)
-            finally:
-                self._bus.end_search()
+        if self._master is not None:
+            prior = await self._master.run(
+                self._search_program(session.agent, game, deadline, t0)
+            )
         else:
-            prior = await loop.run_in_executor(self._executor, *search)
+            prior = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._search, session.agent, game, deadline, t0
+            )
         engine_action = int(np.argmax(prior))
         game.step(engine_action)
         session.moves += 1
@@ -1066,24 +1023,28 @@ class MatchGateway:
             return engine_action, prior, True, int(game.winner)
         return engine_action, prior, False, None
 
-    def _search(
-        self, agent: TreeReuseMCTS, game: Game, deadline: float, t0: float
-    ) -> np.ndarray:
-        """Run one move's search on the executor thread.
-
-        The search gets whatever clock the request has left when it
-        starts here, so validation, queueing and the executor hand-off
-        all count against the move's deadline.  The floor of 1 ms lets
-        an exhausted allowance still yield the budget's min_playouts (a
-        valid, if tiny, prior).
-        """
+    def _budget(self, deadline: float, t0: float) -> SearchBudget:
+        """The budget of a search starting now: what the request has left,
+        so validation, queueing and the hand-off all count against the
+        deadline.  The 1 ms floor still yields min_playouts."""
         elapsed_ms = (self.clock.monotonic() - t0) * 1e3
-        budget = SearchBudget(
+        return SearchBudget(
             num_playouts=self.num_playouts,
             time_budget_ms=max(1.0, deadline - elapsed_ms),
             clock=self.clock,
         )
-        return agent.get_action_prior(game, budget)
+
+    def _search(
+        self, agent: TreeReuseMCTS, game: Game, deadline: float, t0: float
+    ) -> np.ndarray:
+        return agent.get_action_prior(game, self._budget(deadline, t0))
+
+    def _search_program(
+        self, agent: TreeReuseMCTS, game: Game, deadline: float, t0: float
+    ):
+        """A master program: its budget is armed on its first step."""
+        root = yield from agent.search_program(game, self._budget(deadline, t0))
+        return action_prior_from_root(root, game.action_size)
 
     def _finish(self, session: _Session) -> None:
         session.status = SessionStatus.FINISHED
@@ -1140,7 +1101,7 @@ class MatchGateway:
 
     # -- telemetry -----------------------------------------------------------
     def stats(self) -> GatewayStats:
-        bus = self._bus.stats() if self._bus is not None else None
+        bus = self._bus
         return GatewayStats(
             sessions_created=self._created,
             sessions_active=len(self._sessions),
@@ -1163,11 +1124,9 @@ class MatchGateway:
             shard_id=self.shard_id,
             weights_version=self.weights_version,
             bus_enabled=bus is not None,
-            bus_requests=bus.requests if bus else 0,
-            bus_batches=bus.batches if bus else 0,
-            bus_occupancy=bus.mean_occupancy if bus else 0.0,
-            bus_deadline_flushes=bus.deadline_flushes if bus else 0,
-            bus_linger_flushes=bus.linger_flushes if bus else 0,
+            bus_requests=bus.rows if bus else 0,
+            bus_batches=bus.calls if bus else 0,
+            bus_occupancy=bus.rows / bus.calls if bus and bus.calls else 0.0,
             journal_enabled=(
                 self._journal is not None and not self._journal.disabled
             ),

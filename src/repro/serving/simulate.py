@@ -218,13 +218,9 @@ class ScenarioSpec:
     deadline_tolerance_ms: float = 0.0
     shards: int = 1
     faults: tuple[FaultEvent, ...] = ()
-    # cross-session evaluation bus: ``False`` (the default) keeps every
-    # pre-bus scenario transcript bit-identical; ``True`` turns the bus
-    # on in the gateway under test and adds ``bus_linger_ms`` to each
-    # scripted search duration (the scripted stand-in for leaves
-    # lingering for cross-session batch-mates)
+    # the gateway's ``evalbus`` switch: searches run whole on the scripted
+    # executor either way, so ``True`` only turns on the bus counters
     evalbus: bool = False
-    bus_linger_ms: float = 2.0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -387,7 +383,6 @@ class ScenarioRunner:
             clock=clock,
             executor=executor,
             evalbus=spec.evalbus,
-            bus_linger_ms=spec.bus_linger_ms,
         )
         events: list[Event] = []
         wall0 = time.perf_counter()
@@ -441,16 +436,7 @@ class ScenarioRunner:
             await clock.sleep(move.think_s)
             retries = 0
             while True:
-                # with the bus on, every scripted search also pays the
-                # linger the bus holds leaves for while courting
-                # cross-session batch-mates
-                executor.expect(
-                    (
-                        move.duration_ms
-                        + (spec.bus_linger_ms if spec.evalbus else 0.0)
-                    )
-                    / 1e3
-                )
+                executor.expect(move.duration_ms / 1e3)
                 try:
                     reply = await gateway.play_move(
                         session, deadline_ms=script.deadline_ms
@@ -609,7 +595,6 @@ class ClusterScenarioRunner:
             idle_timeout_s=spec.idle_timeout_s,
             gc_interval_s=spec.gc_interval_s,
             evalbus=spec.evalbus,
-            bus_linger_ms=spec.bus_linger_ms,
         )
         router = ShardRouter.local(
             spec.shards,
@@ -688,16 +673,7 @@ class ClusterScenarioRunner:
             await clock.sleep(move.think_s)
             retries = 0
             while True:
-                # with the bus on, every scripted search also pays the
-                # linger the bus holds leaves for while courting
-                # cross-session batch-mates
-                executor.expect(
-                    (
-                        move.duration_ms
-                        + (spec.bus_linger_ms if spec.evalbus else 0.0)
-                    )
-                    / 1e3
-                )
+                executor.expect(move.duration_ms / 1e3)
                 try:
                     reply = await router.play_move(
                         session, deadline_ms=script.deadline_ms

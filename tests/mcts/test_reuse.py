@@ -6,6 +6,7 @@ import pytest
 from repro.games import TicTacToe
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
+from repro.mcts.search import action_prior_from_root
 
 
 class TestTreeAdvance:
@@ -86,3 +87,53 @@ class TestReuseSavesWork:
     def test_invalid_playouts(self):
         with pytest.raises(ValueError):
             TreeReuseMCTS(UniformEvaluator()).search(TicTacToe(), 0)
+
+
+class TestSearchProgram:
+    def test_program_stepped_by_hand_equals_search(self):
+        """search() is search_program under the inline driver: stepping
+        the program by hand over two moves of reuse gives the same tree
+        and the leaves it yields are the ones search() evaluates."""
+        evaluator = RandomRolloutEvaluator(rng=0)
+        seen: list = []
+
+        class Recording(UniformEvaluator):
+            def evaluate(self, game):
+                seen.append(game.canonical_key())
+                return evaluator.evaluate(game)
+
+        inline = TreeReuseMCTS(Recording(), rng=7)
+        stepped = TreeReuseMCTS(UniformEvaluator(), rng=7)
+        replay = RandomRolloutEvaluator(rng=0)
+        g = TicTacToe()
+        for _ in range(2):
+            seen.clear()
+            prior = inline.get_action_prior(g, 40)
+            program = stepped.search_program(g, 40)
+            yielded = []
+            try:
+                leaf = next(program)
+                while True:
+                    yielded.append(leaf.canonical_key())
+                    leaf = program.send(replay.evaluate(leaf))
+            except StopIteration as stop:
+                root = stop.value
+            assert yielded == seen
+            assert root.visit_count == inline._root.visit_count
+            np.testing.assert_array_equal(
+                prior, action_prior_from_root(root, g.action_size)
+            )
+            action = int(np.argmax(prior))
+            g.step(action)
+            inline.observe(action)
+            stepped.observe(action)
+
+    def test_program_arms_its_budget_on_the_first_step(self):
+        """Creating a program does no work: the tree, the counters and
+        the clock are untouched until the driver first steps it."""
+        agent = TreeReuseMCTS(UniformEvaluator(), rng=0)
+        program = agent.search_program(TicTacToe(), 8)
+        assert agent.searches == 0 and agent._root is None
+        next(program)
+        assert agent.searches == 1 and agent._root is not None
+        program.close()

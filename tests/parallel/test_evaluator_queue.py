@@ -106,8 +106,6 @@ class TestBusQueue:
             EvaluationBus(UniformEvaluator(), max_batch=0)
         with pytest.raises(ValueError):
             EvaluationBus(UniformEvaluator(), linger=0.0)
-        with pytest.raises(ValueError):
-            EvaluationBus(UniformEvaluator(), deadline_lead_ms=-1.0)
 
 
 class TestBusEvaluator:

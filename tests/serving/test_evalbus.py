@@ -1,18 +1,14 @@
-"""Cross-session evaluation bus: fusion, urgency, degradation, wiring.
-
-The bus is the gateway's convergence point for leaf evaluations from
-*all* live sessions, so these tests cover its three promises separately:
+"""Evaluation bus and the gateway's ``evalbus`` switch: fusion,
+degradation, wiring.
 
 - **Fusion** -- leaves from distinct searches fuse into one accelerator
   batch once every busy search has one pending (the busy-headcount
   threshold), with the single armed linger window as the stall bound.
-- **Urgency** -- a session inside its ``deadline_lead_ms`` horizon never
-  lingers, and when the backlog exceeds ``max_batch`` the closest
-  deadlines ship first.
-- **Degradation** -- with the bus off the gateway serves exactly as
-  before (per-session evaluation), and with it on, generous deadlines
-  produce the identical game transcript (batched rows are value-equal
-  to singleton evaluations).
+  The self-play engine's games feed the :class:`EvaluationBus`; the
+  gateway's master fuses its sessions' pending leaves itself.
+- **Degradation** -- with the bus off the gateway evaluates each leaf
+  alone, and with it on, generous deadlines produce the identical game
+  transcript (batched rows are value-equal to singleton evaluations).
 """
 
 from __future__ import annotations
@@ -26,15 +22,10 @@ import pytest
 
 from repro.games import TicTacToe
 from repro.mcts import SerialMCTS, UniformEvaluator
-from repro.mcts.budget import (
-    BudgetClock,
-    BudgetSnapshot,
-    SearchBudget,
-    active_budget_snapshot,
-)
+from repro.mcts.budget import SearchBudget, active_budget_snapshot
 from repro.serving import BusEvaluator, EvaluationBus, MatchGateway
 from repro.serving.evalbus import BusClosed
-from repro.utils.clock import VirtualClock, WallClock
+from repro.utils.clock import WallClock
 
 
 class RecordingEvaluator(UniformEvaluator):
@@ -354,91 +345,7 @@ class TestOneBatchInFlight:
         assert bus.stats().inline_flushes == 1
         bus.close()
 
-    def test_urgent_leaf_goes_out_when_the_batch_returns(self):
-        rec = GatedEvaluator()
-        bus = EvaluationBus(rec, linger=10.0, deadline_lead_ms=5.0)
-        bus.begin_search()
-        bus.begin_search()
-        outcomes: dict = {}
-        threads = [self._spawn(bus, outcomes, k) for k in "ab"]
-        assert rec.started.wait(timeout=10.0)
-        urgent = BudgetSnapshot(at=0.0, deadline=0.001)  # 1 ms left
-        got: list = []
-        rider = threading.Thread(
-            target=lambda: got.append(bus.evaluate(TicTacToe(), snapshot=urgent)),
-            daemon=True,
-        )
-        rider.start()
-        assert _until(lambda: bus.pending_count == 1)
-        assert len(rec.batches) == 1  # urgency does not open the gate
-        rec.release.set()
-        for t in [*threads, rider]:
-            t.join(timeout=10.0)
-        assert not any(t.is_alive() for t in [*threads, rider])
-        assert rec.max_inside == 1
-        assert [len(b) for b in rec.batches] == [2, 1]
-        assert len(got) == 1 and got[0] is not None
-        stats = bus.stats()
-        assert stats.deadline_flushes == 1 and stats.linger_flushes == 0
-        bus.close()
-
-
-class TestUrgency:
-    def _snapshot(self, clock: VirtualClock, remaining_ms: float):
-        budget = SearchBudget(time_budget_ms=remaining_ms, clock=clock)
-        return BudgetClock(budget, None).snapshot()
-
-    def test_deadline_inside_lead_flushes_immediately(self):
-        """A leaf whose session has <= deadline_lead_ms left must not
-        linger, however generous the window."""
-        clock = VirtualClock()
-        rec = RecordingEvaluator()
-        bus = EvaluationBus(
-            rec, linger=10.0, deadline_lead_ms=5.0, clock=clock
-        )
-        bus.begin_search()
-        bus.begin_search()  # threshold 2: a lone submit cannot flush by count
-        ev = bus.evaluate(TicTacToe(), snapshot=self._snapshot(clock, 3.0))
-        assert ev is not None
-        stats = bus.stats()
-        assert stats.deadline_flushes == 1
-        assert stats.linger_flushes == 0
-        bus.close()
-
-    def test_urgent_sessions_ship_first_when_overloaded(self):
-        """Backlog beyond max_batch: the fused batch is the most-urgent
-        slice, not arrival order."""
-        clock = VirtualClock()
-        rec = RecordingEvaluator()
-        bus = EvaluationBus(
-            rec, max_batch=4, linger=10.0, deadline_lead_ms=0.0, clock=clock
-        )
-        # inline mode (virtual clock): submissions accumulate until an
-        # explicit flush, so ordering is fully deterministic
-        lax = TicTacToe()
-        mid = TicTacToe()
-        hot = TicTacToe()
-        bus.begin_search()
-        bus.begin_search()
-        bus.begin_search()
-        bus.begin_search()  # threshold 4 > 3 pending: no count flush
-        f_lax = bus.submit(lax, snapshot=self._snapshot(clock, 500.0))
-        f_mid = bus.submit(mid, snapshot=self._snapshot(clock, 80.0))
-        f_hot = bus.submit(hot, snapshot=self._snapshot(clock, 20.0))
-        # the device cap drops below the backlog (in production the
-        # backlog overruns max_batch by accumulating during an in-flight
-        # evaluation); the fused batch must be the most-urgent slice
-        bus.max_batch = 2
-        bus.flush()
-        # the most urgent two ship together (batch keeps arrival order
-        # internally -- composition, not position, is what urgency buys)
-        assert {id(g) for g in rec.batches[0]} == {id(hot), id(mid)}
-        assert f_hot.done() and f_mid.done() and not f_lax.done()
-        bus.flush()
-        assert [id(g) for g in rec.batches[1]] == [id(lax)]
-        assert f_lax.done()
-        bus.close()
-
+class TestBudgetSeam:
     def test_budget_seam_publishes_inside_search(self):
         """SerialMCTS under a deadline budget publishes its clock to the
         evaluator seam; the probe sees a live remaining_ms."""
@@ -536,7 +443,6 @@ class TestGatewayWiring:
                 num_playouts=32,
                 seed=3,
                 cache_capacity=1,  # force every leaf through the bus
-                bus_linger_ms=4.0,
             ) as gw:
                 sessions = [
                     await gw.create_session("tictactoe") for _ in range(8)

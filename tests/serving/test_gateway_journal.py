@@ -15,7 +15,6 @@ import pytest
 
 from repro.mcts import UniformEvaluator
 from repro.serving import MatchGateway, SessionNotFound
-from repro.serving.evalbus import BusClosed
 from repro.storage import SessionJournal, read_journal, replay_sessions
 
 
@@ -213,37 +212,6 @@ class TestGracefulShutdown:
                     await asyncio.wait_for(gw2.play_move(sid), timeout=5.0)
             finally:
                 await gw2.aclose()
-
-        asyncio.run(run())
-
-    def test_bus_close_during_inflight_search_surfaces_not_deadlocks(self):
-        """Closing the evaluation bus with a search in flight must fail
-        that move with a surfaced error, not leave it parked forever."""
-
-        class Stall(UniformEvaluator):
-            def evaluate(self, game):
-                time.sleep(0.01)  # keep the search demonstrably in flight
-                return super().evaluate(game)
-
-        async def run():
-            gw = MatchGateway(
-                Stall(), workers=2,
-                deadline_ms=10_000.0, num_playouts=4096, seed=0,
-                evalbus=True, cache_capacity=1,  # every leaf hits the bus
-            )
-            await gw.start()
-            sid = await gw.create_session("tictactoe")
-            move = asyncio.ensure_future(gw.play_move(sid))
-            deadline = time.monotonic() + 10.0
-            while gw._bus.stats().requests == 0:
-                assert time.monotonic() < deadline, "search never reached the bus"
-                await asyncio.sleep(0.005)
-            gw._bus.close()
-            with pytest.raises(Exception) as info:
-                await asyncio.wait_for(move, timeout=15.0)
-            # the one failure mode this test exists to rule out
-            assert not isinstance(info.value, asyncio.TimeoutError)
-            await gw.aclose()
 
         asyncio.run(run())
 

@@ -1,14 +1,13 @@
-"""Thread placement of the pools whose searches share an evaluation bus.
+"""Thread placement of the pool whose searches share an evaluation bus.
 
-The self-play engine's game threads and the bus-on gateway's search
-threads hand the GIL and each fused batch to each other at every leaf,
-so their pools are pinned to the CPU of the thread that builds them.
-These tests observe placement only through public seams -- a scheme or
-an evaluator that records ``os.sched_getaffinity(0)`` on the thread it
-runs on -- and check the other half of the rule: no thread the program
-did not create (the caller, an injected executor's threads, local-tree's
-inference workers, the bus-off gateway's pool) changes its mask, and
-placement never changes a result.
+The self-play engine's game threads hand the GIL and each fused batch
+to each other at every leaf, so their pool is pinned to the CPU of the
+thread that builds it.  These tests observe placement only through
+public seams -- a scheme or an evaluator that records
+``os.sched_getaffinity(0)`` on the thread it runs on -- and check the
+other half of the rule: no other thread (the caller, an injected
+executor's threads, local-tree's inference workers, the gateway's search
+master) changes its mask, and placement never changes a result.
 """
 
 from __future__ import annotations
@@ -129,14 +128,6 @@ class TestColocated:
         assert len(mask) == 1 and mask <= before
         assert _mask() == before  # the caller is never pinned
 
-    def test_bus_on_gateway_searches_share_one_cpu(self):
-        before = _mask()
-        evaluator = MaskRecordingEvaluator()
-        play_gateway_match(evaluator, cache_capacity=1)
-        (mask,) = evaluator.log.masks
-        assert len(mask) == 1 and mask <= before
-        assert _mask() == before  # the event-loop (test) thread is unpinned
-
 
 class TestNotPinned:
     def test_local_tree_workers_keep_the_full_mask(self):
@@ -146,10 +137,11 @@ class TestNotPinned:
             scheme.get_action_prior(TicTacToe(), 40)
         assert evaluator.log.masks == {full}
 
-    def test_bus_off_gateway_keeps_the_full_mask(self):
+    @pytest.mark.parametrize("evalbus", [True, False])
+    def test_gateway_master_keeps_the_full_mask(self, evalbus):
         full = _mask()
         evaluator = MaskRecordingEvaluator()
-        play_gateway_match(evaluator, cache_capacity=1, evalbus=False)
+        play_gateway_match(evaluator, cache_capacity=1, evalbus=evalbus)
         assert evaluator.log.masks == {full}
 
     def test_injected_executor_keeps_the_full_mask(self):
