@@ -37,8 +37,11 @@ that buys depends on what a call costs.
   - bus-off: every leaf is its own launch and the C sessions share the
     device, so each session gets one leaf per C launches; a move whose
     leaves miss the shared cache needs at least m of them, so it takes
-    at least m * C * L = 2 * 16 * 5 = 160 ms, however fast the host (a
-    slower host only adds);
+    at least m * C * L = 2 * 16 * 5 = 160 ms (a slower host only adds).
+    That floor binds only moves whose leaves miss the cache: the row's
+    16 sessions all start from the empty board with no root noise and
+    share one cache, so many of their leaves are hits, and bus-off p99
+    has read as low as 117.2 ms;
   - bus-on: one launch carries every pending leaf, so each session gets
     one leaf per launch; m launches (~2 * L = 10 ms) fit inside D, so the
     deadline binds and a move ends about D + L = 25 ms after it starts

@@ -36,22 +36,14 @@ same RNG consumption for Dirichlet root noise.  The property tests in
 ``tests/mcts/test_backend_equivalence.py`` pin visit-count parity down to
 the integer.
 
-Thread safety: slab allocation (and therefore expansion) takes an
-internal lock so concurrent expanders cannot interleave row ranges;
-statistics updates are plain array read-modify-writes, which under
-CPython's GIL lose increments only in the same weakly-consistent regime
-the lock-free ``Node`` scheme already accepts.  Growth swaps in larger
-arrays, so a racing writer holding a stale array reference can lose its
-update -- serial, leaf-parallel, local-tree (master-thread in-tree ops),
-root-parallel and speculative schemes never race and are exact; the
-shared-tree/lock-free schemes treat the array backend as weakly
-consistent (run non-strict virtual loss there).
+Thread safety: none.  One thread owns a tree -- every scheme runs its
+in-tree operations on one thread (root-parallel gives each worker its
+own tree) -- so allocation, growth and statistics updates take no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -96,7 +88,6 @@ class ArrayTree:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
         self.size = 0
-        self._alloc_lock = threading.Lock()
         self.parent = np.full(capacity, NO_PARENT, dtype=np.int64)
         self.action = np.full(capacity, -1, dtype=np.int64)
         self.prior = np.zeros(capacity, dtype=np.float64)
@@ -110,7 +101,7 @@ class ArrayTree:
 
     # -- allocation ----------------------------------------------------------
     def _grow_to(self, needed: int) -> None:
-        """Swap in larger arrays (caller holds the allocation lock)."""
+        """Swap in larger arrays of at least *needed* rows."""
         new_cap = self._capacity
         while new_cap < needed:
             new_cap *= 2
@@ -134,12 +125,11 @@ class ArrayTree:
 
     def _alloc(self, n: int) -> int:
         """Reserve *n* contiguous rows; returns the first row id."""
-        with self._alloc_lock:
-            start = self.size
-            if start + n > self._capacity:
-                self._grow_to(start + n)
-            self.size = start + n
-            return start
+        start = self.size
+        if start + n > self._capacity:
+            self._grow_to(start + n)
+        self.size = start + n
+        return start
 
     def new_root(self, prior: float = 1.0) -> int:
         """Allocate a fresh root row (mirrors ``Node()``)."""
@@ -219,26 +209,20 @@ class ArrayTree:
         *actions* must be ascending (``Game.legal_actions`` guarantees it)
         so that ``np.argmax`` tie-breaking matches the ``Node`` backend's
         lowest-action rule.  Raises ``ValueError`` if *idx* already has
-        children, mirroring ``Node.add_child`` on a duplicate insert (the
-        lock-free scheme catches this to count expansion races).
+        children, mirroring ``Node.add_child`` on a duplicate insert.
         """
         k = len(actions)
         if k == 0:
             raise ValueError("expand with no actions")
-        with self._alloc_lock:
-            if self.child_count[idx] != 0:
-                raise ValueError(f"node {idx} already expanded")
-            start = self.size
-            if start + k > self._capacity:
-                self._grow_to(start + k)
-            self.size = start + k
-            sl = slice(start, start + k)
-            self.parent[sl] = idx
-            self.action[sl] = actions
-            self.prior[sl] = priors
-            self.child_start[idx] = start
-            # publish last: concurrent readers see the slab only complete
-            self.child_count[idx] = k
+        if self.child_count[idx] != 0:
+            raise ValueError(f"node {idx} already expanded")
+        start = self._alloc(k)
+        sl = slice(start, start + k)
+        self.parent[sl] = idx
+        self.action[sl] = actions
+        self.prior[sl] = priors
+        self.child_start[idx] = start
+        self.child_count[idx] = k
 
     # -- Equation-1 selection ------------------------------------------------
     def _child_scores(
@@ -394,11 +378,9 @@ class ArrayTree:
             if amount:
                 residue = virtual_loss[node] - amount
                 if residue < -1e-9:
-                    if vl.strict:
-                        raise RuntimeError(
-                            "virtual loss went negative: unbalanced descend/backup"
-                        )
-                    residue = 0.0
+                    raise RuntimeError(
+                        "virtual loss went negative: unbalanced descend/backup"
+                    )
                 virtual_loss[node] = residue
             v = -v
             node = int(parent[node])

@@ -9,12 +9,11 @@ both backends -- the property tests assert exact visit-count parity --
 and only the data structure underneath changes.
 
 - ``TreeBackend.NODE``  -- heap-allocated :class:`repro.mcts.node.Node`
-  objects; the reference implementation, and the default for the
-  multi-threaded shared-tree schemes (per-object locking).
+  objects; the reference implementation the parity suites compare
+  against, and the tree of the virtual-time simulator.
 - ``TreeBackend.ARRAY`` -- :class:`repro.mcts.arraytree.ArrayTree`
   structure-of-arrays storage with vectorised PUCT selection; the
-  default wherever in-tree operations are single-threaded (serial,
-  leaf-parallel, local-tree master, root-parallel workers, speculative).
+  default of every scheme.
 """
 
 from __future__ import annotations

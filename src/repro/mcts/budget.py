@@ -182,11 +182,12 @@ class BudgetSnapshot:
 class BudgetClock:
     """A started :class:`SearchBudget`: deadline timestamp + progress.
 
-    Serial schemes drive it with :meth:`note` / :meth:`done`; worker-pool
-    schemes use the thread-safe :meth:`try_claim` so N workers draining
-    one budget never run a playout past either bound.  Schemes that fan
-    out sub-searches (root-parallel) derive per-worker clocks sharing the
-    same absolute deadline via :meth:`split`.
+    One thread drives it: serial search with :meth:`note` / :meth:`done`,
+    the local-tree master (and so shared-tree) by reading :attr:`target`
+    and :meth:`expired` around its leaves in flight.  It is not
+    thread-safe and need not be -- schemes that fan out sub-searches
+    (root-parallel) give each worker its own clock with the same
+    absolute deadline via :meth:`split`.
 
     Time is read through the budget's injected
     :class:`~repro.utils.clock.Clock` (wall by default).  Every internal
@@ -201,9 +202,6 @@ class BudgetClock:
         "target",
         "deadline",
         "completed",
-        "_claimed",
-        "_floor",
-        "_lock",
     )
 
     def __init__(
@@ -224,9 +222,6 @@ class BudgetClock:
         self.target = target
         self.deadline = deadline
         self.completed = 0
-        self._claimed = 0
-        self._floor = budget.min_playouts
-        self._lock = threading.Lock()
 
     def split(self, target: int | None) -> "BudgetClock":
         """A fresh clock with its own counters but the *same* absolute
@@ -269,9 +264,9 @@ class BudgetClock:
     def remaining_ms(self) -> float | None:
         return self.snapshot().remaining_ms
 
-    # -- serial draining ----------------------------------------------------
+    # -- draining -------------------------------------------------------------
     def note(self, n: int = 1) -> None:
-        """Record *n* completed playouts (single-threaded schemes)."""
+        """Record *n* completed playouts."""
         self.completed += n
 
     def done(self) -> bool:
@@ -280,48 +275,8 @@ class BudgetClock:
         the deadline."""
         if self.target is not None and self.completed >= self.target:
             return True
-        if self.deadline is None or self.completed < self._floor:
+        if self.deadline is None or self.completed < self.budget.min_playouts:
             return False
         if self.completed % self.budget.check_interval != 0:
             return False
         return self.snapshot().expired
-
-    def seed(self, n: int = 1) -> None:
-        """Record *n* playouts already performed outside the drain loop
-        (e.g. the serial root expansion the shared-tree schemes count as
-        playout #1).  Seeded playouts count toward the count bound but
-        raise the ``min_playouts`` floor with them: a root expansion
-        alone leaves the root's children unvisited, so at least
-        ``min_playouts`` genuine rollouts must still run for the prior
-        to be a valid distribution."""
-        with self._lock:
-            self._claimed += n
-            self.completed += n
-            self._floor += n
-
-    # -- concurrent draining -------------------------------------------------
-    def try_claim(self) -> bool:
-        """Atomically claim the right to run one more playout.
-
-        Returns ``False`` once the count bound is fully claimed or the
-        deadline has expired (past ``min_playouts`` claims); the caller
-        must run exactly one playout per successful claim and
-        :meth:`note` it on completion.
-        """
-        with self._lock:
-            if self.target is not None and self._claimed >= self.target:
-                return False
-            if (
-                self.deadline is not None
-                and self._claimed >= self._floor
-                and self._claimed % self.budget.check_interval == 0
-                and self.snapshot().expired
-            ):
-                return False
-            self._claimed += 1
-            return True
-
-    def note_claimed(self, n: int = 1) -> None:
-        """Thread-safe completion counter for claimed playouts."""
-        with self._lock:
-            self.completed += n

@@ -59,11 +59,11 @@ __all__ = [
 
 
 class VirtualLossPolicy(abc.ABC):
-    """Strategy interface for discouraging concurrent path collisions."""
+    """Strategy interface for discouraging concurrent path collisions.
 
-    #: treat an unbalanced descend/backup as a bug (overridden per instance
-    #: by the concrete policies; lock-free schemes run non-strict)
-    strict: bool = True
+    An unbalanced descend/backup is a bug: a backup that would take a
+    node's virtual-loss counter below zero raises ``RuntimeError``.
+    """
 
     @property
     @abc.abstractmethod
@@ -139,14 +139,10 @@ class ConstantVirtualLoss(VirtualLossPolicy):
     workers from the path.
     """
 
-    def __init__(self, weight: float = 3.0, strict: bool = True) -> None:
+    def __init__(self, weight: float = 3.0) -> None:
         if weight <= 0:
             raise ValueError(f"virtual-loss weight must be positive, got {weight}")
         self.weight = weight
-        #: strict policies treat an unbalanced descend/backup as a bug;
-        #: lock-free schemes set strict=False because racy read-modify-
-        #: write updates can legitimately lose increments.
-        self.strict = strict
 
     @property
     def descend_amount(self) -> float:
@@ -158,11 +154,7 @@ class ConstantVirtualLoss(VirtualLossPolicy):
     def on_backup(self, node: Node) -> None:
         node.virtual_loss -= self.weight
         if node.virtual_loss < -1e-9:
-            if self.strict:
-                raise RuntimeError(
-                    "virtual loss went negative: unbalanced descend/backup"
-                )
-            node.virtual_loss = 0.0
+            raise RuntimeError("virtual loss went negative: unbalanced descend/backup")
 
     def effective_stats(self, node: Node) -> tuple[float, float]:
         vl = node.virtual_loss
@@ -196,9 +188,6 @@ class WUVirtualLoss(VirtualLossPolicy):
     preserve the sequential algorithm's regret behaviour.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
-
     @property
     def descend_amount(self) -> float:
         return 1.0
@@ -209,11 +198,9 @@ class WUVirtualLoss(VirtualLossPolicy):
     def on_backup(self, node: Node) -> None:
         node.virtual_loss -= 1.0
         if node.virtual_loss < -1e-9:
-            if self.strict:
-                raise RuntimeError(
-                    "unobserved count went negative: unbalanced descend/backup"
-                )
-            node.virtual_loss = 0.0
+            raise RuntimeError(
+                "unobserved count went negative: unbalanced descend/backup"
+            )
 
     def effective_stats(self, node: Node) -> tuple[float, float]:
         n_eff = node.visit_count + node.virtual_loss

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
+from repro.mcts.backend import TreeBackend, capacity_hint, make_root
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.node import Node
 
@@ -40,29 +40,15 @@ class ParallelScheme(abc.ABC):
 
     Every scheme can run over either tree backend (the ``TreeBackend``
     seam): construct with ``tree_backend="node"`` or ``"array"`` and call
-    :meth:`_make_root` inside :meth:`search`.  Leaf-parallel and the
-    root-parallel serial workers default to the array backend (their
-    in-tree operations are single-threaded, so it is exact and much
-    faster); the remaining schemes default to ``Node`` objects -- the
-    multi-threaded shared-tree family because the array backend is only
-    weakly consistent under concurrent growth, local-tree/speculative
-    purely for reference-implementation conservatism (both are exact on
-    the array backend and accept ``tree_backend="array"``).
+    :meth:`_make_root` inside :meth:`search`.  Every scheme defaults to
+    the array backend; its in-tree operations run on one thread, where
+    array and ``Node`` trees give bit-identical results.
     """
 
     name: SchemeName
 
-    #: resolved storage layout; subclasses assign in ``__init__`` via
-    #: :meth:`_resolve_backend`
-    tree_backend: TreeBackend = TreeBackend.NODE
-
-    def _resolve_backend(
-        self,
-        backend: TreeBackend | str | None,
-        default: TreeBackend = TreeBackend.NODE,
-    ) -> TreeBackend:
-        self.tree_backend = resolve_backend(backend, default)
-        return self.tree_backend
+    #: resolved storage layout; subclasses assign it in ``__init__``
+    tree_backend: TreeBackend
 
     def _make_root(
         self, game: Game, budget: "int | SearchBudget"

@@ -25,7 +25,7 @@ from collections import deque
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.backend import TreeBackend
+from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
@@ -89,9 +89,7 @@ class LocalTreeMCTS(ParallelScheme):
         self.dirichlet_alpha = dirichlet_alpha
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
-        # only the master thread touches the tree (Algorithm 3), so the
-        # array backend is exact here too; Node stays the default
-        self._resolve_backend(tree_backend, TreeBackend.NODE)
+        self.tree_backend = resolve_backend(tree_backend)
 
     # -- search (Algorithm 3, rollout_n_times) -------------------------------
     def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.backend import TreeBackend
+from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
@@ -52,8 +52,7 @@ class RootParallelMCTS(ParallelScheme):
         self.dirichlet_alpha = dirichlet_alpha
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
-        # each worker owns a private serial tree: array backend is safe
-        self._resolve_backend(tree_backend, TreeBackend.ARRAY)
+        self.tree_backend = resolve_backend(tree_backend)
         self._pool: ThreadPoolExecutor | None = None
         #: roots of the last search, one per worker (exposed for analysis)
         self.last_roots: list[Node] = []

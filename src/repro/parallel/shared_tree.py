@@ -1,60 +1,40 @@
 """Shared-tree tree-parallel MCTS (paper Algorithm 2, Section 3.1.1).
 
-N worker threads each execute complete playouts
-(selection -> evaluation -> expansion -> backup) against one shared tree.
-Per-node locks (striped, see :mod:`repro.parallel.locks`) protect the
-virtual-loss updates during descent and the statistics updates during
-expansion/backup, exactly the lock placement of Algorithm 2 (lines 13-15
-and 18-20).
+In Algorithm 2, N workers each run whole playouts against one shared
+tree, taking per-node locks around the virtual-loss updates of their
+descent and the statistics updates of their expansion and backup.  On
+one thread the algorithm keeps that schedule's effects with none of its
+locks: each of N workers selects a leaf under a virtual loss the later
+workers see, the N leaves go to the evaluator as one ``evaluate_batch``
+(the paper's shared-tree + accelerator configuration, batch == N), and
+each leaf is then expanded and backed up in order.  That is local-tree
+with ``batch_size == num_workers``, so this scheme is one.  The search
+is deterministic at any N and equals serial search at N=1.
 
-Thread-safety notes
--------------------
-- Selection *reads* child statistics without locks.  Under CPython's GIL
-  individual attribute reads are atomic; a read racing a concurrent backup
-  sees either the old or the new value of each counter, which is the same
-  "slightly stale statistics" regime the paper's lock-free reads on a real
-  machine exhibit.
-- Network inference from multiple threads is safe for *forward* passes
-  (layer caches are clobbered, but outputs are computed from locals); the
-  training backward pass must stay single-threaded, which Algorithm 1
-  guarantees (training happens after the search stage).
+The costs the threads would add on the paper's platform -- lock
+acquisition and the DDR traffic of the shared tree -- are modelled in
+virtual time by :mod:`repro.simulator.shared_tree_sim`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
-from repro.games.base import Game
 from repro.mcts.backend import TreeBackend
-from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
-from repro.mcts.search import action_prior_from_root, add_dirichlet_noise, expand
-from repro.mcts.uct import select_child
 from repro.mcts.virtual_loss import ConstantVirtualLoss, VirtualLossPolicy
-from repro.parallel.base import ParallelScheme, SchemeName
-from repro.parallel.locks import StripedLockTable
-from repro.utils.rng import new_rng
+from repro.parallel.base import SchemeName
+from repro.parallel.local_tree import LocalTreeMCTS
 
 __all__ = ["SharedTreeMCTS"]
 
 
-class SharedTreeMCTS(ParallelScheme):
-    """Lock-protected shared-tree parallel search.
+class SharedTreeMCTS(LocalTreeMCTS):
+    """N leaves in flight over one tree, evaluated as one batch.
 
-    Parameters
-    ----------
-    evaluator : leaf evaluator; must tolerate concurrent ``evaluate`` calls.
-    num_workers : thread-pool size N (each worker owns a full playout).
-    vl_policy : virtual-loss style; defaults to constant VL [Chaslot 2008],
-        the paper's primary choice.  The default is built ``strict`` only
-        on the ``Node`` backend: the array backend can lose VL increments
-        during concurrent growth (weak consistency), so a caller-supplied
-        policy combined with ``tree_backend="array"`` and multiple workers
-        should also pass ``strict=False`` -- a strict policy may raise on
-        a legitimately lost increment.
+    Parameters are :class:`LocalTreeMCTS`'s with ``batch_size`` pinned to
+    ``num_workers``; *vl_policy* defaults to constant virtual loss
+    [Chaslot 2008], the paper's primary choice.
     """
 
     name = SchemeName.SHARED_TREE
@@ -67,122 +47,17 @@ class SharedTreeMCTS(ParallelScheme):
         vl_policy: VirtualLossPolicy | None = None,
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
-        lock_stripes: int = 1024,
         rng: np.random.Generator | int | None = None,
         tree_backend: TreeBackend | str | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if c_puct <= 0:
-            raise ValueError("c_puct must be positive")
-        self.evaluator = evaluator
-        self.num_workers = num_workers
-        self.c_puct = c_puct
-        # Node is the default here: per-object locking keeps the shared
-        # tree exact, while the array backend is weakly consistent under
-        # concurrent growth (acceptable, but opt-in via tree_backend).
-        self._resolve_backend(tree_backend, TreeBackend.NODE)
-        self.vl_policy = vl_policy or ConstantVirtualLoss(
-            strict=self.tree_backend is TreeBackend.NODE
+        super().__init__(
+            evaluator,
+            num_workers=num_workers,
+            batch_size=num_workers,
+            c_puct=c_puct,
+            vl_policy=vl_policy or ConstantVirtualLoss(),
+            dirichlet_alpha=dirichlet_alpha,
+            dirichlet_epsilon=dirichlet_epsilon,
+            rng=rng,
+            tree_backend=tree_backend,
         )
-        self.dirichlet_alpha = dirichlet_alpha
-        self.dirichlet_epsilon = dirichlet_epsilon
-        self.locks = StripedLockTable(lock_stripes)
-        self.rng = new_rng(rng)
-        self._pool: ThreadPoolExecutor | None = None
-
-    # -- pool lifecycle -----------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="shared-tree"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # -- search ------------------------------------------------------------
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
-        budget = as_budget(num_playouts)
-        if game.is_terminal:
-            raise ValueError("cannot search from a terminal state")
-        root = self._make_root(game, budget)
-        # Expand the root serially so workers immediately have children to
-        # diverge over; this mirrors the paper's episode warm-up and avoids
-        # N workers all racing to evaluate the identical root state.
-        evaluation = self.evaluator.evaluate(game)
-        expand(root, game, evaluation)
-        root.visit_count += 1  # the root evaluation counts as a playout
-        if self.dirichlet_epsilon > 0:
-            add_dirichlet_noise(
-                root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
-            )
-        clock = budget.start()
-        clock.seed(1)  # the root evaluation above
-        if clock.target is not None and clock.target <= 1:
-            return root
-        pool = self._ensure_pool()
-
-        def drain() -> None:
-            # each worker races the shared clock: one playout per claim,
-            # so the count bound is exact and the deadline stops further
-            # launches between playouts (anytime semantics)
-            while clock.try_claim():
-                self._threadsafe_rollout(root, game)
-                clock.note_claimed()
-
-        workers = self.num_workers
-        if clock.target is not None:
-            workers = min(workers, clock.target - 1)
-        futures = [pool.submit(drain) for _ in range(workers)]
-        done, _ = wait(futures)
-        for f in done:
-            f.result()  # surface worker exceptions
-        return root
-
-    def get_action_prior(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)
-
-    # -- one worker playout (Algorithm 2, threadsafe_rollout) ----------------
-    def _threadsafe_rollout(self, root: Node, environment: Game) -> None:
-        game = environment.copy()
-        node = root
-        with self.locks.lock_for(node):
-            self.vl_policy.on_descend(node)
-        # Node Selection: descend while the node has children.
-        while True:
-            if node.is_terminal or node.is_leaf:
-                break
-            node = select_child(node, self.c_puct, self.vl_policy)
-            game.step(node.action)
-            with self.locks.lock_for(node):
-                self.vl_policy.on_descend(node)
-            if game.is_terminal:
-                node.terminal_value = game.terminal_value
-
-        # Node Evaluation (outside any lock: the expensive DNN inference).
-        if node.is_terminal:
-            value = node.terminal_value
-            assert value is not None
-        else:
-            evaluation = self.evaluator.evaluate(game)
-            # Node Expansion under the leaf's lock (Algorithm 2 line 17).
-            with self.locks.lock_for(node):
-                value = expand(node, game, evaluation)
-
-        # BackUp under per-node locks (Algorithm 2 lines 18-20).
-        current: Node | None = node
-        v = value
-        while current is not None:
-            with self.locks.lock_for(current):
-                current.visit_count += 1
-                current.value_sum += -v
-                self.vl_policy.on_backup(current)
-            v = -v
-            current = current.parent

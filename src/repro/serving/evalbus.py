@@ -351,10 +351,11 @@ class BusEvaluator(Evaluator):
 
     The scheme's singleton ``evaluate`` rides the bus; an already-batched
     ``evaluate_batch`` bypasses accumulation and goes straight to the
-    backing evaluator.  Point a
-    :class:`~repro.parallel.shared_tree.SharedTreeMCTS` at one of these
-    (with N searches registered) to reproduce the paper's shared-tree +
-    GPU configuration: N selection threads, full-batched inference.
+    backing evaluator.  The self-play engine points each game's search at
+    one of these, so leaves from concurrent games fuse.  The paper's
+    shared-tree + GPU configuration needs no bus: a
+    :class:`~repro.parallel.shared_tree.SharedTreeMCTS` sends its N
+    leaves in flight to ``evaluate_batch`` as one call.
     """
 
     def __init__(self, bus: EvaluationBus) -> None:

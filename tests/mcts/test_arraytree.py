@@ -115,17 +115,10 @@ class TestBackup:
     def test_strict_virtual_loss_residue_raises(self):
         tree = ArrayTree(8)
         root = expanded_root(tree, [0], [1.0])
-        vl = ConstantVirtualLoss(weight=2.0, strict=True)
+        vl = ConstantVirtualLoss(weight=2.0)
         # backup without a matching descend: the residue check must fire
         with pytest.raises(RuntimeError):
             tree.backup(root, 0.0, vl)
-
-    def test_non_strict_clips_residue(self):
-        tree = ArrayTree(8)
-        root = expanded_root(tree, [0], [1.0])
-        vl = ConstantVirtualLoss(weight=2.0, strict=False)
-        tree.backup(root, 0.0, vl)
-        assert tree.virtual_loss[root] == 0.0
 
 
 class TestSelection:

@@ -132,19 +132,13 @@ class TestSchemesOnArrayBackend:
         from repro.parallel import (
             LeafParallelMCTS,
             LocalTreeMCTS,
-            LockFreeSharedTreeMCTS,
             RootParallelMCTS,
             SharedTreeMCTS,
-            SpeculativeMCTS,
         )
 
         no_vl = NoVirtualLoss()
         return {
             "shared_tree": lambda: SharedTreeMCTS(
-                evaluator, num_workers=1, vl_policy=no_vl, rng=0,
-                tree_backend="array",
-            ),
-            "lock_free": lambda: LockFreeSharedTreeMCTS(
                 evaluator, num_workers=1, vl_policy=no_vl, rng=0,
                 tree_backend="array",
             ),
@@ -158,16 +152,11 @@ class TestSchemesOnArrayBackend:
             "root_parallel": lambda: RootParallelMCTS(
                 evaluator, num_workers=1, rng=0, tree_backend="array"
             ),
-            "speculative": lambda: SpeculativeMCTS(
-                evaluator, evaluator, num_workers=1, rng=0,
-                tree_backend="array",
-            ),
         }
 
     @pytest.mark.parametrize(
         "scheme_name",
-        ["shared_tree", "lock_free", "local_tree", "leaf_parallel",
-         "root_parallel", "speculative"],
+        ["shared_tree", "local_tree", "leaf_parallel", "root_parallel"],
     )
     def test_degenerate_parity_with_serial(self, scheme_name):
         game = TicTacToe()
@@ -186,6 +175,39 @@ class TestSchemesOnArrayBackend:
             actual, expected,
             err_msg=f"{scheme_name} on the array backend diverged from serial",
         )
+
+
+class TestSharedTreeParity:
+    """Shared-tree at N > 1 under constant virtual loss: the N leaves in
+    flight run on one thread, so the search is deterministic and the
+    array tree reproduces the ``Node`` tree exactly."""
+
+    GAMES = {
+        "tictactoe": lambda: TicTacToe(),
+        "connect4": lambda: ConnectFour(),
+        "gomoku9": lambda: Gomoku(9, 5),
+    }
+
+    @staticmethod
+    def search(backend, game, workers):
+        from repro.parallel import SharedTreeMCTS
+
+        scheme = SharedTreeMCTS(
+            UniformEvaluator(), num_workers=workers,
+            vl_policy=ConstantVirtualLoss(), rng=0, tree_backend=backend,
+        )
+        return root_visits(scheme.search(game.copy(), 120), game.action_size)
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    @pytest.mark.parametrize("game_name", sorted(GAMES))
+    def test_node_equals_array_and_reruns_equal(self, game_name, workers):
+        game = self.GAMES[game_name]()
+        expected = self.search("node", game, workers)
+        np.testing.assert_array_equal(
+            self.search("array", game, workers), expected,
+            err_msg=f"shared-tree N={workers} array diverged on {game_name}",
+        )
+        np.testing.assert_array_equal(self.search("node", game, workers), expected)
 
 
 class TestReuseParity:

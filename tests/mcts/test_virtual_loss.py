@@ -165,9 +165,8 @@ def _bits(a):
 POLICIES = {
     "none": NoVirtualLoss(),
     "wu": WUVirtualLoss(),
-    "wu_lax": WUVirtualLoss(strict=False),
     "constant": ConstantVirtualLoss(weight=3.0),
-    "constant_lax": ConstantVirtualLoss(weight=0.5, strict=False),
+    "constant_light": ConstantVirtualLoss(weight=0.5),
 }
 
 

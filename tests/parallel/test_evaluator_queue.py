@@ -7,10 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.games import TicTacToe, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
+from repro.games import TicTacToe
+from repro.mcts.evaluation import UniformEvaluator
 from repro.parallel import SharedTreeMCTS
-from repro.serving import BusEvaluator, EvaluationBus
+from repro.serving import EvaluationBus
 
 
 def make_bus(evaluator, producers: int, linger: float = 0.5, **kwargs):
@@ -108,16 +108,29 @@ class TestBusQueue:
             EvaluationBus(UniformEvaluator(), linger=0.0)
 
 
-class TestBusEvaluator:
-    def test_through_shared_tree(self):
-        """The paper's shared-tree + GPU configuration: N workers, full
-        -batched inference through the bus."""
-        net = build_network_for(TicTacToe(), channels=(2, 4, 4), rng=0)
-        bus = make_bus(NetworkEvaluator(net), producers=4, linger=0.01)
-        with SharedTreeMCTS(BusEvaluator(bus), num_workers=4, rng=0) as scheme:
-            prior = scheme.get_action_prior(TicTacToe(), 60)
+class CountingEvaluator(UniformEvaluator):
+    """Uniform priors; records the rows of every evaluator call."""
+
+    def __init__(self):
+        self.rows_per_call: list[int] = []
+
+    def evaluate(self, game):
+        self.rows_per_call.append(1)
+        return super().evaluate(game)
+
+    def evaluate_batch(self, games):
+        self.rows_per_call.append(len(games))
+        return [UniformEvaluator.evaluate(self, g) for g in games]
+
+
+class TestSharedTreeBatch:
+    def test_shared_tree_fuses_its_leaves(self):
+        """The paper's shared-tree + accelerator configuration: the N
+        leaves in flight go to the evaluator as one call (batch == N)."""
+        counting = CountingEvaluator()
+        scheme = SharedTreeMCTS(counting, num_workers=4, rng=0)
+        prior = scheme.get_action_prior(TicTacToe(), 60)
         assert np.isclose(prior.sum(), 1.0)
-        stats = bus.stats()
-        assert stats.requests >= 59  # root eval bypasses the bus
-        # batching actually happened (not all singleton flushes)
-        assert stats.batches < stats.requests
+        calls = counting.rows_per_call
+        assert max(calls) == 4
+        assert len(calls) < sum(calls)

@@ -23,10 +23,8 @@ from repro.mcts.virtual_loss import NoVirtualLoss
 from repro.parallel import (
     LeafParallelMCTS,
     LocalTreeMCTS,
-    LockFreeSharedTreeMCTS,
     RootParallelMCTS,
     SharedTreeMCTS,
-    SpeculativeMCTS,
 )
 
 PLAYOUTS = 60
@@ -50,9 +48,6 @@ def scheme_factories(evaluator):
         "shared_tree": lambda: SharedTreeMCTS(
             evaluator, num_workers=1, c_puct=C_PUCT, vl_policy=no_vl, rng=0
         ),
-        "lock_free": lambda: LockFreeSharedTreeMCTS(
-            evaluator, num_workers=1, c_puct=C_PUCT, vl_policy=no_vl, rng=0
-        ),
         "local_tree": lambda: LocalTreeMCTS(
             evaluator, num_workers=1, batch_size=1, c_puct=C_PUCT,
             vl_policy=no_vl, rng=0,
@@ -62,11 +57,6 @@ def scheme_factories(evaluator):
         ),
         "root_parallel": lambda: RootParallelMCTS(
             evaluator, num_workers=1, c_puct=C_PUCT, rng=0
-        ),
-        # draft == main: speculation corrections are exact no-ops, so the
-        # sequential in-tree semantics must reduce to serial exactly
-        "speculative": lambda: SpeculativeMCTS(
-            evaluator, evaluator, num_workers=1, c_puct=C_PUCT, rng=0
         ),
     }
 

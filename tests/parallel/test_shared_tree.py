@@ -1,4 +1,4 @@
-"""Tests for the real-thread shared-tree scheme (Algorithm 2)."""
+"""Tests for the shared-tree scheme (Algorithm 2): N leaves in flight on one thread."""
 
 import numpy as np
 import pytest
