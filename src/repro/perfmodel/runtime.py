@@ -72,9 +72,10 @@ class AutoSwitchingScheme(ParallelScheme):
         self.c_puct = c_puct
         self.rng = new_rng(rng)
         self._moves_seen = 0
-        self._active: ParallelScheme | None = None
+        self._active: LocalTreeMCTS | None = None
         self._active_config: AdaptiveConfig | None = None
-        #: (move_index, scheme, batch_size) history of every (re)selection
+        #: (move_index, scheme, batch_size) history of every (re)selection;
+        #: batch_size is the B the built scheme runs, not the configurator's
         self.decisions: list[tuple[int, str, int]] = []
 
     # -- scheme management -----------------------------------------------------
@@ -95,24 +96,29 @@ class AutoSwitchingScheme(ParallelScheme):
         )
         configurator = DesignConfigurator(profile, self.platform.gpu)
         config = configurator.configure(self.num_workers, self.use_gpu)
-        previous = self._active_config
-        changed = (
-            previous is None
-            or previous.scheme != config.scheme
-            or previous.batch_size != config.batch_size
-        )
-        if changed:
-            if self._active is not None:
-                self._active.close()
-            self._active = self._build(config)
-            self._active_config = config
-            self.decisions.append(
-                (self._moves_seen, config.scheme.value, config.batch_size)
-            )
-        else:
-            self._active_config = config
+        batch = self._batch_size(config)
+        active = self._active
+        if (
+            active is None
+            or active.name != config.scheme
+            or active.batch_size != batch
+        ):
+            if active is not None:
+                active.close()
+            self._active = self._build(config, batch)
+            self.decisions.append((self._moves_seen, config.scheme.value, batch))
+        self._active_config = config
 
-    def _build(self, config: AdaptiveConfig) -> ParallelScheme:
+    def _batch_size(self, config: AdaptiveConfig) -> int:
+        """B of the scheme *config* selects: shared-tree evaluates its N
+        leaves as one batch; local-tree takes the configured B on a GPU
+        and evaluates each leaf alone on the CPU."""
+        if config.scheme == SchemeName.SHARED_TREE:
+            return self.num_workers
+        batch = config.batch_size if self.use_gpu else 1
+        return max(1, min(batch, self.num_workers))
+
+    def _build(self, config: AdaptiveConfig, batch: int) -> LocalTreeMCTS:
         if config.scheme == SchemeName.SHARED_TREE:
             return SharedTreeMCTS(
                 self.evaluator,
@@ -120,11 +126,10 @@ class AutoSwitchingScheme(ParallelScheme):
                 c_puct=self.c_puct,
                 rng=self.rng,
             )
-        batch = config.batch_size if self.use_gpu else 1
         return LocalTreeMCTS(
             self.evaluator,
             num_workers=self.num_workers,
-            batch_size=max(1, min(batch, self.num_workers)),
+            batch_size=batch,
             c_puct=self.c_puct,
             rng=self.rng,
         )

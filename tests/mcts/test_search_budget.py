@@ -42,14 +42,23 @@ GENEROUS_MS = 120_000.0  # a deadline that can never fire in these tests
 
 #: deterministic configuration per scheme: worker counts where the
 #: scheme's transcript does not depend on thread interleaving (the same
-#: degenerate-parity convention the scheme-equivalence suite uses)
+#: degenerate-parity convention the scheme-equivalence suite uses).  The
+#: two tree-parallel schemes run on the caller's thread and are
+#: deterministic at any N, so they also appear with many leaves in flight,
+#: where an expiring deadline must still drain every launched leaf.
 SCHEME_FACTORIES = {
     "serial": lambda ev, rng, tb: SerialMCTS(ev, rng=rng, tree_backend=tb),
     "shared_tree": lambda ev, rng, tb: SharedTreeMCTS(
         ev, num_workers=4, rng=rng, tree_backend=tb
     ),
+    "shared_tree_n8": lambda ev, rng, tb: SharedTreeMCTS(
+        ev, num_workers=8, rng=rng, tree_backend=tb
+    ),
     "local_tree": lambda ev, rng, tb: LocalTreeMCTS(
         ev, num_workers=1, batch_size=1, rng=rng, tree_backend=tb
+    ),
+    "local_tree_n4_b2": lambda ev, rng, tb: LocalTreeMCTS(
+        ev, num_workers=4, batch_size=2, rng=rng, tree_backend=tb
     ),
     "leaf_parallel": lambda ev, rng, tb: LeafParallelMCTS(
         ev, num_workers=2, rng=rng, tree_backend=tb

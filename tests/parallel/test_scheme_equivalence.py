@@ -93,6 +93,24 @@ def test_scheme_matches_serial_visit_counts(game_name, scheme_name):
     )
 
 
+@pytest.mark.parametrize("game_name", sorted(make_games()))
+@pytest.mark.parametrize(
+    "scheme_cls", [SharedTreeMCTS, LocalTreeMCTS], ids=["shared_tree", "local_tree"]
+)
+def test_one_leaf_in_flight_with_default_virtual_loss_matches_serial(
+    scheme_cls, game_name
+):
+    """With one leaf in flight every virtual loss is recovered before the
+    next selection, so the scheme's default policy (constant for
+    shared-tree, WU-UCT for local-tree) never reaches Equation 1."""
+    game = make_games()[game_name]()
+    evaluator = UniformEvaluator()
+    expected = serial_reference(game, evaluator)
+    with scheme_cls(evaluator, num_workers=1, c_puct=C_PUCT, rng=0) as scheme:
+        root = scheme.search(game.copy(), PLAYOUTS)
+    np.testing.assert_array_equal(root_visits(root, game.action_size), expected)
+
+
 @pytest.mark.parametrize("scheme_name", sorted(scheme_factories(None)))
 def test_scheme_matches_serial_action_prior_with_network(scheme_name):
     """Same invariant through a real (deterministic) DNN evaluator, checked

@@ -5,9 +5,39 @@ import pytest
 
 from repro.games import ConnectFour, TicTacToe
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
-from repro.mcts.virtual_loss import WUVirtualLoss
+from repro.mcts.virtual_loss import ConstantVirtualLoss, WUVirtualLoss
 from repro.parallel import SharedTreeMCTS
 from repro.parallel.base import SchemeName
+
+
+class CountingEvaluator(UniformEvaluator):
+    """Uniform evaluator that records the row count of every batch call."""
+
+    def __init__(self):
+        self.rows: list[int] = []
+
+    def evaluate_batch(self, games):
+        self.rows.append(len(games))
+        return super().evaluate_batch(games)
+
+
+def c4_position() -> ConnectFour:
+    game = ConnectFour()
+    for a in (3, 3, 2):
+        game.step(a)
+    return game
+
+
+def crowded_tictactoe() -> TicTacToe:
+    """Three legal moves left, most lines one move from a result: fewer
+    unexpanded leaves than workers, and many playouts end in a terminal."""
+    game = TicTacToe()
+    for a in (0, 4, 8, 2, 6, 3):
+        game.step(a)
+    return game
+
+
+GAMES = {"tictactoe": TicTacToe, "connect4": c4_position}
 
 
 class TestBasics:
@@ -90,6 +120,63 @@ class TestConcurrencyInvariants:
         with SharedTreeMCTS(AlwaysBoom(), num_workers=2, rng=7) as scheme:
             with pytest.raises(RuntimeError, match="boom"):
                 scheme.search(TicTacToe(), 20)
+
+
+class TestLeafBatches:
+    """Algorithm 2 on one thread: the N leaves in flight go out as one
+    ``evaluate_batch``, so every call but the move's last carries N rows."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("game_name", sorted(GAMES))
+    def test_every_call_but_the_last_carries_n_rows(self, game_name, workers):
+        evaluator = CountingEvaluator()
+        with SharedTreeMCTS(evaluator, num_workers=workers, rng=12) as scheme:
+            root = scheme.search(GAMES[game_name](), 97)
+        assert root.visit_count == 97
+        rows = evaluator.rows
+        assert rows, "no leaf was evaluated"
+        assert all(r == workers for r in rows[:-1]), rows
+        assert 1 <= rows[-1] <= workers
+        # the root is evaluated alone; terminal leaves skip the evaluator
+        assert sum(rows) <= 97 - 1
+
+
+class TestCrowdedPosition:
+    """More workers than unexpanded leaves: later workers re-select a leaf
+    already in flight or reach a terminal; the search must still spend its
+    exact budget and recover every virtual loss."""
+
+    @pytest.mark.parametrize("backend", ["node", "array"])
+    @pytest.mark.parametrize("workers", [4, 8, 16])
+    def test_budget_and_balance(self, workers, backend):
+        evaluator = CountingEvaluator()
+        with SharedTreeMCTS(
+            evaluator, num_workers=workers, rng=13, tree_backend=backend
+        ) as scheme:
+            root = scheme.search(crowded_tictactoe(), 64)
+        assert root.visit_count == 64
+        assert all(r <= workers for r in evaluator.rows)
+        for node in root.iter_subtree():
+            assert node.virtual_loss == pytest.approx(0.0)
+            assert -1.0 - 1e-9 <= node.q <= 1.0 + 1e-9
+            if node.children:
+                child_sum = sum(c.visit_count for c in node.children.values())
+                assert node.visit_count >= child_sum
+
+
+class TestVirtualLossBalance:
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "vl_policy", [ConstantVirtualLoss, WUVirtualLoss], ids=["constant", "wu"]
+    )
+    def test_no_residue_on_connect4(self, vl_policy, workers):
+        with SharedTreeMCTS(
+            UniformEvaluator(), num_workers=workers, vl_policy=vl_policy(), rng=14
+        ) as scheme:
+            root = scheme.search(c4_position(), 160)
+        assert root.visit_count == 160
+        for node in root.iter_subtree():
+            assert node.virtual_loss == pytest.approx(0.0)
 
 
 class TestTacticalStrength:

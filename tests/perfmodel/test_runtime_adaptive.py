@@ -73,6 +73,36 @@ class TestAutoSwitchingScheme:
             )
 
 
+class TestDecisionLog:
+    """``decisions`` records the batch size the built scheme runs."""
+
+    def test_shared_tree_logs_its_n_leaf_batch(self):
+        # a 15x15 board at N=64 on the CPU-only configuration selects
+        # shared-tree, which evaluates its 64 leaves in flight as one batch
+        scheme = AutoSwitchingScheme(
+            UniformEvaluator(), PLAT, num_workers=64, profile_playouts=300, rng=1
+        )
+        scheme.get_action_prior(Gomoku(15, 5), 128)
+        assert scheme.active_config.scheme.value == "shared_tree"
+        assert scheme.decisions == [(0, "shared_tree", 64)]
+        assert scheme._active.batch_size == 64
+        scheme.close()
+
+    @pytest.mark.parametrize(
+        "num_workers,use_gpu,expected",
+        [(4, False, 1), (16, False, 1), (4, True, 4), (64, True, 32)],
+    )
+    def test_local_tree_logs_the_built_batch(self, num_workers, use_gpu, expected):
+        scheme = AutoSwitchingScheme(
+            UniformEvaluator(), PLAT, num_workers=num_workers, use_gpu=use_gpu,
+            profile_playouts=40, rng=1,
+        )
+        scheme.get_action_prior(TicTacToe(), 20)
+        assert scheme.decisions == [(0, "local_tree", expected)]
+        assert scheme._active.batch_size == expected
+        scheme.close()
+
+
 class TestAcceleratorPresets:
     @pytest.fixture(scope="class")
     def profile(self):
