@@ -2,8 +2,8 @@
 """The paper's benchmark workload at reduced scale: parallel DNN-MCTS
 training on Gomoku (Algorithm 1 with a tree-parallel search stage).
 
-Uses the real threaded local-tree scheme (Algorithm 3) with batched
-network inference for self-play, and tracks the paper's two metrics:
+Uses the local-tree scheme (Algorithm 3) with batched network inference
+for self-play, and tracks the paper's two metrics:
 training throughput (samples/s, Section 5.4) and the loss curve
 (Section 5.5).
 
@@ -74,10 +74,7 @@ def main() -> None:
             f"throughput={metrics.throughput:6.2f} samples/s"
         )
 
-    try:
-        metrics = pipeline.run(args.episodes, on_episode=report)
-    finally:
-        scheme.close()
+    metrics = pipeline.run(args.episodes, on_episode=report)
 
     print(
         f"\ndone: {metrics.episodes} episodes, {metrics.samples_produced} samples, "

@@ -83,7 +83,6 @@ def main() -> None:
         # not playing strength)
         game.step(int(move_rng.choice(game.legal_actions())))
         moves += 1
-    scheme.close()
     print(f"  game over after {moves} moves (winner: {game.winner})")
     print("  scheme decisions (move, scheme, batch):")
     for move, name, batch in scheme.decisions:

@@ -7,7 +7,9 @@ matches with identical playout budgets and Monte-Carlo rollout
 evaluation.  A well-implemented scheme family should be roughly evenly
 matched at equal budget (the paper's algorithm-quality argument); the
 script also reports wall-clock per move, illustrating why the *timing*
-comparison needs the simulator (Python's GIL flattens in-tree scaling).
+comparison needs the simulator: every scheme here runs on the caller's
+thread, so the paper's parallel speedups do not show.  Every scheme is
+deterministic, so two runs print the same points.
 
 Run:  python examples/scheme_showdown.py [--games N] [--playouts P]
 """
@@ -101,11 +103,8 @@ def main() -> None:
     for name, score in sorted(scores.items(), key=lambda kv: -kv[1]):
         mean_ms = 1e3 * float(np.mean(times[name]))
         print(f"  {name:14s} {score:5.1f} points   {mean_ms:7.1f} ms/move (wall)")
-
-    for scheme in schemes.values():
-        scheme.close()
     print(
-        "\n(wall-clock per move is GIL-bound here; see benchmarks/ for the "
+        "\n(every scheme runs on one thread here; see benchmarks/ for the "
         "virtual-time comparison on the paper's 64-core platform)"
     )
 

@@ -363,8 +363,6 @@ def cmd_train(args) -> int:
             checkpoint_every=args.checkpoint_every,
         )
     finally:
-        if scheme is not None:
-            scheme.close()
         if engine is not None:
             engine.close()
     print(f"throughput: {metrics.throughput:.2f} samples/s, "

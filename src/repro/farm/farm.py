@@ -159,21 +159,15 @@ def _worker_main(farm: "SelfPlayFarm", conn) -> None:
                 continue
             _, episode_index, rng = msg
             before = _counts(cache, counting)
-            scheme = farm.scheme_factory(evaluator, rng)
-            try:
-                result = play_episode(
-                    farm.game,
-                    scheme,
-                    farm.num_playouts,
-                    temperature_moves=farm.temperature_moves,
-                    temperature=farm.temperature,
-                    max_moves=farm.max_moves,
-                    rng=rng,
-                )
-            finally:
-                close = getattr(scheme, "close", None)
-                if close is not None:
-                    close()
+            result = play_episode(
+                farm.game,
+                farm.scheme_factory(evaluator, rng),
+                farm.num_playouts,
+                temperature_moves=farm.temperature_moves,
+                temperature=farm.temperature,
+                max_moves=farm.max_moves,
+                rng=rng,
+            )
         except BaseException:
             try:
                 conn.send(("error", traceback.format_exc()))

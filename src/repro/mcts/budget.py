@@ -28,8 +28,6 @@ to deadline-budgeted callers.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.utils.clock import WALL_CLOCK, Clock
@@ -39,8 +37,6 @@ __all__ = [
     "BudgetClock",
     "BudgetSnapshot",
     "as_budget",
-    "active_budget_clock",
-    "active_budget_snapshot",
 ]
 
 #: array-backend capacity hint when only a time bound is given (the tree
@@ -119,41 +115,6 @@ def as_budget(budget: "int | SearchBudget") -> SearchBudget:
     return SearchBudget(num_playouts=int(budget))
 
 
-# -- deadline exposure to the evaluator seam ----------------------------------
-# A search scheme drains its BudgetClock deep inside its playout loop,
-# but a component below the scheme -- an evaluator -- may want to know
-# how much of the move's deadline is left.  Threading a clock parameter
-# through every scheme's evaluate() call would break the Section-3.2
-# program-template interchangeability (and the historic Evaluator
-# surface), so the armed clock is published per *thread* instead: each
-# scheme runs its playout loop inside ``with clock.activated():`` and
-# anything it calls synchronously -- evaluators above all -- can read the
-# governing deadline with :func:`active_budget_snapshot`.  A stack, not a
-# slot, so composed schemes (root-parallel driving serial sub-searches)
-# nest correctly; reads never consume RNG or reorder work, preserving
-# count-parity.
-_ACTIVE_CLOCKS = threading.local()
-
-
-def active_budget_clock() -> "BudgetClock | None":
-    """The innermost :class:`BudgetClock` activated on this thread, or
-    ``None`` outside any ``with clock.activated():`` region."""
-    stack = getattr(_ACTIVE_CLOCKS, "stack", None)
-    if not stack:
-        return None
-    return stack[-1]
-
-
-def active_budget_snapshot() -> "BudgetSnapshot | None":
-    """One clock read of the innermost active budget's deadline state;
-    ``None`` when no deadline-carrying clock is active (count-only
-    budgets publish nothing -- there is no urgency to report)."""
-    clock = active_budget_clock()
-    if clock is None or clock.deadline is None:
-        return None
-    return clock.snapshot()
-
-
 @dataclass(frozen=True)
 class BudgetSnapshot:
     """One clock read, both deadline views.
@@ -227,25 +188,6 @@ class BudgetClock:
         """A fresh clock with its own counters but the *same* absolute
         deadline (root-parallel workers race one shared wall clock)."""
         return BudgetClock(self.budget, target, self.deadline, self.clock)
-
-    @contextmanager
-    def activated(self):
-        """Publish this clock as the thread's governing budget for the
-        duration of the body (see :func:`active_budget_snapshot`).
-
-        Activation is observational only -- it reads nothing and changes
-        no schedule -- so a scheme wrapping its playout loop in it stays
-        bit-identical to one that does not.
-        """
-        stack = getattr(_ACTIVE_CLOCKS, "stack", None)
-        if stack is None:
-            stack = []
-            _ACTIVE_CLOCKS.stack = stack
-        stack.append(self)
-        try:
-            yield self
-        finally:
-            stack.pop()
 
     # -- time ---------------------------------------------------------------
     def snapshot(self) -> BudgetSnapshot:

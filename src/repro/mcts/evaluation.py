@@ -15,7 +15,6 @@ implementations:
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +133,9 @@ class RandomRolloutEvaluator(Evaluator):
     """Monte-Carlo rollout evaluation: play random moves to the end.
 
     *num_rollouts* independent playouts are averaged; priors are uniform
-    (classical UCT has no learned policy).
-
-    Thread safety: each calling thread lazily gets its own generator
-    spawned from the seed stream, so concurrent evaluation from a worker
-    pool is well-defined (NumPy generators are not thread-safe to share).
+    (classical UCT has no learned policy).  The rollouts draw from one
+    stream spawned from *rng*, so a search that evaluates on one thread
+    (every scheme does) is reproducible from its seeds.
     """
 
     def __init__(
@@ -147,18 +144,7 @@ class RandomRolloutEvaluator(Evaluator):
         if num_rollouts < 1:
             raise ValueError("num_rollouts must be >= 1")
         self.num_rollouts = num_rollouts
-        self._seed_rng = new_rng(rng)
-        self._local = threading.local()
-
-    @property
-    def rng(self) -> np.random.Generator:
-        rng = getattr(self._local, "rng", None)
-        if rng is None:
-            # spawn() is itself guarded: only called under the import-wide
-            # GIL from whichever thread first evaluates.
-            rng = self._seed_rng.spawn(1)[0]
-            self._local.rng = rng
-        return rng
+        self.rng = new_rng(rng).spawn(1)[0]
 
     def evaluate(self, game: Game) -> Evaluation:
         mask = game.legal_mask()

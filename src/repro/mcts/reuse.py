@@ -12,28 +12,20 @@ arrives earlier, interacting with the adaptive choice).
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, make_root, resolve_backend
-from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluation, Evaluator
+from repro.mcts.backend import TreeBackend, make_root
+from repro.mcts.budget import BudgetClock, SearchBudget
+from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
-from repro.mcts.search import (
-    action_prior_from_root,
-    backup,
-    expand,
-    select_leaf,
-)
-from repro.utils.rng import new_rng
+from repro.mcts.serial import SerialMCTS
 
 __all__ = ["TreeReuseMCTS"]
 
 
-class TreeReuseMCTS:
+class TreeReuseMCTS(SerialMCTS):
     """Serial DNN-MCTS that keeps the tree across moves of one episode.
 
     Usage::
@@ -47,6 +39,8 @@ class TreeReuseMCTS:
 
     ``observe`` must be called for *every* action applied to the game
     (own and opponent's) so the internal root tracks the game state.
+    The search itself is :class:`SerialMCTS`'s, ``search_program``
+    included; only the root it grows and its count target differ.
     """
 
     def __init__(
@@ -56,12 +50,7 @@ class TreeReuseMCTS:
         rng: np.random.Generator | int | None = None,
         tree_backend: TreeBackend | str | None = None,
     ) -> None:
-        if c_puct <= 0:
-            raise ValueError("c_puct must be positive")
-        self.evaluator = evaluator
-        self.c_puct = c_puct
-        self.rng = new_rng(rng)
-        self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
+        super().__init__(evaluator, c_puct=c_puct, rng=rng, tree_backend=tree_backend)
         self._root: Node | ArrayNodeView | None = None
         #: visits already in the root when a search starts (reused work)
         self.reused_visits = 0
@@ -89,44 +78,13 @@ class TreeReuseMCTS:
             child.action = -1
         self._root = child
 
-    def get_action_prior(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)
-
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
-        """Top the reused tree up to the budget's total root visits.
-
-        With a :class:`~repro.mcts.budget.SearchBudget` the deadline is
-        checked between fresh playouts -- a warm tree under a tight
-        deadline still returns a valid prior from its reused statistics
-        plus at least one fresh playout.  Runs :meth:`search_program`
-        inline, each leaf through ``evaluator.evaluate``.
-        """
-        root, clock = self._arm(game, as_budget(num_playouts))
-        program = self._playouts(root, clock, game)
-        evaluate = self.evaluator.evaluate
-        # expose the armed deadline to the evaluator seam (observational
-        # only -- see BudgetClock.activated)
-        with clock.activated():
-            try:
-                leaf = next(program)
-                while True:
-                    leaf = program.send(evaluate(leaf))
-            except StopIteration as stop:
-                return stop.value
-
-    def search_program(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> Generator[Game, Evaluation, Node]:
-        """The search as a generator: it yields each leaf state it needs
-        evaluated, is sent that leaf's :class:`Evaluation`, and returns
-        the root.  The budget is armed on the first step."""
-        root, clock = self._arm(game, as_budget(num_playouts))
-        return (yield from self._playouts(root, clock, game))
-
-    def _arm(self, game: Game, budget: SearchBudget) -> tuple[Node, BudgetClock]:
+    def _start(
+        self, game: Game, budget: SearchBudget, clock: BudgetClock | None
+    ) -> tuple[Node, BudgetClock]:
+        """Resume the kept root.  The budget counts *total* root visits,
+        so a warm tree needs fewer fresh playouts for the same
+        statistics; with a deadline, a warm tree still gets at least one
+        fresh playout."""
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         if self._root is None:
@@ -134,27 +92,9 @@ class TreeReuseMCTS:
         root = self._root
         self.reused_visits += root.visit_count
         self.searches += 1
-        # reuse semantics: the budget counts *total* root visits, so a
-        # warm tree needs fewer fresh playouts for the same statistics
-        needed = None
-        if budget.num_playouts is not None:
-            needed = max(1, budget.num_playouts - root.visit_count)
-        return root, budget.start(target=needed)
-
-    def _playouts(
-        self, root: Node, clock: BudgetClock, game: Game
-    ) -> Generator[Game, Evaluation, Node]:
-        while True:
-            leaf, leaf_game, _ = select_leaf(
-                root, game.copy(), self.c_puct, apply_virtual_loss=False
-            )
-            if leaf.is_terminal:
-                value = leaf.terminal_value
-                assert value is not None
-            else:
-                value = expand(leaf, leaf_game, (yield leaf_game))
-            backup(leaf, value)
-            clock.note()
-            if clock.done():
-                return root
-
+        if clock is None:
+            needed = None
+            if budget.num_playouts is not None:
+                needed = max(1, budget.num_playouts - root.visit_count)
+            clock = budget.start(target=needed)
+        return root, clock

@@ -4,19 +4,26 @@ measured against (the paper's profiling baseline, Section 2.1).
 One playout = Node Selection -> Node Expansion & Evaluation -> BackUp.
 After ``num_playouts`` playouts the action prior is the normalised root
 visit distribution.
+
+The search is written once, as a program (:meth:`SerialMCTS.search_program`)
+that yields each leaf it needs evaluated; :meth:`SerialMCTS.search` runs it
+inline, tree reuse resumes it over a kept root, and the leaf- and
+root-parallel baselines and the gateway's search master step it with
+their own evaluation schedules.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, Generator
 
 import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
 from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluator
+from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
@@ -27,7 +34,7 @@ from repro.mcts.search import (
 )
 from repro.utils.rng import new_rng
 
-__all__ = ["PhaseTime", "SearchStats", "SerialMCTS"]
+__all__ = ["PhaseTime", "SearchStats", "SerialMCTS", "run_inline"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,10 @@ class SearchStats:
     Plain integer ``perf_counter_ns`` totals and counts, bumped from one
     clock read per phase boundary.  ``evaluate`` is the paper's Node
     Expansion & Evaluation phase and counts only non-terminal leaves;
-    ``select`` and ``backup`` run once per playout.
+    ``select`` and ``backup`` run once per playout.  ``evaluate_ns`` runs
+    from the yield of a leaf to the return of its expansion, so under a
+    driver that steps several programs (root-parallel, the gateway's
+    search master) it includes the driver's wait for the other programs.
     """
 
     select_ns: int = 0
@@ -131,35 +141,55 @@ class SerialMCTS:
         deadline, whichever binds first).  *clock* lets a composing
         scheme (root-parallel) share one absolute deadline across
         sub-searches; when given it overrides the budget's own bounds.
+        Runs :meth:`search_program` inline, each leaf through
+        ``evaluator.evaluate``.
         """
-        if clock is None:
-            clock = as_budget(num_playouts).start()
-        if game.is_terminal:
-            raise ValueError("cannot search from a terminal state")
-        cap = (
-            clock.target
-            if clock.target is not None
-            else clock.budget.capacity_playouts
+        return run_inline(
+            self.search_program(game, num_playouts, clock=clock),
+            self.evaluator.evaluate,
         )
-        root = make_root(self.tree_backend, capacity_hint(game.action_size, cap))
+
+    def search_program(
+        self,
+        game: Game,
+        num_playouts: "int | SearchBudget",
+        *,
+        clock: BudgetClock | None = None,
+    ) -> Generator[Game, Evaluation, Node]:
+        """The search as a generator: it yields each non-terminal leaf's
+        state, is sent that leaf's :class:`Evaluation`, and returns the
+        root.  Nothing happens until the driver first steps it."""
+        root, clock = self._start(game, as_budget(num_playouts), clock)
+        stats = self.stats
         first = True
-        # publish the armed clock so the evaluator seam (the shared
-        # evaluation bus above all) can read this search's deadline;
-        # purely observational, so count-parity is preserved
-        with clock.activated():
-            while True:
-                self._playout(root, game.copy())
-                clock.note()
-                if first and self.dirichlet_epsilon > 0:
-                    add_dirichlet_noise(
-                        root,
-                        self.rng,
-                        self.dirichlet_alpha,
-                        self.dirichlet_epsilon,
-                    )
-                first = False
-                if clock.done():
-                    return root
+        while True:
+            t0 = time.perf_counter_ns()
+            leaf, leaf_game, depth = select_leaf(
+                root, game.copy(), self.c_puct, apply_virtual_loss=False
+            )
+            t1 = time.perf_counter_ns()
+            stats.select_ns += t1 - t0
+            stats.total_path_length += depth
+            if leaf.is_terminal:
+                value = leaf.terminal_value
+                assert value is not None
+            else:
+                value = expand(leaf, leaf_game, (yield leaf_game))
+                t2 = time.perf_counter_ns()
+                stats.evaluate_ns += t2 - t1
+                stats.evaluations += 1
+                t1 = t2
+            backup(leaf, value)
+            stats.backup_ns += time.perf_counter_ns() - t1
+            stats.playouts += 1
+            clock.note()
+            if first and self.dirichlet_epsilon > 0:
+                add_dirichlet_noise(
+                    root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
+                )
+            first = False
+            if clock.done():
+                return root
 
     def get_action_prior(
         self, game: Game, num_playouts: "int | SearchBudget"
@@ -168,26 +198,29 @@ class SerialMCTS:
         root = self.search(game, num_playouts)
         return action_prior_from_root(root, game.action_size)
 
-    def _playout(self, root: Node, game: Game) -> None:
-        stats = self.stats
-        t0 = time.perf_counter_ns()
-        leaf, game, depth = select_leaf(
-            root, game, self.c_puct, apply_virtual_loss=False
-        )
-        t1 = time.perf_counter_ns()
-        stats.select_ns += t1 - t0
-        stats.total_path_length += depth
+    def _start(
+        self, game: Game, budget: SearchBudget, clock: BudgetClock | None
+    ) -> tuple[Node, BudgetClock]:
+        """The root to grow and the clock that bounds this search: a fresh
+        root sized for the count target, and *clock* or the started
+        *budget*."""
+        if clock is None:
+            clock = budget.start()
+        if game.is_terminal:
+            raise ValueError("cannot search from a terminal state")
+        cap = clock.target if clock.target is not None else budget.capacity_playouts
+        return make_root(self.tree_backend, capacity_hint(game.action_size, cap)), clock
 
-        if leaf.is_terminal:
-            value = leaf.terminal_value
-            assert value is not None
-        else:
-            value = expand(leaf, game, self.evaluator.evaluate(game))
-            t2 = time.perf_counter_ns()
-            stats.evaluate_ns += t2 - t1
-            stats.evaluations += 1
-            t1 = t2
 
-        backup(leaf, value)
-        stats.backup_ns += time.perf_counter_ns() - t1
-        stats.playouts += 1
+def run_inline(
+    program: Generator[Game, Evaluation, Node],
+    evaluate: Callable[[Game], Evaluation],
+) -> Node:
+    """Drive a search program on this thread, each leaf through
+    *evaluate*; returns the root it ends on."""
+    try:
+        leaf = next(program)
+        while True:
+            leaf = program.send(evaluate(leaf))
+    except StopIteration as stop:
+        return stop.value

@@ -18,6 +18,7 @@ from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.node import Node
+from repro.mcts.search import action_prior_from_root
 
 __all__ = ["SchemeName", "ParallelScheme"]
 
@@ -69,17 +70,13 @@ class ParallelScheme(abc.ABC):
         clock expires and returns the statistics accumulated so far.
         """
 
-    @abc.abstractmethod
     def get_action_prior(
         self, game: Game, num_playouts: "int | SearchBudget"
     ) -> np.ndarray:
         """Normalised root visit counts over the full action space."""
+        root = self.search(game, num_playouts)
+        return action_prior_from_root(root, game.action_size)
 
     def close(self) -> None:
-        """Release thread pools; default is a no-op."""
-
-    def __enter__(self) -> "ParallelScheme":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        """No-op: every scheme runs on its caller's thread and holds no
+        resource.  Kept because perfbench's workloads still call it."""

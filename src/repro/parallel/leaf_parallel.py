@@ -5,26 +5,22 @@ N independent evaluations of the *same* selected leaf.  The paper notes
 this "wastes parallelism due to the lack of diverse evaluation coverage on
 different selected paths" -- it exists here as a baseline for the
 related-work comparison benchmarks.
+
+The tree search is :class:`~repro.mcts.serial.SerialMCTS`'s search
+program; the N evaluations of each leaf go to the evaluator as one
+``evaluate_batch`` of N copies, on the caller's thread.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.backend import TreeBackend, resolve_backend
-from repro.mcts.budget import SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluator
+from repro.mcts.budget import SearchBudget
+from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.mcts.node import Node
-from repro.mcts.search import (
-    action_prior_from_root,
-    add_dirichlet_noise,
-    backup,
-    expand,
-    select_leaf,
-)
+from repro.mcts.serial import SerialMCTS, run_inline
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.utils.rng import new_rng
 
@@ -32,9 +28,9 @@ __all__ = ["LeafParallelMCTS"]
 
 
 class LeafParallelMCTS(ParallelScheme):
-    """Serial tree, parallel same-leaf evaluations averaged into one backup.
+    """Serial tree, N same-leaf evaluations averaged into one backup.
 
-    Each "playout" consumes ``num_workers`` evaluator calls but performs a
+    Each "playout" consumes ``num_workers`` evaluations but performs a
     single (averaged) backup -- the visit counts advance exactly as in the
     serial algorithm, only the leaf value estimate is lower-variance.  This
     matches the classical leaf-parallelisation semantics and is what makes
@@ -64,58 +60,24 @@ class LeafParallelMCTS(ParallelScheme):
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
         self.tree_backend = resolve_backend(tree_backend)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="leaf-parallel"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
-        budget = as_budget(num_playouts)
-        if game.is_terminal:
-            raise ValueError("cannot search from a terminal state")
-        pool = self._ensure_pool()
-        root = self._make_root(game, budget)
-        clock = budget.start()
-        first = True
-        while True:
-            leaf, leaf_game, _ = select_leaf(
-                root, game.copy(), self.c_puct, apply_virtual_loss=False
-            )
-            if leaf.is_terminal:
-                value = leaf.terminal_value
-                assert value is not None
-            else:
-                futures = [
-                    pool.submit(self.evaluator.evaluate, leaf_game)
-                    for _ in range(self.num_workers)
-                ]
-                evaluations = [f.result() for f in futures]
-                value = float(np.mean([ev.value for ev in evaluations]))
-                # priors averaged as well (identical for deterministic nets)
-                priors = np.mean([ev.priors for ev in evaluations], axis=0)
-                merged = evaluations[0].__class__(priors=priors, value=value)
-                expand(leaf, leaf_game, merged)
-            backup(leaf, value)
-            clock.note()
-            if first and self.dirichlet_epsilon > 0 and not root.is_leaf:
-                add_dirichlet_noise(
-                    root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
-                )
-            first = False
-            if clock.done():
-                return root
+        serial = SerialMCTS(
+            self.evaluator,
+            c_puct=self.c_puct,
+            dirichlet_alpha=self.dirichlet_alpha,
+            dirichlet_epsilon=self.dirichlet_epsilon,
+            rng=self.rng,
+            tree_backend=self.tree_backend,
+        )
+        return run_inline(
+            serial.search_program(game, num_playouts), self._evaluate_copies
+        )
 
-    def get_action_prior(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)
+    def _evaluate_copies(self, game: Game) -> Evaluation:
+        evaluations = self.evaluator.evaluate_batch([game] * self.num_workers)
+        # priors averaged as well (identical for deterministic nets)
+        return Evaluation(
+            priors=np.mean([ev.priors for ev in evaluations], axis=0),
+            value=float(np.mean([ev.value for ev in evaluations])),
+        )

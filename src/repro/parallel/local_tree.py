@@ -30,7 +30,6 @@ from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
 from repro.mcts.search import (
-    action_prior_from_root,
     add_dirichlet_noise,
     backup,
     expand,
@@ -179,9 +178,3 @@ class LocalTreeMCTS(ParallelScheme):
                 backup(leaf, value, self.vl_policy)
                 completed += 1
         return root
-
-    def get_action_prior(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)

@@ -4,11 +4,15 @@ N workers grow completely independent trees from the same root state; the
 action prior is the sum of root visit counts across the ensemble.  No
 sharing means no synchronisation, but -- as the paper notes -- "still lets
 multiple workers visit repetitive states".
+
+Each worker is a :class:`~repro.mcts.serial.SerialMCTS` search program.
+The caller's thread steps them round-robin: every live worker advances
+to its next leaf, and the round's leaves go to the evaluator as one
+``evaluate_batch``.  The workers' trees are independent, so the
+interleaving changes no worker's search.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,21 +57,8 @@ class RootParallelMCTS(ParallelScheme):
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
         self.tree_backend = resolve_backend(tree_backend)
-        self._pool: ThreadPoolExecutor | None = None
         #: roots of the last search, one per worker (exposed for analysis)
         self.last_roots: list[Node] = []
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="root-parallel"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def _worker_budgets(self, num_playouts: int) -> list[int]:
         base, extra = divmod(num_playouts, self.num_workers)
@@ -80,7 +71,6 @@ class RootParallelMCTS(ParallelScheme):
         budget = as_budget(num_playouts)
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
-        pool = self._ensure_pool()
         if budget.num_playouts is not None:
             budgets: list[int | None] = list(
                 self._worker_budgets(budget.num_playouts)
@@ -89,22 +79,38 @@ class RootParallelMCTS(ParallelScheme):
             budgets = [None] * self.num_workers
         rngs = spawn_rngs(self.rng, len(budgets))
         # one absolute deadline shared by the whole ensemble: each worker
-        # gets a per-worker count target but races the same wall clock
+        # gets a per-worker count target but races the same clock
         clock = budget.start()
-
-        def run(target: int | None, worker_rng: np.random.Generator) -> Node:
-            engine = SerialMCTS(
+        programs = [
+            SerialMCTS(
                 self.evaluator,
                 c_puct=self.c_puct,
                 dirichlet_alpha=self.dirichlet_alpha,
                 dirichlet_epsilon=self.dirichlet_epsilon,
                 rng=worker_rng,
                 tree_backend=self.tree_backend,
+            ).search_program(game, budget, clock=clock.split(target))
+            for target, worker_rng in zip(budgets, rngs)
+        ]
+        roots: dict[int, Node] = {}
+        live = list(enumerate(programs))
+        # one round: resume every live worker with its leaf's evaluation
+        # (None starts a program) and run it to its next leaf or its root
+        evaluations: list = [None] * len(live)
+        while True:
+            waiting = []
+            for (i, program), evaluation in zip(live, evaluations):
+                try:
+                    waiting.append((i, program, program.send(evaluation)))
+                except StopIteration as stop:
+                    roots[i] = stop.value
+            if not waiting:
+                break
+            evaluations = self.evaluator.evaluate_batch(
+                [leaf for _, _, leaf in waiting]
             )
-            return engine.search(game, budget, clock=clock.split(target))
-
-        futures = [pool.submit(run, b, r) for b, r in zip(budgets, rngs)]
-        self.last_roots = [f.result() for f in futures]
+            live = [(i, program) for i, program, _ in waiting]
+        self.last_roots = [roots[i] for i in range(len(programs))]
         return self._merge_roots(self.last_roots)
 
     @staticmethod
@@ -119,16 +125,3 @@ class RootParallelMCTS(ParallelScheme):
                 m.visit_count += child.visit_count
                 m.value_sum += child.value_sum
         return merged
-
-    def get_action_prior(
-        self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        prior = np.zeros(game.action_size, dtype=np.float64)
-        total = 0
-        for action, child in root.children.items():
-            prior[action] = child.visit_count
-            total += child.visit_count
-        if total == 0:
-            raise ValueError("no visits recorded")
-        return prior / total

@@ -103,8 +103,6 @@ class AutoSwitchingScheme(ParallelScheme):
             or active.name != config.scheme
             or active.batch_size != batch
         ):
-            if active is not None:
-                active.close()
             self._active = self._build(config, batch)
             self.decisions.append((self._moves_seen, config.scheme.value, batch))
         self._active_config = config
@@ -142,14 +140,3 @@ class AutoSwitchingScheme(ParallelScheme):
         root = self._active.search(game, num_playouts)
         self._moves_seen += 1
         return root
-
-    def get_action_prior(self, game: Game, num_playouts: int) -> np.ndarray:
-        from repro.mcts.search import action_prior_from_root
-
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)
-
-    def close(self) -> None:
-        if self._active is not None:
-            self._active.close()
-            self._active = None

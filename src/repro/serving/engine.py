@@ -158,11 +158,6 @@ class _TimedScheme:
         with self._tracker.measure():
             return self._scheme.get_action_prior(game, num_playouts)
 
-    def close(self) -> None:
-        close = getattr(self._scheme, "close", None)
-        if close is not None:
-            close()
-
 
 @dataclass(frozen=True)
 class ServingStats:
@@ -371,18 +366,15 @@ class MultiGameSelfPlayEngine:
                 self.scheme_factory(self.shared_evaluator, game_rng),
                 self._round_latency,
             )
-            try:
-                return play_episode(
-                    self.game,
-                    scheme,
-                    self.num_playouts,
-                    temperature_moves=self.temperature_moves,
-                    temperature=self.temperature,
-                    max_moves=self.max_moves,
-                    rng=game_rng,
-                )
-            finally:
-                scheme.close()
+            return play_episode(
+                self.game,
+                scheme,
+                self.num_playouts,
+                temperature_moves=self.temperature_moves,
+                temperature=self.temperature,
+                max_moves=self.max_moves,
+                rng=game_rng,
+            )
         finally:
             # lower the headcount: the games still playing never wait on
             # this one, and any backlog they already meet flushes now

@@ -15,12 +15,9 @@ parallel search algorithm in virtual time, so
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
-from repro.mcts.search import action_prior_from_root
 from repro.mcts.virtual_loss import VirtualLossPolicy
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.simulator.hardware import PlatformSpec
@@ -95,7 +92,3 @@ class SimulatedScheme(ParallelScheme):
         self.virtual_time += result.total_time
         self.last_result = result
         return result.root
-
-    def get_action_prior(self, game: Game, num_playouts: int) -> np.ndarray:
-        root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)

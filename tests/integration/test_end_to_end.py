@@ -34,15 +34,15 @@ class TestAllSchemesTactical:
         g = TicTacToe()
         for a in [0, 3, 1, 4]:  # X wins at 2
             g.step(a)
-        with factory(RandomRolloutEvaluator(rng=0), 42) as scheme:
-            prior = scheme.get_action_prior(g, 400)
+        scheme = factory(RandomRolloutEvaluator(rng=0), 42)
+        prior = scheme.get_action_prior(g, 400)
         assert int(np.argmax(prior)) == 2, scheme.name
 
     @pytest.mark.parametrize("factory", ALL_SCHEMES)
     def test_network_evaluator_integration(self, factory):
         net = build_network_for(TicTacToe(), channels=(2, 4, 4), rng=0)
-        with factory(NetworkEvaluator(net), 43) as scheme:
-            prior = scheme.get_action_prior(TicTacToe(), 60)
+        scheme = factory(NetworkEvaluator(net), 43)
+        prior = scheme.get_action_prior(TicTacToe(), 60)
         assert np.isclose(prior.sum(), 1.0)
 
 
@@ -98,8 +98,7 @@ class TestAdaptiveWorkflowEndToEnd:
             scheme = SharedTreeMCTS(ev, num_workers=8, rng=0)
         else:
             scheme = LocalTreeMCTS(ev, num_workers=8, rng=0)
-        with scheme:
-            prior = scheme.get_action_prior(Gomoku(9, 5), 100)
+        prior = scheme.get_action_prior(Gomoku(9, 5), 100)
         assert np.isclose(prior.sum(), 1.0)
 
     def test_adaptive_never_worse_than_both_fixed(self):
@@ -133,7 +132,7 @@ class TestSimulatedVsRealSchemesAgree:
         for a, c in sim.root.children.items():
             sim_prior[a] = c.visit_count
         sim_prior /= sim_prior.sum()
-        with SharedTreeMCTS(ev, num_workers=4, rng=0) as scheme:
-            real_prior = scheme.get_action_prior(game, 400)
+        scheme = SharedTreeMCTS(ev, num_workers=4, rng=0)
+        real_prior = scheme.get_action_prior(game, 400)
         tv = 0.5 * np.abs(sim_prior - real_prior).sum()
         assert tv < 0.25

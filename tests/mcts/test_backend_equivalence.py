@@ -165,11 +165,9 @@ class TestSchemesOnArrayBackend:
         expected = root_visits(
             serial.search(game.copy(), self.PLAYOUTS), game.action_size
         )
-        scheme = self.factories(evaluator)[scheme_name]()
-        try:
-            root = scheme.search(game.copy(), self.PLAYOUTS)
-        finally:
-            scheme.close()
+        root = self.factories(evaluator)[scheme_name]().search(
+            game.copy(), self.PLAYOUTS
+        )
         actual = root_visits(root, game.action_size)
         np.testing.assert_array_equal(
             actual, expected,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.games import ConnectFour, Gomoku, TicTacToe
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
+from repro.mcts.search import action_prior_from_root
 from repro.mcts.serial import SerialMCTS
 
 
@@ -123,3 +124,48 @@ class TestTreeInvariants:
         root = engine.search(TicTacToe(), 200)
         for node in root.iter_subtree():
             assert -1.0 - 1e-9 <= node.q <= 1.0 + 1e-9
+
+
+class TestSearchProgram:
+    def test_program_stepped_by_hand_equals_search(self):
+        """search() is search_program under the inline driver: the same
+        leaves in the same order, the same tree and the same counts."""
+        seen: list = []
+
+        class Recording(UniformEvaluator):
+            def evaluate(self, game):
+                seen.append(game.canonical_key())
+                return super().evaluate(game)
+
+        g = ConnectFour()
+        inline = SerialMCTS(Recording(), dirichlet_epsilon=0.25, rng=3)
+        expected = inline.get_action_prior(g, 60)
+        stepped = SerialMCTS(UniformEvaluator(), dirichlet_epsilon=0.25, rng=3)
+        program = stepped.search_program(g, 60)
+        evaluator = UniformEvaluator()
+        yielded = []
+        try:
+            leaf = next(program)
+            while True:
+                yielded.append(leaf.canonical_key())
+                leaf = program.send(evaluator.evaluate(leaf))
+        except StopIteration as stop:
+            root = stop.value
+        assert yielded == seen
+        np.testing.assert_array_equal(
+            action_prior_from_root(root, g.action_size), expected
+        )
+        for field in ("playouts", "evaluations", "total_path_length"):
+            assert getattr(stepped.stats, field) == getattr(inline.stats, field)
+        assert stepped.stats.playouts == 60
+        assert stepped.stats.evaluations == len(yielded)
+
+    def test_program_checks_its_state_on_the_first_step(self):
+        """Creating a program does no work: a terminal state raises only
+        when the driver first steps it."""
+        g = TicTacToe()
+        for a in [0, 3, 1, 4, 2]:
+            g.step(a)
+        program = SerialMCTS(UniformEvaluator()).search_program(g, 8)
+        with pytest.raises(ValueError):
+            next(program)

@@ -22,13 +22,13 @@ from repro.parallel.base import SchemeName
 
 class TestBasics:
     def test_playout_budget_respected(self):
-        with LocalTreeMCTS(UniformEvaluator(), num_workers=4, rng=0) as scheme:
-            root = scheme.search(TicTacToe(), 120)
+        scheme = LocalTreeMCTS(UniformEvaluator(), num_workers=4, rng=0)
+        root = scheme.search(TicTacToe(), 120)
         assert root.visit_count == 120
 
     def test_prior_is_distribution(self):
-        with LocalTreeMCTS(UniformEvaluator(), num_workers=4, rng=1) as scheme:
-            prior = scheme.get_action_prior(TicTacToe(), 80)
+        scheme = LocalTreeMCTS(UniformEvaluator(), num_workers=4, rng=1)
+        prior = scheme.get_action_prior(TicTacToe(), 80)
         assert np.isclose(prior.sum(), 1.0)
 
     def test_scheme_name(self):
@@ -42,40 +42,40 @@ class TestBasics:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
     def test_all_batch_sizes_complete(self, batch_size):
-        with LocalTreeMCTS(
+        scheme = LocalTreeMCTS(
             UniformEvaluator(), num_workers=4, batch_size=batch_size, rng=2
-        ) as scheme:
-            root = scheme.search(TicTacToe(), 100)
+        )
+        root = scheme.search(TicTacToe(), 100)
         assert root.visit_count == 100
 
     def test_no_virtual_loss_residue(self):
-        with LocalTreeMCTS(UniformEvaluator(), num_workers=8, rng=3) as scheme:
-            root = scheme.search(TicTacToe(), 200)
+        scheme = LocalTreeMCTS(UniformEvaluator(), num_workers=8, rng=3)
+        root = scheme.search(TicTacToe(), 200)
         for node in root.iter_subtree():
             assert node.virtual_loss == pytest.approx(0.0)
 
     def test_small_playout_count_with_many_workers(self):
         """Fewer playouts than workers: the tail-flush path must not hang."""
-        with LocalTreeMCTS(UniformEvaluator(), num_workers=16, batch_size=8, rng=4) as s:
-            root = s.search(TicTacToe(), 5)
+        s = LocalTreeMCTS(UniformEvaluator(), num_workers=16, batch_size=8, rng=4)
+        root = s.search(TicTacToe(), 5)
         assert root.visit_count == 5
 
 
 class TestBatchedInference:
     def test_network_evaluator_batched(self):
         net = build_network_for(TicTacToe(), channels=(2, 4, 4), rng=0)
-        with LocalTreeMCTS(
+        scheme = LocalTreeMCTS(
             NetworkEvaluator(net), num_workers=8, batch_size=4, rng=5
-        ) as scheme:
-            prior = scheme.get_action_prior(TicTacToe(), 60)
+        )
+        prior = scheme.get_action_prior(TicTacToe(), 60)
         assert np.isclose(prior.sum(), 1.0)
 
     def test_batched_matches_unbatched_visit_total(self):
         for b in (1, 4):
-            with LocalTreeMCTS(
+            scheme = LocalTreeMCTS(
                 UniformEvaluator(), num_workers=4, batch_size=b, rng=6
-            ) as scheme:
-                root = scheme.search(TicTacToe(), 80)
+            )
+            root = scheme.search(TicTacToe(), 80)
             assert root.visit_count == 80
 
 
@@ -84,27 +84,27 @@ class TestTacticalStrength:
         g = TicTacToe()
         for a in [0, 3, 1, 4]:
             g.step(a)
-        with LocalTreeMCTS(
+        scheme = LocalTreeMCTS(
             RandomRolloutEvaluator(rng=0), num_workers=4, c_puct=1.5, rng=7
-        ) as scheme:
-            prior = scheme.get_action_prior(g, 400)
+        )
+        prior = scheme.get_action_prior(g, 400)
         assert int(np.argmax(prior)) == 2
 
     def test_blocks_loss(self):
         g = TicTacToe()
         for a in [0, 4, 1]:
             g.step(a)
-        with LocalTreeMCTS(
+        scheme = LocalTreeMCTS(
             RandomRolloutEvaluator(rng=1), num_workers=4, c_puct=1.5, rng=8
-        ) as scheme:
-            prior = scheme.get_action_prior(g, 800)
+        )
+        prior = scheme.get_action_prior(g, 800)
         assert int(np.argmax(prior)) == 2
 
 
 class TestMasterThreadOwnership:
     def test_tree_consistent_after_search(self):
-        with LocalTreeMCTS(UniformEvaluator(), num_workers=8, batch_size=4, rng=9) as s:
-            root = s.search(TicTacToe(), 300)
+        s = LocalTreeMCTS(UniformEvaluator(), num_workers=8, batch_size=4, rng=9)
+        root = s.search(TicTacToe(), 300)
         for node in root.iter_subtree():
             if node.children:
                 child_sum = sum(c.visit_count for c in node.children.values())
@@ -140,11 +140,11 @@ def c4_position() -> ConnectFour:
 
 
 def c4_prior(evaluator, n, b, vl="wu", backend="node", playouts=96) -> np.ndarray:
-    with LocalTreeMCTS(
+    scheme = LocalTreeMCTS(
         evaluator, num_workers=n, batch_size=b, vl_policy=VL_POLICIES[vl](),
         dirichlet_epsilon=0.25, rng=7, tree_backend=backend,
-    ) as scheme:
-        return scheme.get_action_prior(c4_position(), playouts)
+    )
+    return scheme.get_action_prior(c4_position(), playouts)
 
 
 def c4_net_evaluator() -> NetworkEvaluator:
@@ -230,8 +230,8 @@ class TestPipeOrder:
 
         monkeypatch.setattr(local_tree, "select_leaf", recording_select_leaf)
         spy = SpyEvaluator(selected)
-        with LocalTreeMCTS(spy, num_workers=n, batch_size=b, rng=0) as scheme:
-            root = scheme.search(TicTacToe(), self.PLAYOUTS)
+        scheme = LocalTreeMCTS(spy, num_workers=n, batch_size=b, rng=0)
+        root = scheme.search(TicTacToe(), self.PLAYOUTS)
         assert root.visit_count == self.PLAYOUTS
         leaves = self.PLAYOUTS - 1
         assert len(selected) == leaves
@@ -273,10 +273,10 @@ class TestEvaluatorErrors:
     @pytest.mark.parametrize("n,b", [(1, 1), (4, 2), (8, 4)])
     def test_error_raises_then_a_fresh_search_completes(self, n, b):
         evaluator = FailingEvaluator(k=3)
-        with LocalTreeMCTS(evaluator, num_workers=n, batch_size=b, rng=0) as scheme:
-            with pytest.raises(RuntimeError, match="evaluation 3 failed"):
-                scheme.search(TicTacToe(), 60)
-            root = scheme.search(TicTacToe(), 60)
+        scheme = LocalTreeMCTS(evaluator, num_workers=n, batch_size=b, rng=0)
+        with pytest.raises(RuntimeError, match="evaluation 3 failed"):
+            scheme.search(TicTacToe(), 60)
+        root = scheme.search(TicTacToe(), 60)
         assert root.visit_count == 60
         for node in root.iter_subtree():
             assert node.virtual_loss == pytest.approx(0.0)

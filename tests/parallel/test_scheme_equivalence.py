@@ -81,11 +81,7 @@ def test_scheme_matches_serial_visit_counts(game_name, scheme_name):
     evaluator = UniformEvaluator()
     expected = serial_reference(game, evaluator)
 
-    scheme = scheme_factories(evaluator)[scheme_name]()
-    try:
-        root = scheme.search(game.copy(), PLAYOUTS)
-    finally:
-        scheme.close()
+    root = scheme_factories(evaluator)[scheme_name]().search(game.copy(), PLAYOUTS)
     actual = root_visits(root, game.action_size)
     np.testing.assert_array_equal(
         actual, expected,
@@ -106,8 +102,8 @@ def test_one_leaf_in_flight_with_default_virtual_loss_matches_serial(
     game = make_games()[game_name]()
     evaluator = UniformEvaluator()
     expected = serial_reference(game, evaluator)
-    with scheme_cls(evaluator, num_workers=1, c_puct=C_PUCT, rng=0) as scheme:
-        root = scheme.search(game.copy(), PLAYOUTS)
+    scheme = scheme_cls(evaluator, num_workers=1, c_puct=C_PUCT, rng=0)
+    root = scheme.search(game.copy(), PLAYOUTS)
     np.testing.assert_array_equal(root_visits(root, game.action_size), expected)
 
 
@@ -122,11 +118,9 @@ def test_scheme_matches_serial_action_prior_with_network(scheme_name):
         game.copy(), PLAYOUTS
     )
 
-    scheme = scheme_factories(evaluator)[scheme_name]()
-    try:
-        prior = scheme.get_action_prior(game.copy(), PLAYOUTS)
-    finally:
-        scheme.close()
+    prior = scheme_factories(evaluator)[scheme_name]().get_action_prior(
+        game.copy(), PLAYOUTS
+    )
     np.testing.assert_allclose(prior, expected, atol=1e-12)
 
 

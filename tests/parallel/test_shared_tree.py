@@ -42,13 +42,13 @@ GAMES = {"tictactoe": TicTacToe, "connect4": c4_position}
 
 class TestBasics:
     def test_playout_budget_respected(self):
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=0) as scheme:
-            root = scheme.search(TicTacToe(), 120)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=0)
+        root = scheme.search(TicTacToe(), 120)
         assert root.visit_count == 120
 
     def test_prior_is_distribution(self):
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=1) as scheme:
-            prior = scheme.get_action_prior(TicTacToe(), 80)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=1)
+        prior = scheme.get_action_prior(TicTacToe(), 80)
         assert np.isclose(prior.sum(), 1.0)
 
     def test_scheme_name(self):
@@ -56,8 +56,8 @@ class TestBasics:
 
     def test_input_game_not_mutated(self):
         g = TicTacToe()
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=2) as scheme:
-            scheme.search(g, 60)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=2)
+        scheme.search(g, 60)
         assert g.cells.sum() == 0
 
     def test_invalid_args(self):
@@ -70,22 +70,22 @@ class TestBasics:
             scheme.search(TicTacToe(), 0)
 
     def test_single_worker_degenerates_gracefully(self):
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=1, rng=3) as scheme:
-            root = scheme.search(TicTacToe(), 50)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=1, rng=3)
+        root = scheme.search(TicTacToe(), 50)
         assert root.visit_count == 50
 
 
 class TestConcurrencyInvariants:
     def test_no_virtual_loss_residue(self):
         """Every descend must be matched by a backup, across all workers."""
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=8, rng=4) as scheme:
-            root = scheme.search(TicTacToe(), 200)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=8, rng=4)
+        root = scheme.search(TicTacToe(), 200)
         for node in root.iter_subtree():
             assert node.virtual_loss == pytest.approx(0.0)
 
     def test_visit_conservation(self):
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=8, rng=5) as scheme:
-            root = scheme.search(TicTacToe(), 300)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=8, rng=5)
+        root = scheme.search(TicTacToe(), 300)
         for node in root.iter_subtree():
             if node.children:
                 child_sum = sum(c.visit_count for c in node.children.values())
@@ -93,10 +93,10 @@ class TestConcurrencyInvariants:
                 assert node.visit_count >= child_sum
 
     def test_wu_uct_policy_works(self):
-        with SharedTreeMCTS(
+        scheme = SharedTreeMCTS(
             UniformEvaluator(), num_workers=4, vl_policy=WUVirtualLoss(), rng=6
-        ) as scheme:
-            root = scheme.search(TicTacToe(), 150)
+        )
+        root = scheme.search(TicTacToe(), 150)
         assert root.visit_count == 150
         for node in root.iter_subtree():
             assert node.virtual_loss == pytest.approx(0.0)
@@ -117,9 +117,9 @@ class TestConcurrencyInvariants:
                     raise RuntimeError("boom")
                 return super().evaluate(game)
 
-        with SharedTreeMCTS(AlwaysBoom(), num_workers=2, rng=7) as scheme:
-            with pytest.raises(RuntimeError, match="boom"):
-                scheme.search(TicTacToe(), 20)
+        scheme = SharedTreeMCTS(AlwaysBoom(), num_workers=2, rng=7)
+        with pytest.raises(RuntimeError, match="boom"):
+            scheme.search(TicTacToe(), 20)
 
 
 class TestLeafBatches:
@@ -130,8 +130,8 @@ class TestLeafBatches:
     @pytest.mark.parametrize("game_name", sorted(GAMES))
     def test_every_call_but_the_last_carries_n_rows(self, game_name, workers):
         evaluator = CountingEvaluator()
-        with SharedTreeMCTS(evaluator, num_workers=workers, rng=12) as scheme:
-            root = scheme.search(GAMES[game_name](), 97)
+        scheme = SharedTreeMCTS(evaluator, num_workers=workers, rng=12)
+        root = scheme.search(GAMES[game_name](), 97)
         assert root.visit_count == 97
         rows = evaluator.rows
         assert rows, "no leaf was evaluated"
@@ -150,10 +150,10 @@ class TestCrowdedPosition:
     @pytest.mark.parametrize("workers", [4, 8, 16])
     def test_budget_and_balance(self, workers, backend):
         evaluator = CountingEvaluator()
-        with SharedTreeMCTS(
+        scheme = SharedTreeMCTS(
             evaluator, num_workers=workers, rng=13, tree_backend=backend
-        ) as scheme:
-            root = scheme.search(crowded_tictactoe(), 64)
+        )
+        root = scheme.search(crowded_tictactoe(), 64)
         assert root.visit_count == 64
         assert all(r <= workers for r in evaluator.rows)
         for node in root.iter_subtree():
@@ -170,10 +170,10 @@ class TestVirtualLossBalance:
         "vl_policy", [ConstantVirtualLoss, WUVirtualLoss], ids=["constant", "wu"]
     )
     def test_no_residue_on_connect4(self, vl_policy, workers):
-        with SharedTreeMCTS(
+        scheme = SharedTreeMCTS(
             UniformEvaluator(), num_workers=workers, vl_policy=vl_policy(), rng=14
-        ) as scheme:
-            root = scheme.search(c4_position(), 160)
+        )
+        root = scheme.search(c4_position(), 160)
         assert root.visit_count == 160
         for node in root.iter_subtree():
             assert node.virtual_loss == pytest.approx(0.0)
@@ -184,20 +184,20 @@ class TestTacticalStrength:
         g = TicTacToe()
         for a in [0, 3, 1, 4]:
             g.step(a)
-        with SharedTreeMCTS(
+        scheme = SharedTreeMCTS(
             RandomRolloutEvaluator(rng=0), num_workers=4, c_puct=1.5, rng=8
-        ) as scheme:
-            prior = scheme.get_action_prior(g, 400)
+        )
+        prior = scheme.get_action_prior(g, 400)
         assert int(np.argmax(prior)) == 2
 
     def test_connect4_block(self):
         g = ConnectFour()
         for a in [3, 0, 3, 1, 3]:  # X threatens column 3; O must block
             g.step(a)
-        with SharedTreeMCTS(
+        scheme = SharedTreeMCTS(
             RandomRolloutEvaluator(rng=1), num_workers=4, c_puct=1.5, rng=9
-        ) as scheme:
-            prior = scheme.get_action_prior(g, 500)
+        )
+        prior = scheme.get_action_prior(g, 500)
         assert int(np.argmax(prior)) == 3
 
 
@@ -211,8 +211,8 @@ class TestAgainstSerial:
         serial = SerialMCTS(UniformEvaluator(), rng=10).get_action_prior(
             TicTacToe(), 400
         )
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=11) as scheme:
-            parallel = scheme.get_action_prior(TicTacToe(), 400)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=11)
+        parallel = scheme.get_action_prior(TicTacToe(), 400)
         # total variation distance should be modest
         tv = 0.5 * np.abs(serial - parallel).sum()
         assert tv < 0.25

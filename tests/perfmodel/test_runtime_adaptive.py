@@ -24,7 +24,6 @@ class TestAutoSwitchingScheme:
             prior = scheme.get_action_prior(g, 50)
             assert np.isclose(prior.sum(), 1.0)
             g.step(int(np.argmax(prior)))
-        scheme.close()
         assert scheme.decisions  # at least the initial selection
 
     def test_initial_decision_recorded(self):
@@ -32,7 +31,6 @@ class TestAutoSwitchingScheme:
             UniformEvaluator(), PLAT, num_workers=8, profile_playouts=40, rng=1
         )
         scheme.get_action_prior(TicTacToe(), 30)
-        scheme.close()
         move, name, batch = scheme.decisions[0]
         assert move == 0
         assert name in ("shared_tree", "local_tree")
@@ -48,7 +46,6 @@ class TestAutoSwitchingScheme:
             g.step(int(np.argmax(prior)))
             if g.is_terminal:
                 break
-        scheme.close()
         # decisions only ever appended on change; cadence respected means
         # no more decisions than ceil(moves / reprofile_every) + 1
         assert len(scheme.decisions) <= 3
@@ -60,7 +57,6 @@ class TestAutoSwitchingScheme:
         scheme.get_action_prior(TicTacToe(), 20)
         assert scheme.active_config is not None
         assert scheme.active_config.num_workers == 16
-        scheme.close()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -86,7 +82,6 @@ class TestDecisionLog:
         assert scheme.active_config.scheme.value == "shared_tree"
         assert scheme.decisions == [(0, "shared_tree", 64)]
         assert scheme._active.batch_size == 64
-        scheme.close()
 
     @pytest.mark.parametrize(
         "num_workers,use_gpu,expected",
@@ -100,7 +95,6 @@ class TestDecisionLog:
         scheme.get_action_prior(TicTacToe(), 20)
         assert scheme.decisions == [(0, "local_tree", expected)]
         assert scheme._active.batch_size == expected
-        scheme.close()
 
 
 class TestAcceleratorPresets:

@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.games import TicTacToe
-from repro.mcts import SerialMCTS, UniformEvaluator
-from repro.mcts.budget import SearchBudget, active_budget_snapshot
+from repro.mcts import UniformEvaluator
 from repro.serving import BusEvaluator, EvaluationBus, MatchGateway
 from repro.serving.evalbus import BusClosed
 from repro.utils.clock import WallClock
@@ -344,31 +343,6 @@ class TestOneBatchInFlight:
         assert [len(b) for b in rec.batches] == [2, 1]
         assert bus.stats().inline_flushes == 1
         bus.close()
-
-class TestBudgetSeam:
-    def test_budget_seam_publishes_inside_search(self):
-        """SerialMCTS under a deadline budget publishes its clock to the
-        evaluator seam; the probe sees a live remaining_ms."""
-        seen: list = []
-
-        class Probe(UniformEvaluator):
-            def evaluate(self, game):
-                seen.append(active_budget_snapshot())
-                return super().evaluate(game)
-
-        agent = SerialMCTS(Probe(), rng=0)
-        agent.search(
-            TicTacToe(),
-            SearchBudget(num_playouts=8, time_budget_ms=10_000.0),
-        )
-        assert seen, "no leaf evaluations happened"
-        assert all(s is not None for s in seen)
-        assert all(0.0 < s.remaining_ms <= 10_000.0 for s in seen)
-        # count-only budgets publish nothing: no urgency to report
-        seen.clear()
-        agent.search(TicTacToe(), 8)
-        assert seen and all(s is None for s in seen)
-
 
 class TestGatewayWiring:
     def test_thread_backend_defaults_bus_on(self):

@@ -133,8 +133,8 @@ class TestNotPinned:
     def test_local_tree_workers_keep_the_full_mask(self):
         full = _mask()
         evaluator = MaskRecordingEvaluator()
-        with LocalTreeMCTS(evaluator, num_workers=2, batch_size=2, rng=0) as scheme:
-            scheme.get_action_prior(TicTacToe(), 40)
+        scheme = LocalTreeMCTS(evaluator, num_workers=2, batch_size=2, rng=0)
+        scheme.get_action_prior(TicTacToe(), 40)
         assert evaluator.log.masks == {full}
 
     @pytest.mark.parametrize("evalbus", [True, False])

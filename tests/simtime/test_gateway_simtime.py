@@ -22,7 +22,6 @@ import asyncio
 import pytest
 
 from repro.mcts import UniformEvaluator
-from repro.mcts.budget import active_budget_snapshot
 from repro.serving import (
     GatewayOverloaded,
     InlineExecutor,
@@ -235,14 +234,8 @@ class TestDeadlineArming:
         100 ms deadline, and an exhausted one still gets the 1 ms floor."""
         clock = VirtualClock()
         seen: list[float] = []
-
-        class Recording(UniformEvaluator):
-            def evaluate(self, game):
-                seen.append(active_budget_snapshot().remaining_ms)
-                return super().evaluate(game)
-
         gw = MatchGateway(
-            Recording(),
+            UniformEvaluator(),
             workers=1,
             deadline_ms=100.0,
             num_playouts=4,
@@ -255,10 +248,18 @@ class TestDeadlineArming:
         async def main():
             async with gw:
                 session = await gw.create_session("tictactoe")
+                agent = gw._sessions[session].agent
+                search = agent.search
+
+                def recording_search(game, budget):
+                    seen.append(budget.time_budget_ms)
+                    return search(game, budget)
+
+                agent.search = recording_search
                 return await gw.play_move(session)
 
         reply = clock.run(main())
-        assert seen[0] == pytest.approx(remaining_ms)
+        assert seen == [pytest.approx(remaining_ms)]
         assert reply.latency_ms == pytest.approx(hand_off_ms)
 
 

@@ -65,8 +65,8 @@ class TestEpisodeStructure:
 class TestSchemeInterchangeability:
     def test_parallel_scheme_plugs_in(self):
         """Algorithm 1's flag-switched schemes: any ParallelScheme works."""
-        with SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=0) as scheme:
-            result = play_episode(TicTacToe(), scheme, num_playouts=40, rng=1)
+        scheme = SharedTreeMCTS(UniformEvaluator(), num_workers=4, rng=0)
+        result = play_episode(TicTacToe(), scheme, num_playouts=40, rng=1)
         assert result.moves > 0
         assert len(result.examples) == result.moves
 
