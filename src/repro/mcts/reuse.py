@@ -84,7 +84,10 @@ class TreeReuseMCTS(SerialMCTS):
         """Resume the kept root.  The budget counts *total* root visits,
         so a warm tree needs fewer fresh playouts for the same
         statistics; with a deadline, a warm tree still gets at least one
-        fresh playout."""
+        fresh playout.  The kept root sets its own count target, so a
+        clock from outside is refused."""
+        if clock is not None:
+            raise ValueError("tree reuse sets its own budget target; pass no clock")
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         if self._root is None:
@@ -92,9 +95,7 @@ class TreeReuseMCTS(SerialMCTS):
         root = self._root
         self.reused_visits += root.visit_count
         self.searches += 1
-        if clock is None:
-            needed = None
-            if budget.num_playouts is not None:
-                needed = max(1, budget.num_playouts - root.visit_count)
-            clock = budget.start(target=needed)
-        return root, clock
+        needed = None
+        if budget.num_playouts is not None:
+            needed = max(1, budget.num_playouts - root.visit_count)
+        return root, budget.start(target=needed)

@@ -7,9 +7,9 @@ visit distribution.
 
 The search is written once, as a program (:meth:`SerialMCTS.search_program`)
 that yields each leaf it needs evaluated; :meth:`SerialMCTS.search` runs it
-inline, tree reuse resumes it over a kept root, and the leaf- and
-root-parallel baselines and the gateway's search master step it with
-their own evaluation schedules.
+inline, tree reuse resumes it over a kept root, leaf-parallel runs it
+inline through a same-leaf batch evaluator, and root-parallel and the
+gateway's search master step it with their own evaluation schedules.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.mcts.search import (
 )
 from repro.utils.rng import new_rng
 
-__all__ = ["PhaseTime", "SearchStats", "SerialMCTS", "run_inline"]
+__all__ = ["PhaseTime", "SearchStats", "SerialMCTS"]
 
 
 @dataclass(frozen=True)
@@ -127,26 +127,16 @@ class SerialMCTS:
         self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         self.stats = SearchStats()
 
-    def search(
-        self,
-        game: Game,
-        num_playouts: "int | SearchBudget",
-        *,
-        clock: BudgetClock | None = None,
-    ) -> Node:
+    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
         """Run budgeted playouts from *game*'s state; returns the root.
 
         *num_playouts* is either the historic playout count or a
         :class:`~repro.mcts.budget.SearchBudget` (count and/or wall-clock
-        deadline, whichever binds first).  *clock* lets a composing
-        scheme (root-parallel) share one absolute deadline across
-        sub-searches; when given it overrides the budget's own bounds.
-        Runs :meth:`search_program` inline, each leaf through
-        ``evaluator.evaluate``.
+        deadline, whichever binds first).  Runs :meth:`search_program`
+        inline, each leaf through ``evaluator.evaluate``.
         """
-        return run_inline(
-            self.search_program(game, num_playouts, clock=clock),
-            self.evaluator.evaluate,
+        return _run_inline(
+            self.search_program(game, num_playouts), self.evaluator.evaluate
         )
 
     def search_program(
@@ -158,7 +148,10 @@ class SerialMCTS:
     ) -> Generator[Game, Evaluation, Node]:
         """The search as a generator: it yields each non-terminal leaf's
         state, is sent that leaf's :class:`Evaluation`, and returns the
-        root.  Nothing happens until the driver first steps it."""
+        root.  Nothing happens until the driver first steps it.  *clock*
+        lets a composing scheme (root-parallel) share one absolute
+        deadline across sub-searches; when given it overrides the
+        budget's own bounds."""
         root, clock = self._start(game, as_budget(num_playouts), clock)
         stats = self.stats
         first = True
@@ -212,7 +205,7 @@ class SerialMCTS:
         return make_root(self.tree_backend, capacity_hint(game.action_size, cap)), clock
 
 
-def run_inline(
+def _run_inline(
     program: Generator[Game, Evaluation, Node],
     evaluate: Callable[[Game], Evaluation],
 ) -> Node:

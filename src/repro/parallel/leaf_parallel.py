@@ -8,7 +8,10 @@ related-work comparison benchmarks.
 
 The tree search is :class:`~repro.mcts.serial.SerialMCTS`'s search
 program; the N evaluations of each leaf go to the evaluator as one
-``evaluate_batch`` of N copies, on the caller's thread.
+``evaluate_batch`` of N copies, on the caller's thread.  The fused
+network plan can return a batched row that differs from a lone one in the
+last float32 bits, so under a network evaluator the averaged value
+matches N separate evaluations only to that rounding.
 """
 
 from __future__ import annotations
@@ -16,15 +19,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.backend import TreeBackend, resolve_backend
+from repro.mcts.backend import TreeBackend
 from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import Evaluation, Evaluator
 from repro.mcts.node import Node
-from repro.mcts.serial import SerialMCTS, run_inline
+from repro.mcts.serial import SerialMCTS
 from repro.parallel.base import ParallelScheme, SchemeName
-from repro.utils.rng import new_rng
 
 __all__ = ["LeafParallelMCTS"]
+
+
+class _SameLeafEvaluator(Evaluator):
+    """Evaluates N copies of a leaf as one batch and averages them."""
+
+    def __init__(self, evaluator: Evaluator, copies: int) -> None:
+        self.evaluator = evaluator
+        self.copies = copies
+
+    def evaluate(self, game: Game) -> Evaluation:
+        evaluations = self.evaluator.evaluate_batch([game] * self.copies)
+        # priors averaged as well (identical for deterministic nets)
+        return Evaluation(
+            priors=np.mean([ev.priors for ev in evaluations], axis=0),
+            value=float(np.mean([ev.value for ev in evaluations])),
+        )
 
 
 class LeafParallelMCTS(ParallelScheme):
@@ -51,33 +69,17 @@ class LeafParallelMCTS(ParallelScheme):
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if c_puct <= 0:
-            raise ValueError("c_puct must be positive")
         self.evaluator = evaluator
         self.num_workers = num_workers
-        self.c_puct = c_puct
-        self.dirichlet_alpha = dirichlet_alpha
-        self.dirichlet_epsilon = dirichlet_epsilon
-        self.rng = new_rng(rng)
-        self.tree_backend = resolve_backend(tree_backend)
+        self._serial = SerialMCTS(
+            _SameLeafEvaluator(evaluator, num_workers),
+            c_puct=c_puct,
+            dirichlet_alpha=dirichlet_alpha,
+            dirichlet_epsilon=dirichlet_epsilon,
+            rng=rng,
+            tree_backend=tree_backend,
+        )
+        self.tree_backend = self._serial.tree_backend
 
     def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
-        serial = SerialMCTS(
-            self.evaluator,
-            c_puct=self.c_puct,
-            dirichlet_alpha=self.dirichlet_alpha,
-            dirichlet_epsilon=self.dirichlet_epsilon,
-            rng=self.rng,
-            tree_backend=self.tree_backend,
-        )
-        return run_inline(
-            serial.search_program(game, num_playouts), self._evaluate_copies
-        )
-
-    def _evaluate_copies(self, game: Game) -> Evaluation:
-        evaluations = self.evaluator.evaluate_batch([game] * self.num_workers)
-        # priors averaged as well (identical for deterministic nets)
-        return Evaluation(
-            priors=np.mean([ev.priors for ev in evaluations], axis=0),
-            value=float(np.mean([ev.value for ev in evaluations])),
-        )
+        return self._serial.search(game, num_playouts)

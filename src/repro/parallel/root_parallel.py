@@ -8,8 +8,12 @@ multiple workers visit repetitive states".
 Each worker is a :class:`~repro.mcts.serial.SerialMCTS` search program.
 The caller's thread steps them round-robin: every live worker advances
 to its next leaf, and the round's leaves go to the evaluator as one
-``evaluate_batch``.  The workers' trees are independent, so the
-interleaving changes no worker's search.
+``evaluate_batch``.  The workers' trees are independent, so with an
+evaluator whose rows do not depend on the batch they arrive in, each
+worker's search equals a serial search run alone.  The fused network
+plan's rows can differ with the batch in the last float32 bits, so under
+:class:`~repro.mcts.evaluation.NetworkEvaluator` the value sums match
+only to that rounding (and a near-tie in visits could turn).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.games import TicTacToe
+from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
 from repro.mcts.search import action_prior_from_root
@@ -137,3 +138,12 @@ class TestSearchProgram:
         next(program)
         assert agent.searches == 1 and agent._root is not None
         program.close()
+
+    def test_program_refuses_an_outside_clock(self):
+        """The kept root sets the count target (total root visits), so a
+        clock from outside, which would drop that rule, is refused."""
+        agent = TreeReuseMCTS(UniformEvaluator(), rng=0)
+        clock = SearchBudget(num_playouts=8).start()
+        with pytest.raises(ValueError, match="pass no clock"):
+            next(agent.search_program(TicTacToe(), 8, clock=clock))
+        assert agent.searches == 0 and agent._root is None

@@ -5,10 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.games import ConnectFour, TicTacToe
+from repro.games import ConnectFour, TicTacToe, build_network_for
 from repro.mcts.evaluation import (
     Evaluation,
     Evaluator,
+    NetworkEvaluator,
     RandomRolloutEvaluator,
     UniformEvaluator,
 )
@@ -95,6 +96,11 @@ class TestLeafParallel:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             LeafParallelMCTS(UniformEvaluator(), num_workers=0)
+
+    @pytest.mark.parametrize("kwargs", [{"dirichlet_epsilon": 1.5}, {"c_puct": 0.0}])
+    def test_invalid_search_settings_fail_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            LeafParallelMCTS(UniformEvaluator(), **kwargs)
 
 
 class TestRootParallel:
@@ -215,3 +221,23 @@ class TestRootParallelIsSerialSearches:
             assert merged.children[action].visit_count == child.visit_count
             assert merged.children[action].value_sum == child.value_sum
             assert merged.children[action].prior == child.prior
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_network_evaluator_matches_serial_searches_to_rounding(self, n):
+        """Under the fused network plan a row can differ with the batch it
+        arrives in, in the last float32 bits: the round batches keep every
+        worker's visit counts and move its value sums only by rounding."""
+        game = ConnectFour()
+        evaluator = NetworkEvaluator(build_network_for(game, channels=(8, 16, 16), rng=5))
+        scheme = RootParallelMCTS(evaluator, num_workers=n, rng=11)
+        scheme.search(game.copy(), 96)
+        expected = [
+            SerialMCTS(evaluator, rng=rng).search(game.copy(), 96 // n)
+            for rng in spawn_rngs(np.random.default_rng(11), n)
+        ]
+        for root, want in zip(scheme.last_roots, expected):
+            assert root.visit_count == want.visit_count
+            for action, child in want.children.items():
+                got = root.children[action]
+                assert got.visit_count == child.visit_count
+                np.testing.assert_allclose(got.value_sum, child.value_sum, atol=1e-5)
