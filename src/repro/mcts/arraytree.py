@@ -17,10 +17,23 @@ Virtual-loss policies score a slab through
 :meth:`~repro.mcts.virtual_loss.VirtualLossPolicy.effective_stats_arrays`;
 under :class:`~repro.mcts.virtual_loss.NoVirtualLoss` (serial search,
 the hottest caller) :meth:`ArrayTree.select_to_leaf` instead runs an
-inlined descent over the raw columns, with no policy calls and no
+inlined descent over two cached columns, with no policy calls and no
 virtual-loss reads.  Both forms take Q as ``value_sum / max(N, 1)``,
 which is bitwise the masked ``N > 0 ? W / N : 0`` because an unvisited
 row's ``value_sum`` is exactly ``0.0``.
+
+Cached columns: on every allocated row, ``q == value_sum / max(N, 1)``
+and ``n1 == 1.0 + N`` (float64), bit for bit.  :meth:`ArrayTree.backup`
+and the :class:`ArrayNodeView` ``visit_count`` / ``value_sum`` setters
+keep them in step, and the allocating calls set ``n1`` to ``1.0``; code
+that writes ``visit_count`` or ``value_sum`` directly must update both.
+
+Recycled storage: :meth:`ArrayTree.take` hands out this thread's spare
+tree when it is big enough, and :meth:`ArrayTree.give_back` empties a
+tree and keeps it as the spare.  Only
+:meth:`repro.mcts.serial.SerialMCTS.get_action_prior`, whose root never
+leaves the call, gives a tree back, so at most one emptied tree is
+retained per thread that called it.
 
 Sign convention (carried over from :mod:`repro.mcts.node`, important!):
 ``value_sum`` / Q are from the perspective of **the player who moved into
@@ -44,6 +57,7 @@ own tree) -- so allocation, growth and statistics updates take no lock.
 from __future__ import annotations
 
 import math
+import threading
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -60,18 +74,57 @@ _NO_VL = NoVirtualLoss()
 #: row id meaning "no parent" (the root) in the ``parent`` array
 NO_PARENT = -1
 
-#: per-node statistic columns copied verbatim by :meth:`ArrayTree.extract_subtree`
-#: (structure columns -- ``parent``/``child_start``/``child_count`` -- are
-#: rebuilt for the destination layout instead)
-_NODE_COLUMNS = (
-    "action",
-    "prior",
+#: Every per-row column as ``(name, dtype, fill)``, where *fill* is the
+#: value of a row no call has written.  This one table allocates, grows,
+#: copies (:meth:`ArrayTree.extract_subtree`) and empties
+#: (:meth:`ArrayTree.reset`) the tree.  ``q`` and ``n1`` are derived
+#: caches of ``value_sum / max(N, 1)`` and ``1.0 + N`` (module docstring).
+_COLUMNS = (
+    ("parent", np.int64, NO_PARENT),
+    ("action", np.int64, -1),
+    ("prior", np.float64, 0.0),
+    ("visit_count", np.int64, 0),
+    ("value_sum", np.float64, 0.0),
+    ("q", np.float64, 0.0),
+    ("n1", np.float64, 0.0),
+    ("virtual_loss", np.float64, 0.0),
+    ("terminal_value", np.float64, 0.0),
+    ("is_terminal_flag", np.bool_, False),
+    ("child_start", np.int64, 0),
+    ("child_count", np.int64, 0),
+)
+
+#: columns :meth:`ArrayTree.extract_subtree` rebuilds for the destination
+#: layout instead of copying
+_STRUCTURE = ("parent", "child_start", "child_count")
+
+#: columns whose non-zero entries mark a row that :meth:`ArrayTree.reset`
+#: must return to its fills; every other column of a row either follows
+#: from these (``q``, ``terminal_value``, ``child_start``) or is written by
+#: the call that allocates the row (``parent``, ``action``, ``prior``,
+#: ``n1``).  ``value_sum`` is here because a view setter can write it on
+#: an unvisited row.
+_DIRTY_MARKS = (
     "visit_count",
     "value_sum",
     "virtual_loss",
-    "terminal_value",
     "is_terminal_flag",
+    "child_count",
 )
+
+
+def _new_column(dtype: type, fill: object, n: int) -> np.ndarray:
+    # np.zeros leaves its pages unmapped until written; np.full writes all
+    return np.full(n, fill, dtype=dtype) if fill else np.zeros(n, dtype=dtype)
+
+
+class _Spare(threading.local):
+    """One emptied tree per thread, for :meth:`ArrayTree.take`."""
+
+    tree: "ArrayTree | None" = None
+
+
+_spare = _Spare()
 
 
 class ArrayTree:
@@ -88,16 +141,44 @@ class ArrayTree:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
         self.size = 0
-        self.parent = np.full(capacity, NO_PARENT, dtype=np.int64)
-        self.action = np.full(capacity, -1, dtype=np.int64)
-        self.prior = np.zeros(capacity, dtype=np.float64)
-        self.visit_count = np.zeros(capacity, dtype=np.int64)
-        self.value_sum = np.zeros(capacity, dtype=np.float64)
-        self.virtual_loss = np.zeros(capacity, dtype=np.float64)
-        self.terminal_value = np.zeros(capacity, dtype=np.float64)
-        self.is_terminal_flag = np.zeros(capacity, dtype=bool)
-        self.child_start = np.zeros(capacity, dtype=np.int64)
-        self.child_count = np.zeros(capacity, dtype=np.int64)
+        for name, dtype, fill in _COLUMNS:
+            setattr(self, name, _new_column(dtype, fill, capacity))
+
+    # -- storage recycling ---------------------------------------------------
+    @classmethod
+    def take(cls, capacity: int) -> "ArrayTree":
+        """An empty tree of at least *capacity* rows: this thread's spare
+        when it is big enough, else a fresh one.  The slot is emptied
+        either way, so the caller owns what it gets."""
+        tree, _spare.tree = _spare.tree, None
+        if tree is None or tree._capacity < capacity:
+            return cls(capacity)
+        return tree
+
+    def give_back(self) -> None:
+        """Empty this tree and keep it as this thread's spare (replacing
+        any other).  Only for a tree no one else holds a row of."""
+        self.reset()
+        _spare.tree = self
+
+    def reset(self) -> None:
+        """Empty the tree in place, keeping its storage.
+
+        Returns each column to its fill on every row that a
+        :data:`_DIRTY_MARKS` column marks, writing only entries that
+        differ from the fill, so pages a search never wrote stay unmapped.
+        Rows left unmarked hold only what the next allocation of the row
+        writes.
+        """
+        n = self.size
+        dirty = np.zeros(n, dtype=bool)
+        for name in _DIRTY_MARKS:
+            dirty |= getattr(self, name)[:n] != 0
+        rows = np.flatnonzero(dirty)
+        for name, _, fill in _COLUMNS:
+            column = getattr(self, name)
+            column[rows[column[rows] != fill]] = fill
+        self.size = 0
 
     # -- allocation ----------------------------------------------------------
     def _grow_to(self, needed: int) -> None:
@@ -105,21 +186,9 @@ class ArrayTree:
         new_cap = self._capacity
         while new_cap < needed:
             new_cap *= 2
-        for name, fill in (
-            ("parent", NO_PARENT),
-            ("action", -1),
-            ("prior", 0.0),
-            ("visit_count", 0),
-            ("value_sum", 0.0),
-            ("virtual_loss", 0.0),
-            ("terminal_value", 0.0),
-            ("is_terminal_flag", False),
-            ("child_start", 0),
-            ("child_count", 0),
-        ):
-            old = getattr(self, name)
-            fresh = np.full(new_cap, fill, dtype=old.dtype)
-            fresh[: self.size] = old[: self.size]
+        for name, dtype, fill in _COLUMNS:
+            fresh = _new_column(dtype, fill, new_cap)
+            fresh[: self.size] = getattr(self, name)[: self.size]
             setattr(self, name, fresh)
         self._capacity = new_cap
 
@@ -134,7 +203,10 @@ class ArrayTree:
     def new_root(self, prior: float = 1.0) -> int:
         """Allocate a fresh root row (mirrors ``Node()``)."""
         idx = self._alloc(1)
+        self.parent[idx] = NO_PARENT
+        self.action[idx] = -1
         self.prior[idx] = prior
+        self.n1[idx] = 1.0
         return idx
 
     # -- structure -----------------------------------------------------------
@@ -177,7 +249,8 @@ class ArrayTree:
         """
         new = ArrayTree(capacity=max(256, int(self.child_count[idx]) + 1))
         new._alloc(1)
-        for column in _NODE_COLUMNS:
+        copied = [name for name, _, _ in _COLUMNS if name not in _STRUCTURE]
+        for column in copied:
             getattr(new, column)[0] = getattr(self, column)[idx]
         new.parent[0] = NO_PARENT
         new.action[0] = -1
@@ -190,7 +263,7 @@ class ArrayTree:
                 continue
             old_start = int(self.child_start[old_row])
             new_start = new._alloc(k)
-            for column in _NODE_COLUMNS:
+            for column in copied:
                 getattr(new, column)[new_start : new_start + k] = getattr(
                     self, column
                 )[old_start : old_start + k]
@@ -221,6 +294,7 @@ class ArrayTree:
         self.parent[sl] = idx
         self.action[sl] = actions
         self.prior[sl] = priors
+        self.n1[sl] = 1.0
         self.child_start[idx] = start
         self.child_count[idx] = k
 
@@ -308,24 +382,33 @@ class ArrayTree:
         """:meth:`select_to_leaf` under :class:`NoVirtualLoss`, inlined.
 
         Equation 1 with no virtual-loss terms: the parent total is
-        ``max(N - 1, 0)`` floored at 1 and the child stats are the raw
-        columns, so this performs the same float64 operations in the same
-        order as :meth:`_child_scores` -- bit-identical scores -- without
-        the policy calls and the virtual-loss reads.  Skipping the parent's
-        virtual-loss counter is exact because a tree searched under this
-        policy never carries any (its ``descend_amount`` is 0).
+        ``max(N - 1, 0)`` floored at 1 and the child stats are the cached
+        ``q`` and ``n1`` columns, so this performs the same float64
+        operations in the same order as :meth:`_child_scores` --
+        bit-identical scores, the final ``q +`` commuted -- in four
+        in-place array operations per level, without the policy calls and
+        the virtual-loss reads.  Skipping the parent's virtual-loss
+        counter is exact because a tree searched under this policy never
+        carries any (its ``descend_amount`` is 0).
         """
+        child_start = self.child_start
+        child_count = self.child_count
+        is_terminal_flag = self.is_terminal_flag
+        visit_count = self.visit_count
+        action = self.action
+        prior = self.prior
+        q = self.q
+        n1 = self.n1
         depth = 0
-        while self.child_count[node] != 0 and not self.is_terminal_flag[node]:
-            start = int(self.child_start[node])
-            sl = slice(start, start + int(self.child_count[node]))
-            n = self.visit_count[sl]
-            sqrt_parent = math.sqrt(max(int(self.visit_count[node]) - 1, 1))
-            scores = self.value_sum[sl] / np.maximum(n, 1) + (
-                c_puct * self.prior[sl] * sqrt_parent / (1.0 + n)
-            )
+        while child_count.item(node) and not is_terminal_flag.item(node):
+            start = child_start.item(node)
+            sl = slice(start, start + child_count.item(node))
+            scores = c_puct * prior[sl]
+            scores *= math.sqrt(max(visit_count.item(node) - 1, 1))
+            scores /= n1[sl]
+            scores += q[sl]
             node = start + int(scores.argmax())
-            game.step(int(self.action[node]))
+            game.step(action.item(node))
             depth += 1
             if game.is_terminal:
                 self.mark_terminal(node, game.terminal_value)
@@ -368,13 +451,19 @@ class ArrayTree:
         amount = vl.descend_amount if revert_virtual_loss else 0.0
         visit_count = self.visit_count
         value_sum = self.value_sum
+        q = self.q
+        n1 = self.n1
         virtual_loss = self.virtual_loss
         parent = self.parent
         node = idx
-        v = value
+        v = float(value)
         while node != NO_PARENT:
-            visit_count[node] += 1
-            value_sum[node] += -v
+            n = visit_count.item(node) + 1
+            w = value_sum.item(node) + -v
+            visit_count[node] = n
+            value_sum[node] = w
+            q[node] = w / n
+            n1[node] = 1.0 + n
             if amount:
                 residue = virtual_loss[node] - amount
                 if residue < -1e-9:
@@ -383,7 +472,7 @@ class ArrayTree:
                     )
                 virtual_loss[node] = residue
             v = -v
-            node = int(parent[node])
+            node = parent.item(node)
 
     # -- root utilities ------------------------------------------------------
     def add_dirichlet_noise(
@@ -499,7 +588,10 @@ class ArrayNodeView:
 
     @visit_count.setter
     def visit_count(self, value: int) -> None:
-        self.tree.visit_count[self.index] = value
+        tree, i = self.tree, self.index
+        tree.visit_count[i] = value
+        tree.q[i] = tree.value_sum[i] / max(int(value), 1)
+        tree.n1[i] = 1.0 + int(value)
 
     @property
     def value_sum(self) -> float:
@@ -507,7 +599,9 @@ class ArrayNodeView:
 
     @value_sum.setter
     def value_sum(self, value: float) -> None:
-        self.tree.value_sum[self.index] = value
+        tree, i = self.tree, self.index
+        tree.value_sum[i] = value
+        tree.q[i] = tree.value_sum[i] / max(int(tree.visit_count[i]), 1)
 
     @property
     def virtual_loss(self) -> float:

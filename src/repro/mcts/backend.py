@@ -59,12 +59,14 @@ def make_root(
     """A fresh search root on the requested backend.
 
     *capacity* is the array backend's initial row allocation (a hint --
-    the tree grows by doubling; the ``Node`` backend ignores it).
+    the tree grows by doubling; the ``Node`` backend ignores it).  The
+    array backend takes this thread's spare tree when it is big enough
+    (:meth:`ArrayTree.take`).
     """
     resolved = resolve_backend(backend)
     if resolved is TreeBackend.NODE:
         return Node()
-    tree = ArrayTree(capacity)
+    tree = ArrayTree.take(capacity)
     return ArrayNodeView(tree, tree.new_root())
 
 

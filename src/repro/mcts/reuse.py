@@ -20,6 +20,7 @@ from repro.mcts.backend import TreeBackend, make_root
 from repro.mcts.budget import BudgetClock, SearchBudget
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
+from repro.mcts.search import action_prior_from_root
 from repro.mcts.serial import SerialMCTS
 
 __all__ = ["TreeReuseMCTS"]
@@ -77,6 +78,14 @@ class TreeReuseMCTS(SerialMCTS):
             child.parent = None  # detach: the rest of the tree is garbage
             child.action = -1
         self._root = child
+
+    def get_action_prior(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> np.ndarray:
+        """Normalised root visit counts; the kept tree is never given
+        back, because the next move resumes it."""
+        root = self.search(game, num_playouts)
+        return action_prior_from_root(root, game.action_size)
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None

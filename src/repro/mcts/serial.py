@@ -21,6 +21,7 @@ from typing import Callable, Generator
 import numpy as np
 
 from repro.games.base import Game
+from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
 from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluation, Evaluator
@@ -187,9 +188,16 @@ class SerialMCTS:
     def get_action_prior(
         self, game: Game, num_playouts: "int | SearchBudget"
     ) -> np.ndarray:
-        """The paper's ``get_action_prior``: normalised root visit counts."""
+        """The paper's ``get_action_prior``: normalised root visit counts.
+
+        The root never leaves this call, so an array tree goes back to
+        this thread's spare once the prior is read, and the next search
+        on the thread reuses its storage."""
         root = self.search(game, num_playouts)
-        return action_prior_from_root(root, game.action_size)
+        prior = action_prior_from_root(root, game.action_size)
+        if isinstance(root, ArrayNodeView):
+            root.tree.give_back()
+        return prior
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None

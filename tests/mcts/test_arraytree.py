@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.games import TicTacToe
+from repro.games import Gomoku, TicTacToe
 from repro.mcts.arraytree import ArrayNodeView, ArrayTree
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
-from repro.mcts.evaluation import UniformEvaluator
+from repro.mcts.evaluation import Evaluation, Evaluator, UniformEvaluator
 from repro.mcts.node import Node
-from repro.mcts.search import backup, expand
+from repro.mcts.search import add_dirichlet_noise, backup, expand, select_leaf
 from repro.mcts.uct import select_child, uct_scores
 from repro.mcts.virtual_loss import ConstantVirtualLoss, NoVirtualLoss
 
@@ -238,3 +240,93 @@ class TestBackendSeam:
     def test_capacity_hint_bounds(self):
         assert capacity_hint(9, 100) == 901
         assert capacity_hint(225, 10**9) == 1 << 20  # capped
+
+
+class _RandomEvaluator(Evaluator):
+    """Random legal priors and values from one seeded stream."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+
+    def evaluate(self, game):
+        mask = game.legal_mask()
+        priors = np.where(mask, self.rng.random(mask.shape), 0.0)
+        return Evaluation(priors / priors.sum(), float(self.rng.uniform(-1, 1)))
+
+
+def _playouts(root, game, evaluator, count, rng):
+    """*count* serial playouts from *root*, Dirichlet noise after the first."""
+    for i in range(count):
+        leaf, leaf_game, _ = select_leaf(root, game.copy(), 5.0, apply_virtual_loss=False)
+        if leaf.is_terminal:
+            value = leaf.terminal_value
+        else:
+            value = expand(leaf, leaf_game, evaluator.evaluate(leaf_game))
+        backup(leaf, value)
+        if i == 0 and not root.is_leaf:
+            add_dirichlet_noise(root, rng, 0.3, 0.25)
+
+
+def _assert_cached_columns(tree: ArrayTree) -> None:
+    """``q == value_sum / max(N, 1)`` and ``n1 == 1 + N``, bitwise, on
+    every allocated row."""
+    n = tree.size
+    visits = tree.visit_count[:n]
+    expected_q = tree.value_sum[:n] / np.maximum(visits, 1)
+    np.testing.assert_array_equal(tree.q[:n].view(np.uint64), expected_q.view(np.uint64))
+    np.testing.assert_array_equal(
+        tree.n1[:n].view(np.uint64), (1.0 + visits).view(np.uint64)
+    )
+
+
+CACHED_GAMES = {"tictactoe": TicTacToe, "gomoku9": lambda: Gomoku(9, 5)}
+
+
+class TestCachedColumns:
+    @given(
+        game_name=st.sampled_from(sorted(CACHED_GAMES)),
+        seed=st.integers(0, 2**16),
+        playouts=st.integers(1, 40),
+        capacity=st.integers(1, 64),
+        writes=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.none() | st.integers(0, 30),
+                st.none() | st.floats(-30.0, 30.0, allow_subnormal=False),
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_q_and_n1_stay_in_step(self, game_name, seed, playouts, capacity, writes):
+        """Random playouts (with root noise, growth past *capacity*, view
+        writes and a subtree extraction) keep both cached columns exact."""
+        game = CACHED_GAMES[game_name]()
+        rng = np.random.default_rng(seed)
+        evaluator = _RandomEvaluator(seed)
+        tree = ArrayTree(capacity)
+        root = ArrayNodeView(tree, tree.new_root())
+        _playouts(root, game, evaluator, playouts, rng)
+        _assert_cached_columns(tree)
+
+        for pick, visits, value in writes:
+            view = ArrayNodeView(tree, pick % tree.size)
+            if visits is not None:
+                view.visit_count = visits
+            if value is not None:
+                view.value_sum = value
+        _assert_cached_columns(tree)
+
+        children = list(root.children.values())
+        if not children:
+            return
+        child = children[seed % len(children)]
+        sub = ArrayNodeView(tree.extract_subtree(child.index), 0)
+        _assert_cached_columns(sub.tree)
+        child_game = game.copy()
+        child_game.step(child.action)
+        if not child_game.is_terminal:
+            _playouts(sub, child_game, evaluator, playouts, rng)
+            _assert_cached_columns(sub.tree)
+        _playouts(root, game, evaluator, playouts, rng)
+        _assert_cached_columns(tree)

@@ -202,6 +202,10 @@ def _build(slab, amount):
     tree.virtual_loss[1 : k + 1] = np.array(inflight, dtype=np.float64) * amount
     tree.visit_count[root] = sum(visits) + 1
     tree.virtual_loss[root] = root_inflight * amount
+    # the raw writes above bypass backup, so refresh the cached columns
+    rows = slice(0, k + 1)
+    tree.q[rows] = tree.value_sum[rows] / np.maximum(tree.visit_count[rows], 1)
+    tree.n1[rows] = 1.0 + tree.visit_count[rows]
     return tree, root
 
 
