@@ -8,6 +8,12 @@ rendered table and JSON, so a test run never modifies a tracked file.
 The tracked tables in ``benchmarks/out/`` change only when they are
 refreshed on purpose, by copying a run's tables over them (see README).
 
+The virtual-time figure tables (E1-E11) are deterministic, so at the
+default budget ``emit`` also checks each one against its tracked copy
+and fails the test, naming the rows that differ, when they part.  E6's
+loss columns come from numpy training and may move with the BLAS build,
+so only its ``per_iter_us`` column is checked.
+
 Budget note: the paper uses 1600 playouts per move.  The default here is
 400 to keep the suite interactive; set ``REPRO_FULL_PLAYOUTS=1`` in the
 environment to run the paper's full budget (the shapes are unchanged, the
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +35,12 @@ from repro.simulator import paper_platform
 from repro.utils.logging import format_table
 
 OUT_DIR = Path(__file__).parent / "last_run"
+GOLDEN_DIR = Path(__file__).parent / "out"
+
+#: the deterministic virtual-time tables, E1-E11
+GOLDEN_NAME = re.compile(r"E([1-9]|1[01])_")
+#: tables checked on these columns only
+GOLDEN_COLUMNS = {"E6_fig7_loss": ("per_iter_us",)}
 
 #: the paper's per-move search budget (Section 5.1) or the fast default
 PLAYOUTS = 1600 if os.environ.get("REPRO_FULL_PLAYOUTS") else 400
@@ -63,5 +76,30 @@ def emit():
         print("\n" + text)
         (OUT_DIR / f"{name}.txt").write_text(text)
         (OUT_DIR / f"{name}.json").write_text(json.dumps(rows, indent=2, default=str))
+        if PLAYOUTS == 400 and GOLDEN_NAME.match(name):
+            differ = golden_mismatches(name, rows)
+            if differ:
+                pytest.fail(
+                    f"{name} differs from benchmarks/out/{name}.json in rows {differ}"
+                )
 
     return _emit
+
+
+def golden_mismatches(name: str, rows: list[dict]) -> list[int]:
+    """Indices of the rows of *rows* that differ from the tracked table
+    *name* (key order included), after a JSON round trip; a row present
+    on one side only counts as differing."""
+    expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    got = json.loads(json.dumps(rows, default=str))
+    columns = GOLDEN_COLUMNS.get(name)
+    if columns is not None:
+        expected = [{c: row.get(c) for c in columns} for row in expected]
+        got = [{c: row.get(c) for c in columns} for row in got]
+    return [
+        i
+        for i in range(max(len(got), len(expected)))
+        if i >= len(got)
+        or i >= len(expected)
+        or list(got[i].items()) != list(expected[i].items())
+    ]
