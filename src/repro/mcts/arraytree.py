@@ -633,19 +633,26 @@ class ArrayNodeView:
             sl = tree.children_slice(row)
             stack.extend(range(sl.start, sl.stop))
 
+    def _levels(self) -> Iterator[np.ndarray]:
+        """Row ids of this subtree, one array per depth, root first."""
+        child_start, child_count = self.tree.child_start, self.tree.child_count
+        rows = np.array([self.index], dtype=np.int64)
+        while rows.size:
+            yield rows
+            counts = child_count[rows]
+            starts = child_start[rows][counts > 0]
+            counts = counts[counts > 0]
+            ends = np.cumsum(counts)
+            # the concatenated child slabs [start, start + count)
+            rows = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+                starts - (ends - counts), counts
+            )
+
     def subtree_size(self) -> int:
-        return sum(1 for _ in self.iter_subtree())
+        return sum(rows.size for rows in self._levels())
 
     def max_depth(self) -> int:
-        tree = self.tree
-        best = 0
-        stack = [(self.index, 0)]
-        while stack:
-            row, d = stack.pop()
-            best = max(best, d)
-            sl = tree.children_slice(row)
-            stack.extend((c, d + 1) for c in range(sl.start, sl.stop))
-        return best
+        return sum(1 for _ in self._levels()) - 1
 
     # -- identity -------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

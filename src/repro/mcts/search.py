@@ -1,7 +1,7 @@
 """Shared search primitives: selection descent, expansion, backup, priors.
 
 These are the building blocks every scheme (serial, shared-tree,
-local-tree, and their simulated-time twins) composes; keeping them here
+local-tree) and the shared-tree simulation compose; keeping them here
 guarantees all schemes run the *same algorithm* and differ only in
 scheduling -- the property the paper's program template provides
 (Section 3.2: "a single program template that allows compile-time adaptive

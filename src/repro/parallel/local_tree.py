@@ -1,16 +1,21 @@
 """Local-tree tree-parallel MCTS (paper Algorithm 3, Section 3.1.2).
 
-A centralised **master thread** (the caller of :meth:`search`) owns the
-complete tree and executes *all* in-tree operations -- selection,
-expansion, backup -- with no locks at all.  Algorithm 3 hands node
-evaluation (DNN inference) to N workers through FIFO pipes, so that
-inference overlaps the master's tree work.  Here the pipe is a FIFO of
-flushed sub-batches that the master drains itself: when it may launch no
-more leaves, it evaluates the oldest sub-batch and backs its leaves up in
-submission order.  Under the GIL a worker hand-off costs more than the
-forward it would overlap, and draining in submission order makes the
-search deterministic at any N.  The overlap on the paper's platform is
-modelled by :mod:`repro.simulator.local_tree_sim`.
+A centralised **master** owns the complete tree and executes *all*
+in-tree operations -- selection, expansion, backup -- with no locks at
+all.  Algorithm 3 hands node evaluation (DNN inference) to N workers
+through FIFO pipes, so that inference overlaps the master's tree work.
+
+The master is written once, as a program
+(:meth:`LocalTreeMCTS.search_program`) that yields each selected leaf,
+each flushed sub-batch and each wait for a finished sub-batch; its
+driver decides when a sub-batch is evaluated and which one finishes
+next.  :meth:`LocalTreeMCTS.search` drives it on the caller's thread,
+evaluating the oldest sub-batch at each wait: under the GIL a worker
+hand-off costs more than the forward it would overlap, and draining in
+submission order makes the search deterministic at any N.
+:class:`repro.simulator.local_tree_sim.LocalTreeSimulation` drives the
+same program in virtual time, where N workers or an accelerator finish
+the sub-batches, so the overlap of the paper's platform shows there.
 
 The ``batch_size`` parameter implements the CUDA-stream sub-batching of
 Sections 3.3/4.2: the master accumulates ``B`` evaluation requests before
@@ -21,10 +26,12 @@ there are N/B sub-batches in the pipe -- the knob Algorithm 4 tunes.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any, Generator
 
 import numpy as np
 
 from repro.games.base import Game
+from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
@@ -39,11 +46,17 @@ from repro.mcts.virtual_loss import VirtualLossPolicy, WUVirtualLoss
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.utils.rng import new_rng
 
-__all__ = ["LocalTreeMCTS"]
+__all__ = ["FLUSH", "LEAF", "WAIT", "LocalTreeMCTS", "SubBatch"]
+
+#: the steps :meth:`LocalTreeMCTS.search_program` yields
+LEAF, FLUSH, WAIT = "leaf", "flush", "wait"
+
+#: leaves submitted for evaluation together, with their states
+SubBatch = list[tuple[Node | ArrayNodeView, Game]]
 
 
 class LocalTreeMCTS(ParallelScheme):
-    """Master-thread tree whose evaluation pipe the master drains in order.
+    """Master-owned tree with N leaves in flight in sub-batches of B.
 
     Parameters
     ----------
@@ -92,30 +105,57 @@ class LocalTreeMCTS(ParallelScheme):
 
     # -- search (Algorithm 3, rollout_n_times) -------------------------------
     def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+        """Run :meth:`search_program` on this thread: each wait evaluates
+        the oldest flushed sub-batch as one ``evaluate_batch``, so the
+        sub-batches complete in submission order."""
+        program = self.search_program(game, num_playouts)
+        pipe: deque[SubBatch] = deque()  # Algorithm 3's FIFO pipe
+        reply = None
+        try:
+            while True:
+                kind, payload = program.send(reply)
+                reply = None
+                if kind is FLUSH:
+                    pipe.append(payload)
+                elif kind is WAIT:
+                    batch = pipe.popleft()
+                    games = [g for _, g in batch]
+                    reply = batch, self.evaluator.evaluate_batch(games)
+        except StopIteration as stop:
+            return stop.value
+
+    def search_program(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> Generator[tuple[str, Any], Any, Node]:
+        """The master as a generator over the steps its driver schedules.
+
+        It yields ``(kind, payload)`` pairs:
+
+        - ``(LEAF, (leaf, depth))`` for each selected leaf, before the
+          leaf is backed up (terminal) or queued, so a cost model can
+          price the descent;
+        - ``(FLUSH, sub_batch)`` when a sub-batch of ``(leaf, game)``
+          pairs leaves for evaluation;
+        - ``(WAIT, None)`` when the master may launch no more leaves; the
+          driver sends back ``(sub_batch, evaluations)`` for any flushed
+          sub-batch not yet taken back, in any order.
+
+        The root is evaluated through ``evaluator.evaluate`` on the first
+        step; the program returns the root.
+        """
         budget = as_budget(num_playouts)
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         root = self._make_root(game, budget)
-        evaluation = self.evaluator.evaluate(game)
-        expand(root, game, evaluation)
+        expand(root, game, self.evaluator.evaluate(game))
         root.visit_count += 1
         if self.dirichlet_epsilon > 0:
             add_dirichlet_noise(
                 root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
             )
 
-        pending: list[tuple[Node, Game]] = []  # accumulating sub-batch
-        # flushed sub-batches, oldest first: Algorithm 3's FIFO pipe
-        inflight: deque[list[tuple[Node, Game]]] = deque()
-
-        def inflight_requests() -> int:
-            return sum(map(len, inflight))
-
-        def flush() -> None:
-            if pending:
-                inflight.append(pending.copy())
-                pending.clear()
-
+        pending: SubBatch = []  # accumulating sub-batch
+        inflight = 0  # requests flushed and not yet taken back
         launched = 1  # the root evaluation
         completed = 1
         clock = budget.start()
@@ -140,12 +180,13 @@ class LocalTreeMCTS(ParallelScheme):
             while (
                 not expired
                 and not reached(launched)
-                and inflight_requests() + len(pending) < self.num_workers
+                and inflight + len(pending) < self.num_workers
             ):
-                leaf, leaf_game, _ = select_leaf(
+                leaf, leaf_game, depth = select_leaf(
                     root, game.copy(), self.c_puct, self.vl_policy
                 )
                 launched += 1
+                yield LEAF, (leaf, depth)
                 if leaf.is_terminal:
                     value = leaf.terminal_value
                     assert value is not None
@@ -154,27 +195,30 @@ class LocalTreeMCTS(ParallelScheme):
                     continue
                 pending.append((leaf, leaf_game))
                 if len(pending) >= self.batch_size:
-                    flush()
+                    inflight += len(pending)
+                    yield FLUSH, pending
+                    pending = []
                 expired = deadline_hit()
 
             if completed == launched and (reached(completed) or expired):
-                break
+                return root
             # All selections launched (or capacity full): force out any
             # partial sub-batch so the tail of the move cannot deadlock.
             if pending and (reached(launched) or expired or not inflight):
-                flush()
+                inflight += len(pending)
+                yield FLUSH, pending
+                pending = []
             if not inflight:
                 # every launched playout already completed via terminal
                 # leaves and nothing is pending -- but the count says we
                 # still owe playouts, so selection must continue.
                 continue
-            # Complete the oldest sub-batch (Algorithm 3 lines 12-16): the
-            # master evaluates it, then expands and backs up its leaves in
-            # submission order (no locks: only this thread touches the tree).
-            items = inflight.popleft()
-            evaluations = self.evaluator.evaluate_batch([g for _, g in items])
-            for (leaf, leaf_game), ev in zip(items, evaluations):
+            # Complete a finished sub-batch (Algorithm 3 lines 12-16):
+            # expand and back up its leaves in submission order (no locks:
+            # only the master touches the tree).
+            batch, evaluations = yield WAIT, None
+            inflight -= len(batch)
+            for (leaf, leaf_game), ev in zip(batch, evaluations):
                 value = expand(leaf, leaf_game, ev)
                 backup(leaf, value, self.vl_policy)
                 completed += 1
-        return root

@@ -11,9 +11,11 @@ each leaf is then expanded and backed up in order.  That is local-tree
 with ``batch_size == num_workers``, so this scheme is one.  The search
 is deterministic at any N and equals serial search at N=1.
 
-The costs the threads would add on the paper's platform -- lock
-acquisition and the DDR traffic of the shared tree -- are modelled in
-virtual time by :mod:`repro.simulator.shared_tree_sim`.
+It inherits :meth:`LocalTreeMCTS.search_program` and its inline driver
+unchanged.  The costs the threads would add on the paper's platform --
+lock acquisition and the DDR traffic of the shared tree -- are modelled
+in virtual time by :mod:`repro.simulator.shared_tree_sim`, which runs
+Algorithm 2's own per-level lock schedule.
 """
 
 from __future__ import annotations

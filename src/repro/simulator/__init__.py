@@ -18,15 +18,19 @@ against a parameterised hardware model:
   T_access quantities of Equations 3-6).
 - :mod:`repro.simulator.gpu`       -- accelerator with PCIe transfer model
   ``(N/B) * L + N/BW`` and monotone batched-compute model (Section 4.2).
-- :mod:`repro.simulator.shared_tree_sim` / ``local_tree_sim`` -- the two
-  parallel schemes of Section 3 executed on real game trees in virtual
-  time.
+- :mod:`repro.simulator.local_tree_sim` -- the virtual-time driver of
+  :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s own search program
+  (Algorithm 3): it prices each step the program yields and finishes its
+  sub-batches on simulated workers or the accelerator.
+- :mod:`repro.simulator.shared_tree_sim` -- threaded Algorithm 2 with its
+  per-level lock interleaving, on a ``Node`` tree.
 
-The algorithms are the genuine ones from :mod:`repro.mcts` -- selection
-with Equation-1 UCT, virtual loss, expansion, backup on a real game --
-only the *clock* is simulated.  Algorithmic effects the paper discusses
-(obsolete-tree information, fewer node insertions at large batch size)
-therefore emerge instead of being asserted.
+The algorithms are the genuine ones from :mod:`repro.mcts` and
+:mod:`repro.parallel` -- selection with Equation-1 UCT, virtual loss,
+expansion, backup on a real game -- only the *clock* is simulated.
+Algorithmic effects the paper discusses (obsolete-tree information,
+fewer node insertions at large batch size) therefore emerge instead of
+being asserted.
 """
 
 from repro.simulator.engine import (

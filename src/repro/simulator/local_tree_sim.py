@@ -1,15 +1,20 @@
 """Local-tree scheme executed in virtual time (Algorithm 3 on the DES).
 
-One simulated **master task** owns the tree: all selection, expansion and
-backup run on it, lock-free, at cache-regime costs (the paper's premise
-that the local tree fits in the master core's LLC).  Evaluation requests
-leave the master through FIFO pipes:
+The search is :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s own
+program (:meth:`~repro.parallel.local_tree.LocalTreeMCTS.search_program`);
+this module is only its virtual-time driver.  One simulated **master
+task** steps the program and charges each step at cache-regime costs
+(the paper's premise that the local tree fits in the master core's LLC):
+the per-level selection and virtual-loss work of each leaf, the pipe
+transfer of each flushed sub-batch, and the expansion and backup of each
+finished one.  Evaluation requests leave the master through FIFO pipes:
 
-- CPU mode: N simulated worker tasks each serve one request at a time,
-  charging ``T_DNN`` per state (Algorithm 3's thread pool);
-- GPU mode: requests accumulate into sub-batches of ``B`` and go to the
-  simulated accelerator; with B < N several sub-batches are in flight at
-  once, which is the CUDA-stream overlap of Section 4.2 (N/B streams).
+- CPU mode: N simulated worker tasks each serve one sub-batch at a time,
+  charging ``T_DNN`` per state (Algorithm 3's thread pool), so a short
+  sub-batch may finish before an older, longer one;
+- GPU mode: sub-batches of ``B`` go to the simulated accelerator; with
+  B < N several are in flight at once, which is the CUDA-stream overlap
+  of Section 4.2 (N/B streams).
 
 The in-flight cap is ``num_workers`` requests in both modes (Algorithm 3
 line 12: "if number of tasks in thread pool >= number of threads then wait
@@ -22,14 +27,12 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
-from repro.mcts.search import backup, expand
-from repro.mcts.uct import select_child
-from repro.mcts.virtual_loss import VirtualLossPolicy, WUVirtualLoss
+from repro.mcts.virtual_loss import VirtualLossPolicy
+from repro.parallel.local_tree import FLUSH, LEAF, LocalTreeMCTS
 from repro.simulator.engine import Compute, Get, Put, SimEngine, Wait
 from repro.simulator.gpu import SimGPU
 from repro.simulator.hardware import PlatformSpec
-from repro.simulator.resources import SimFIFO
+from repro.simulator.resources import SimFIFO, SimFuture
 from repro.simulator.result import SimResult
 from repro.simulator.workload import LatencyModel
 
@@ -45,8 +48,8 @@ class LocalTreeSimulation:
     ----------
     num_workers : evaluation capacity N (worker threads on CPU; total
         requests in flight on GPU).
-    batch_size : sub-batch size B (Section 4.2); must be 1 on CPU mode per
-        request (Algorithm 3 sends single requests) unless overridden.
+    batch_size : sub-batch size B (Section 4.2), in ``[1, num_workers]``
+        in both modes; on CPU one worker evaluates a whole sub-batch.
     """
 
     def __init__(
@@ -60,36 +63,23 @@ class LocalTreeSimulation:
         vl_policy: VirtualLossPolicy | None = None,
         use_gpu: bool = False,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if not 1 <= batch_size <= num_workers:
-            raise ValueError(
-                f"batch_size must be in [1, num_workers={num_workers}], got {batch_size}"
-            )
+        self.scheme = LocalTreeMCTS(
+            evaluator, num_workers, batch_size, c_puct, vl_policy
+        )
         if use_gpu and platform.gpu is None:
             raise ValueError("use_gpu=True requires a platform with a GPU spec")
         self.game = game
-        self.evaluator = evaluator
         self.platform = platform
         self.latency = LatencyModel(platform)
         self.num_workers = num_workers
         self.batch_size = batch_size
-        self.c_puct = c_puct
-        self.vl_policy = vl_policy or WUVirtualLoss()
         self.use_gpu = use_gpu
 
     # -- entry point ----------------------------------------------------------
     def run(self, num_playouts: int) -> SimResult:
-        if num_playouts < 1:
-            raise ValueError("num_playouts must be >= 1")
-        if self.game.is_terminal:
-            raise ValueError("cannot search from a terminal state")
+        """Search *num_playouts* playouts from the game's state in virtual
+        time (the program rejects a count below 1 or a terminal state)."""
         engine = SimEngine()
-        root = Node()
-        evaluation = self.evaluator.evaluate(self.game)
-        expand(root, self.game, evaluation)
-        root.visit_count += 1
-
         request_fifo = SimFIFO("requests")
         response_fifo = SimFIFO("responses")
         gpu = SimGPU(engine, self.latency) if self.use_gpu else None
@@ -100,9 +90,9 @@ class LocalTreeSimulation:
                 engine.spawn(
                     self._cpu_worker(request_fifo, response_fifo), f"worker-{w}"
                 )
-        engine.spawn(
+        master = engine.spawn(
             self._master(
-                engine, root, num_playouts, request_fifo, response_fifo, gpu,
+                engine, num_playouts, request_fifo, response_fifo, gpu,
                 path_lengths,
             ),
             "master",
@@ -119,8 +109,7 @@ class LocalTreeSimulation:
             batch_size=self.batch_size,
             playouts=num_playouts,
             total_time=total_time,
-            root=root,
-            lock_wait=0.0,
+            root=master.result,
             gpu_busy=gpu.busy_time if gpu else 0.0,
             gpu_batches=gpu.batches if gpu else 0,
             compute_by_tag=dict(engine.metrics.compute_by_tag),
@@ -139,11 +128,10 @@ class LocalTreeSimulation:
             yield Compute(lat.dnn_cpu() * len(items), tag="dnn")
             yield Put(response_fifo, (items, evaluations))
 
-    # -- master task (Algorithm 3, rollout_n_times) ---------------------------
+    # -- master task: the scheme's search program, priced ----------------------
     def _master(
         self,
         engine: SimEngine,
-        root: Node,
         num_playouts: int,
         request_fifo: SimFIFO,
         response_fifo: SimFIFO,
@@ -151,87 +139,59 @@ class LocalTreeSimulation:
         path_lengths: list[int],
     ):
         lat = self.latency
-        vl = self.vl_policy
-        pending: list[tuple[Node, Game]] = []
-        inflight = 0
-        launched = 1
-        completed = 1
-
-        def make_flush():
-            # sub-generator: dispatch the accumulated sub-batch
-            items = pending.copy()
-            pending.clear()
-            games = [g for _, g in items]
-            evaluations = self.evaluator.evaluate_batch(games)
-            yield Compute(lat.pipe(), tag="pipe")
-            if gpu is not None:
-                future = gpu.submit(len(items), (items, evaluations))
-
-                def deliver_task():
-                    result = yield Wait(future)
-                    yield Put(response_fifo, result)
-
-                engine.spawn(deliver_task(), "gpu-deliver")
-            else:
-                yield Put(request_fifo, (items, evaluations))
-
-        while completed < num_playouts:
-            # master-thread selection while evaluation capacity remains
-            while launched < num_playouts and inflight + len(pending) < self.num_workers:
-                game = self.game.copy()
-                node = root
-                depth = 0
-                vl.on_descend(node)
-                yield Compute(lat.vl_update(shared=False), tag="vl")
-                while not node.is_leaf and not node.is_terminal:
-                    yield Compute(
-                        lat.select_node(len(node.children), shared=False),
-                        tag="select",
-                    )
-                    node = select_child(node, self.c_puct, vl)
-                    game.step(node.action)
-                    depth += 1
-                    vl.on_descend(node)
-                    yield Compute(lat.vl_update(shared=False), tag="vl")
-                    if game.is_terminal:
-                        node.terminal_value = game.terminal_value
-                path_lengths.append(depth)
-                launched += 1
-                if node.is_terminal:
-                    yield Compute(
-                        (depth + 1) * lat.backup_node(shared=False), tag="backup"
-                    )
-                    backup(node, node.terminal_value, vl)
-                    completed += 1
-                    continue
-                pending.append((node, game))
-                if len(pending) >= self.batch_size:
-                    inflight += len(pending)
-                    yield from make_flush()
-
-            if completed >= num_playouts:
+        vl_cost = lat.vl_update(shared=False)
+        backup_cost = lat.backup_node(shared=False)
+        program = self.scheme.search_program(self.game, num_playouts)
+        reply = None
+        while True:
+            try:
+                kind, payload = program.send(reply)
+            except StopIteration as stop:
+                root = stop.value
                 break
-            if pending and (launched >= num_playouts or inflight == 0):
-                inflight += len(pending)
-                yield from make_flush()
-            if inflight == 0:
-                continue
-            # wait for a completed evaluation (Algorithm 3 lines 12-16)
-            items, evaluations = yield Get(response_fifo)
-            inflight -= len(items)
-            for (leaf, leaf_game), evaluation in zip(items, evaluations):
-                yield Compute(
-                    lat.expand(len(leaf_game.legal_actions()), shared=False),
-                    tag="expand",
-                )
-                value = expand(leaf, leaf_game, evaluation)
-                yield Compute(
-                    (leaf.depth() + 1) * lat.backup_node(shared=False), tag="backup"
-                )
-                backup(leaf, value, vl)
-                completed += 1
+            reply = None
+            if kind is LEAF:
+                # the descent: a virtual-loss write on every path node and
+                # an Equation-1 scan of every expanded one
+                leaf, depth = payload
+                path_lengths.append(depth)
+                tree = leaf.tree
+                path = tree.path_to_root(leaf.index)[:0:-1]
+                yield Compute(vl_cost, tag="vl")
+                for width in tree.child_count[path].tolist():
+                    yield Compute(lat.select_node(width, shared=False), tag="select")
+                    yield Compute(vl_cost, tag="vl")
+                if leaf.is_terminal:
+                    yield Compute((depth + 1) * backup_cost, tag="backup")
+            elif kind is FLUSH:
+                # evaluate now, deliver at the modelled completion time
+                games = [g for _, g in payload]
+                job = (payload, self.scheme.evaluator.evaluate_batch(games))
+                yield Compute(lat.pipe(), tag="pipe")
+                if gpu is None:
+                    yield Put(request_fifo, job)
+                else:
+                    future = gpu.submit(len(payload), job)
+                    engine.spawn(_deliver(future, response_fifo), "gpu-deliver")
+            else:  # WAIT: take back whichever sub-batch finishes first
+                reply = yield Get(response_fifo)
+                for leaf, leaf_game in reply[0]:
+                    yield Compute(
+                        lat.expand(len(leaf_game.legal_actions()), shared=False),
+                        tag="expand",
+                    )
+                    yield Compute(
+                        (leaf.depth() + 1) * backup_cost, tag="backup"
+                    )
 
         # shut the CPU worker pool down
         if gpu is None:
             for _ in range(self.num_workers):
                 yield Put(request_fifo, _STOP)
+        return root
+
+
+def _deliver(future: SimFuture, fifo: SimFIFO):
+    """Move an accelerator result into the master's response pipe."""
+    result = yield Wait(future)
+    yield Put(fifo, result)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.node import Node
 
 __all__ = ["SimResult"]
@@ -23,7 +24,7 @@ class SimResult:
     batch_size: int
     playouts: int
     total_time: float
-    root: Node | None = None
+    root: Node | ArrayNodeView | None = None
     lock_wait: float = 0.0
     gpu_busy: float = 0.0
     gpu_batches: int = 0

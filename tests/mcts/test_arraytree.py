@@ -203,6 +203,23 @@ class TestViewParity:
         assert child.parent == view_root
         assert view_root.parent is None
 
+    @pytest.mark.parametrize("game", [TicTacToe, lambda: Gomoku(9, 5)])
+    def test_subtree_size_and_depth_of_searched_trees(self, game):
+        from repro.mcts.serial import SerialMCTS
+
+        def searched(backend):
+            mcts = SerialMCTS(UniformEvaluator(), rng=0, tree_backend=backend)
+            return mcts.search(game(), 300)
+
+        view_root, node_root = searched("array"), searched("node")
+        assert view_root.subtree_size() == node_root.subtree_size()
+        assert view_root.max_depth() == node_root.max_depth() >= 2
+        for a, child in node_root.children.items():
+            view = view_root.children[a]
+            assert view.subtree_size() == child.subtree_size()
+            assert view.max_depth() == child.max_depth()
+            assert view.subtree_size() == sum(1 for _ in view.iter_subtree())
+
     def test_mutation_via_view(self):
         _, view_root = self.make_pair()
         child = view_root.children[4]
