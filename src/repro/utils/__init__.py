@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG plumbing, clocks, logging."""
+"""Shared utilities: seeded RNG plumbing, clocks, table formatting."""
 
 from repro.utils.clock import WALL_CLOCK, Clock, VirtualClock, WallClock
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs

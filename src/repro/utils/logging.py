@@ -1,47 +1,10 @@
-"""Minimal structured logging used across the library.
-
-We avoid the stdlib ``logging`` global configuration foot-guns: components
-get a :class:`RunLog` they can append structured records to; benchmarks and
-examples render them as tables.
-"""
+"""Plain-text tables for benchmark and example output."""
 
 from __future__ import annotations
 
-import json
-import sys
-from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any
 
-__all__ = ["RunLog", "format_table"]
-
-
-@dataclass
-class RunLog:
-    """Append-only structured event log.
-
-    Each record is a plain dict; ``echo`` mirrors records to a stream as
-    single-line JSON for live progress watching.
-    """
-
-    records: list[dict[str, Any]] = field(default_factory=list)
-    echo: bool = False
-    stream: TextIO = field(default=sys.stderr, repr=False)
-
-    def log(self, event: str, **fields: Any) -> dict[str, Any]:
-        rec = {"event": event, **fields}
-        self.records.append(rec)
-        if self.echo:
-            self.stream.write(json.dumps(rec, default=str) + "\n")
-        return rec
-
-    def select(self, event: str) -> list[dict[str, Any]]:
-        return [r for r in self.records if r["event"] == event]
-
-    def last(self, event: str) -> dict[str, Any] | None:
-        for rec in reversed(self.records):
-            if rec["event"] == event:
-                return rec
-        return None
+__all__ = ["format_table"]
 
 
 def format_table(rows: list[dict[str, Any]], columns: list[str] | None = None) -> str:

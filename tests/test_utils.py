@@ -1,9 +1,9 @@
-"""Tests for shared utilities (rng, logging)."""
+"""Tests for shared utilities (rng, table formatting)."""
 
 import numpy as np
 import pytest
 
-from repro.utils.logging import RunLog, format_table
+from repro.utils.logging import format_table
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
 
 
@@ -35,16 +35,7 @@ class TestRng:
         assert t.rng.random() == new_rng(7).random()
 
 
-class TestRunLog:
-    def test_log_and_select(self):
-        log = RunLog()
-        log.log("move", n=1)
-        log.log("train", loss=0.5)
-        log.log("move", n=2)
-        assert len(log.select("move")) == 2
-        assert log.last("move")["n"] == 2
-        assert log.last("missing") is None
-
+class TestFormatTable:
     def test_format_table(self):
         rows = [{"a": 1, "b": 2.5}, {"a": 10, "b": 0.125}]
         text = format_table(rows)
