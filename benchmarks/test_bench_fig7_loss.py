@@ -1,14 +1,15 @@
 """E6 -- Figure 7: DNN loss over time for N in {4, 16, 64}.
 
 Real training of the NumPy policy/value network via self-play generated
-by the **simulated** tree-parallel scheme at N workers (the DES executes
-the genuine parallel algorithm, so the algorithmic effects of parallelism
--- virtual loss, obsolete tree information -- are present in the data,
-and the run is deterministic, unlike real threads).  The time axis is
-modelled platform time: the virtual clock charges the per-iteration
-latency of the optimal adaptive CPU-GPU configuration at that N (from
-the DES on the paper's Gomoku), matching Figure 7's protocol ("using the
-optimal parallel configurations for 4, 16, and 64 workers").
+by the local-tree scheme at N workers (:class:`LocalTreeMCTS` with N
+leaves in flight, so the algorithmic effects of parallelism -- virtual
+loss, obsolete tree information -- are present in the data; its search
+runs on one thread and is deterministic, unlike real threads, and builds
+the tree its virtual-time simulation builds).  The time axis is modelled
+platform time: the virtual clock charges the per-iteration latency of
+the optimal adaptive CPU-GPU configuration at that N (from the DES on
+the paper's Gomoku), matching Figure 7's protocol ("using the optimal
+parallel configurations for 4, 16, and 64 workers").
 
 Scale substitution (documented in EXPERIMENTS.md): the board is 6x6
 four-in-a-row with a reduced trunk so the benchmark trains in seconds;
@@ -21,16 +22,12 @@ import numpy as np
 import pytest
 
 from repro.games import Gomoku, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
+from repro.mcts.evaluation import NetworkEvaluator
 from repro.nn import Adam, AlphaZeroLoss
 from repro.parallel.base import SchemeName
 from repro.perfmodel import DesignConfigurator, profile_virtual
-from repro.simulator import (
-    LocalTreeSimulation,
-    SharedTreeSimulation,
-    SimulatedScheme,
-    paper_platform,
-)
+from repro.parallel import LocalTreeMCTS
+from repro.simulator import LocalTreeSimulation, SharedTreeSimulation
 from repro.training import Trainer, TrainingPipeline, VirtualClock
 from benchmarks.conftest import PLAYOUTS
 
@@ -65,13 +62,8 @@ def optimal_gpu_latency(gomoku, evaluator, platform, configurator, n):
 def train_curve(n, per_iteration, seed):
     game = Gomoku(6, 4)
     net = build_network_for(game, channels=(8, 16, 16), rng=seed)
-    scheme = SimulatedScheme(
-        SchemeName.LOCAL_TREE,
-        NetworkEvaluator(net),
-        paper_platform(),
-        num_workers=n,
-        batch_size=max(1, min(8, n // 2)),
-        use_gpu=True,
+    scheme = LocalTreeMCTS(
+        NetworkEvaluator(net), num_workers=n, batch_size=max(1, min(8, n // 2))
     )
     trainer = Trainer(net, Adam(net.parameters(), lr=2e-3), AlphaZeroLoss(1e-4))
     clock = VirtualClock(

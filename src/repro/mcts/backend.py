@@ -10,10 +10,11 @@ and only the data structure underneath changes.
 
 - ``TreeBackend.NODE``  -- heap-allocated :class:`repro.mcts.node.Node`
   objects; the reference implementation the parity suites compare
-  against, and the tree of the virtual-time shared-tree simulation.
+  against.
 - ``TreeBackend.ARRAY`` -- :class:`repro.mcts.arraytree.ArrayTree`
   structure-of-arrays storage with vectorised PUCT selection; the
-  default of every scheme.
+  default of every scheme, and the tree of the virtual-time simulations
+  and the virtual profiler.
 """
 
 from __future__ import annotations

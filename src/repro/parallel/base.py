@@ -61,7 +61,9 @@ class ParallelScheme(abc.ABC):
         )
 
     @abc.abstractmethod
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+    def search(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> "Node | ArrayNodeView":
         """Run the tree-based search and return the root node.
 
         *num_playouts* is the historic playout count or a

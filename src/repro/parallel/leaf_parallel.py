@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
+from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend
 from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import Evaluation, Evaluator
@@ -81,5 +82,7 @@ class LeafParallelMCTS(ParallelScheme):
         )
         self.tree_backend = self._serial.tree_backend
 
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+    def search(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> "Node | ArrayNodeView":
         return self._serial.search(game, num_playouts)

@@ -104,7 +104,9 @@ class LocalTreeMCTS(ParallelScheme):
         self.tree_backend = resolve_backend(tree_backend)
 
     # -- search (Algorithm 3, rollout_n_times) -------------------------------
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+    def search(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> "Node | ArrayNodeView":
         """Run :meth:`search_program` on this thread: each wait evaluates
         the oldest flushed sub-batch as one ``evaluate_batch``, so the
         sub-batches complete in submission order."""
@@ -126,7 +128,7 @@ class LocalTreeMCTS(ParallelScheme):
 
     def search_program(
         self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> Generator[tuple[str, Any], Any, Node]:
+    ) -> Generator[tuple[str, Any], Any, "Node | ArrayNodeView"]:
         """The master as a generator over the steps its driver schedules.
 
         It yields ``(kind, payload)`` pairs:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
+from repro.mcts.arraytree import ArrayNodeView, ArrayTree
 from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
@@ -62,14 +63,16 @@ class RootParallelMCTS(ParallelScheme):
         self.rng = new_rng(rng)
         self.tree_backend = resolve_backend(tree_backend)
         #: roots of the last search, one per worker (exposed for analysis)
-        self.last_roots: list[Node] = []
+        self.last_roots: list["Node | ArrayNodeView"] = []
 
     def _worker_budgets(self, num_playouts: int) -> list[int]:
         base, extra = divmod(num_playouts, self.num_workers)
         budgets = [base + (1 if i < extra else 0) for i in range(self.num_workers)]
         return [b for b in budgets if b > 0]
 
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+    def search(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> ArrayNodeView:
         """Runs the ensemble and returns a *merged* root whose children
         carry the aggregated visit counts (Q is visit-weighted)."""
         budget = as_budget(num_playouts)
@@ -96,7 +99,7 @@ class RootParallelMCTS(ParallelScheme):
             ).search_program(game, budget, clock=clock.split(target))
             for target, worker_rng in zip(budgets, rngs)
         ]
-        roots: dict[int, Node] = {}
+        roots: dict[int, "Node | ArrayNodeView"] = {}
         live = list(enumerate(programs))
         # one round: resume every live worker with its leaf's evaluation
         # (None starts a program) and run it to its next leaf or its root
@@ -118,14 +121,23 @@ class RootParallelMCTS(ParallelScheme):
         return self._merge_roots(self.last_roots)
 
     @staticmethod
-    def _merge_roots(roots: list[Node]) -> Node:
-        merged = Node()
+    def _merge_roots(roots: list["Node | ArrayNodeView"]) -> ArrayNodeView:
+        """One root over the sorted union of the workers' root actions:
+        each child takes the prior of the first root holding its action
+        and the summed visits and value sums of all of them."""
+        stats: dict[int, list] = {}  # action -> [prior, visits, value sum]
         for root in roots:
-            merged.visit_count += root.visit_count
             for action, child in root.children.items():
-                m = merged.children.get(action)
-                if m is None:
-                    m = merged.add_child(action, child.prior)
-                m.visit_count += child.visit_count
-                m.value_sum += child.value_sum
+                entry = stats.setdefault(action, [child.prior, 0, 0.0])
+                entry[1] += child.visit_count
+                entry[2] += child.value_sum
+        actions = sorted(stats)
+        tree = ArrayTree(capacity=1 + len(actions))
+        merged = ArrayNodeView(tree, tree.new_root())
+        merged.visit_count = sum(root.visit_count for root in roots)
+        priors = np.array([stats[a][0] for a in actions], dtype=np.float64)
+        tree.expand(merged.index, np.array(actions, dtype=np.int64), priors)
+        # the view setters keep the cached q / n1 columns exact
+        for child in merged.children.values():
+            _, child.visit_count, child.value_sum = stats[child.action]
         return merged

@@ -15,10 +15,14 @@ Two providers:
   (SerialMCTS on a :class:`repro.games.synthetic.SyntheticTreeGame`), the
   literal analogue of the paper's procedure.  Useful for configuring the
   real-thread schemes on the actual host.
-- :func:`profile_virtual` -- prices the same single-worker episode with a
+- :func:`profile_virtual` -- prices a single-worker episode with a
   :class:`repro.simulator.workload.LatencyModel`, yielding the profile the
-  analytic models need to predict the *simulated* platform.  This is the
-  provider the figure benchmarks use (deterministic).
+  analytic models need to predict the *simulated* platform.  The episode
+  is :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s search program
+  at one worker, sub-batches of one and no virtual loss -- serial search
+  -- and the profiler prices each step it yields, as the virtual-time
+  local-tree simulation does.  This is the provider the figure
+  benchmarks use (deterministic).
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluator, UniformEvaluator
-from repro.mcts.node import Node
-from repro.mcts.search import backup, expand, select_leaf
 from repro.mcts.serial import SerialMCTS
+from repro.mcts.virtual_loss import NoVirtualLoss
+from repro.parallel.local_tree import FLUSH, LEAF, LocalTreeMCTS
 from repro.perfmodel.models import ProfiledLatencies
 from repro.simulator.hardware import PlatformSpec
 from repro.simulator.workload import LatencyModel
@@ -77,55 +81,65 @@ def profile_virtual(
 ) -> ProfiledLatencies:
     """Price a single-worker episode with the platform's latency model.
 
-    Runs the genuine serial search (so tree shape, path lengths and fanout
-    are the real ones) and accumulates what each operation *would* cost in
-    the two memory regimes.  ``t_access`` is derived from the serialised
-    root handoff: one lock traversal plus one DDR node update for the
-    descent and one for the backup -- the quantity Equation 3 multiplies
-    by N.
+    Drives the local-tree search program with one worker, sub-batches of
+    one and no virtual loss -- the serial search, so tree shape, path
+    lengths and fanout are the real ones -- and accumulates what each
+    step *would* cost in the two memory regimes.  ``t_access`` is derived
+    from the serialised root handoff: one lock traversal plus one DDR
+    node update for the descent and one for the backup -- the quantity
+    Equation 3 multiplies by N.
     """
     if num_playouts < 1:
         raise ValueError("num_playouts must be >= 1")
     evaluator = evaluator or UniformEvaluator()
     lat = LatencyModel(platform)
-    root = Node()
     select_shared = 0.0
     select_local = 0.0
     backup_shared = 0.0
     backup_local = 0.0
     expand_children: list[int] = []
 
-    for _ in range(num_playouts):
-        g = game.copy()
-        node = root
+    def price_playout(widths: list[int], num_children: int | None, depth: int):
+        """One playout: dispatch, descent, expansion (None for a terminal
+        leaf) and the backup of a path of *depth* nodes."""
+        nonlocal select_shared, select_local, backup_shared, backup_local
         # per-playout master overheads of the local scheme: the root VL
         # update and one FIFO dispatch to the worker pool
         select_local += lat.vl_update(False) + lat.pipe()
         # descend, pricing each level in both regimes
-        while not node.is_leaf and not node.is_terminal:
-            nch = len(node.children)
-            select_shared += lat.select_node(nch, shared=True) + lat.vl_update(True)
-            select_local += lat.select_node(nch, shared=False) + lat.vl_update(False)
-            from repro.mcts.uct import select_child  # local import avoids cycle
-
-            node = select_child(node, c_puct)
-            g.step(node.action)
-            if g.is_terminal:
-                node.terminal_value = g.terminal_value
-        if node.is_terminal:
-            value = node.terminal_value
-            assert value is not None
-        else:
-            evaluation = evaluator.evaluate(g)
-            nch = len(g.legal_actions())
-            expand_children.append(nch)
-            select_shared += lat.expand(nch, shared=True)
-            select_local += lat.expand(nch, shared=False)
-            value = expand(node, g, evaluation)
-        depth = node.depth() + 1
+        for width in widths:
+            select_shared += lat.select_node(width, shared=True) + lat.vl_update(True)
+            select_local += lat.select_node(width, shared=False) + lat.vl_update(False)
+        if num_children is not None:
+            expand_children.append(num_children)
+            select_shared += lat.expand(num_children, shared=True)
+            select_local += lat.expand(num_children, shared=False)
         backup_shared += depth * (lat.backup_node(True) + lat.lock_overhead())
         backup_local += depth * lat.backup_node(False)
-        backup(node, value)
+
+    # playout 1 is the root's expansion, which the program runs unyielded
+    price_playout([], len(game.legal_actions()), 1)
+    scheme = LocalTreeMCTS(evaluator, 1, 1, c_puct, NoVirtualLoss())
+    program = scheme.search_program(game, num_playouts)
+    reply = None
+    while True:
+        try:
+            kind, payload = program.send(reply)
+        except StopIteration:
+            break
+        reply = None
+        if kind is LEAF:
+            leaf, depth = payload
+            tree = leaf.tree
+            widths = tree.child_count[tree.path_to_root(leaf.index)[:0:-1]].tolist()
+            if leaf.is_terminal:
+                price_playout(widths, None, depth + 1)
+        elif kind is FLUSH:  # the one-leaf sub-batch the next WAIT takes back
+            batch = payload
+        else:  # WAIT: evaluate the leaf; the program expands and backs it up
+            ((leaf, leaf_game),) = batch
+            reply = batch, [evaluator.evaluate(leaf_game)]
+            price_playout(widths, len(leaf_game.legal_actions()), depth + 1)
 
     n = num_playouts
     t_access = 2.0 * (lat.lock_overhead() + lat.vl_update(shared=True))

@@ -23,7 +23,8 @@ against a parameterised hardware model:
   (Algorithm 3): it prices each step the program yields and finishes its
   sub-batches on simulated workers or the accelerator.
 - :mod:`repro.simulator.shared_tree_sim` -- threaded Algorithm 2 with its
-  per-level lock interleaving, on a ``Node`` tree.
+  per-level lock interleaving, on an array tree
+  (:class:`~repro.mcts.arraytree.ArrayTree`); one DES task per worker.
 
 The algorithms are the genuine ones from :mod:`repro.mcts` and
 :mod:`repro.parallel` -- selection with Equation-1 UCT, virtual loss,
@@ -42,7 +43,7 @@ from repro.simulator.engine import (
     SimEngine,
     Wait,
 )
-from repro.simulator.gpu import SimAcceleratorQueue, SimGPU
+from repro.simulator.gpu import SimGPU
 from repro.simulator.hardware import (
     CPUSpec,
     GPUSpec,
@@ -52,7 +53,6 @@ from repro.simulator.hardware import (
 from repro.simulator.local_tree_sim import LocalTreeSimulation
 from repro.simulator.resources import SimFIFO, SimFuture, SimLock
 from repro.simulator.result import SimResult
-from repro.simulator.scheme_adapter import SimulatedScheme
 from repro.simulator.shared_tree_sim import SharedTreeSimulation
 from repro.simulator.workload import LatencyModel
 
@@ -67,14 +67,12 @@ __all__ = [
     "PlatformSpec",
     "Put",
     "Release",
-    "SimAcceleratorQueue",
     "SimEngine",
     "SimFIFO",
     "SimFuture",
     "SimGPU",
     "SimLock",
     "SimResult",
-    "SimulatedScheme",
     "SharedTreeSimulation",
     "Wait",
     "paper_platform",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.simulator.resources import SimFIFO, SimFuture, SimLock
 
@@ -90,16 +90,16 @@ TaskGen = Generator[Effect, Any, Any]
 class _Task:
     """Bookkeeping wrapper around a task generator."""
 
-    __slots__ = ("gen", "name", "done", "result", "blocked_since", "busy_time", "wait_time")
+    __slots__ = ("gen", "name", "done", "result", "blocked_since", "busy_time")
 
     def __init__(self, gen: TaskGen, name: str) -> None:
         self.gen = gen
         self.name = name
         self.done = False
         self.result: Any = None
-        self.blocked_since: float | None = None
+        #: when the task began waiting for a lock (for the lock-wait metric)
+        self.blocked_since = 0.0
         self.busy_time = 0.0
-        self.wait_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_Task({self.name!r}, done={self.done})"
@@ -109,7 +109,6 @@ class _Task:
 class EngineMetrics:
     """Aggregate counters the experiment harness reads after a run."""
 
-    events_processed: int = 0
     total_lock_wait: float = 0.0
     compute_by_tag: dict[str, float] = field(default_factory=dict)
 
@@ -160,25 +159,17 @@ class SimEngine:
             raise RuntimeError("future already resolved")
         future.done = True
         future.value = value
-        future.resolved_at = self.now
         for task in future.waiters:
-            self._unblock(task, value)
+            self._schedule(self.now, task, value)
         future.waiters.clear()
 
     def fifo_put(self, fifo: SimFIFO, item: Any) -> None:
         """External (callback-context) FIFO put at the current time."""
-        fifo.total_puts += 1
         if fifo.getters:
             getter = fifo.getters.popleft()
-            self._unblock(getter, item)
+            self._schedule(self.now, getter, item)
         else:
             fifo.items.append(item)
-
-    def _unblock(self, task: _Task, value: Any) -> None:
-        if task.blocked_since is not None:
-            task.wait_time += self.now - task.blocked_since
-            task.blocked_since = None
-        self._schedule(self.now, task, value)
 
     # -- main loop ------------------------------------------------------
     def run(self, until: float | None = None) -> float:
@@ -196,11 +187,9 @@ class SimEngine:
             self.now = time
             callback = self._callbacks.pop(slot, None)
             if callback is not None:
-                self.metrics.events_processed += 1
                 callback()
                 continue
             task, value = self._slots.pop(slot)
-            self.metrics.events_processed += 1
             self._step(task, value)
         return self.now
 
@@ -239,11 +228,7 @@ class SimEngine:
                 if lock.waiters:
                     next_task = lock.waiters.popleft()
                     lock.holder = next_task
-                    if next_task.blocked_since is not None:
-                        wait = self.now - next_task.blocked_since
-                        next_task.wait_time += wait
-                        self.metrics.total_lock_wait += wait
-                        next_task.blocked_since = None
+                    self.metrics.total_lock_wait += self.now - next_task.blocked_since
                     self._schedule(self.now, next_task, None)
                 else:
                     lock.holder = None
@@ -256,7 +241,6 @@ class SimEngine:
                 if fifo.items:
                     send_value = fifo.items.popleft()
                     continue
-                task.blocked_since = self.now
                 fifo.getters.append(task)
                 return
             if isinstance(effect, Wait):
@@ -264,13 +248,6 @@ class SimEngine:
                 if future.done:
                     send_value = future.value
                     continue
-                task.blocked_since = self.now
                 future.waiters.append(task)
                 return
             raise TypeError(f"task {task.name} yielded non-effect {effect!r}")
-
-    # -- convenience -------------------------------------------------------
-    def run_all(self, gens: Iterable[tuple[TaskGen, str]]) -> float:
-        for gen, name in gens:
-            self.spawn(gen, name)
-        return self.run()

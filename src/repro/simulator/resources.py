@@ -41,13 +41,12 @@ class SimLock:
 class SimFIFO:
     """Unbounded FIFO channel (the local-tree communication pipe)."""
 
-    __slots__ = ("name", "items", "getters", "total_puts")
+    __slots__ = ("name", "items", "getters")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.items: deque[Any] = deque()
         self.getters: deque["_Task"] = deque()
-        self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self.items)
@@ -56,10 +55,9 @@ class SimFIFO:
 class SimFuture:
     """One-shot result container; tasks block on it via ``Wait``."""
 
-    __slots__ = ("done", "value", "waiters", "resolved_at")
+    __slots__ = ("done", "value", "waiters")
 
     def __init__(self) -> None:
         self.done = False
         self.value: Any = None
         self.waiters: list["_Task"] = []
-        self.resolved_at: float | None = None

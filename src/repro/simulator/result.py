@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.node import Node
 
 __all__ = ["SimResult"]
 
@@ -24,7 +23,7 @@ class SimResult:
     batch_size: int
     playouts: int
     total_time: float
-    root: Node | ArrayNodeView | None = None
+    root: ArrayNodeView | None = None
     lock_wait: float = 0.0
     gpu_busy: float = 0.0
     gpu_batches: int = 0

@@ -1,14 +1,20 @@
 """Shared-tree scheme executed in virtual time (Algorithm 2 on the DES).
 
-N simulated worker tasks run complete playouts against one real game tree.
-Every in-tree touch pays the DDR-regime cost from the latency model; every
-node mutation happens under that node's :class:`SimLock`, so the
-root-serialisation overhead the paper models as ``T_shared-tree-access x N``
-(Equation 3) *emerges* from lock contention instead of being injected.
+N simulated worker tasks run complete playouts against one real game tree
+(an :class:`~repro.mcts.arraytree.ArrayTree`).  Every in-tree touch pays
+the DDR-regime cost from the latency model; every node mutation happens
+under that node's :class:`SimLock`, so the root-serialisation overhead the
+paper models as ``T_shared-tree-access x N`` (Equation 3) *emerges* from
+lock contention instead of being injected.
+
+The per-level worker below is threaded Algorithm 2's lock interleaving,
+which no runtime scheme runs (every scheme in :mod:`repro.parallel` keeps
+its in-tree work on one thread), so it lives here as a DES task rather
+than as a search program.
 
 Evaluation is either per-worker CPU inference (``Compute(T_DNN)``) or a
-batched accelerator queue with ``batch == N`` (the paper's shared-tree GPU
-configuration, Section 3.3).
+batched accelerator submission with ``batch == N`` (the paper's
+shared-tree GPU configuration, Section 3.3).
 """
 
 from __future__ import annotations
@@ -16,15 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
+from repro.mcts.arraytree import ArrayNodeView
+from repro.mcts.backend import TreeBackend, capacity_hint, make_root
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
 from repro.mcts.search import expand
 from repro.mcts.uct import select_child
 from repro.mcts.virtual_loss import ConstantVirtualLoss, VirtualLossPolicy
 from repro.simulator.engine import Acquire, Compute, Release, SimEngine, Wait
-from repro.simulator.gpu import SimAcceleratorQueue, SimGPU
+from repro.simulator.gpu import SimGPU
 from repro.simulator.hardware import PlatformSpec
-from repro.simulator.resources import SimLock
+from repro.simulator.resources import SimFuture, SimLock
 from repro.simulator.result import SimResult
 from repro.simulator.workload import LatencyModel
 
@@ -44,6 +51,34 @@ class _PlayoutCounter:
             self.remaining -= 1
             return True
         return False
+
+
+class _GPUBatch:
+    """The accelerator batch the workers fill: their leaf states and the
+    one future every worker in the batch waits on, taking its own row of
+    the result."""
+
+    def __init__(self, gpu: SimGPU, evaluator: Evaluator) -> None:
+        self.gpu = gpu
+        self.evaluator = evaluator
+        self.games: list[Game] = []
+        self.future = SimFuture()
+
+    def flush(self) -> None:
+        """Evaluate the pending states now and submit them as one batch;
+        the future resolves when the batch's kernel finishes."""
+        games, future = self.games, self.future
+        if not games:
+            return
+        self.games, self.future = [], SimFuture()
+        results = self.evaluator.evaluate_batch(games)
+        if len(results) != len(games):
+            raise RuntimeError("evaluator returned wrong number of results")
+        engine = self.gpu.engine
+        self.gpu.submit(len(games))
+        engine.call_at(
+            self.gpu.busy_until, lambda: engine.resolve_future(future, results)
+        )
 
 
 class SharedTreeSimulation:
@@ -86,14 +121,13 @@ class SharedTreeSimulation:
         #: is single-threaded so statistics stay exact -- this isolates
         #: the pure synchronisation cost of the locked variant (E10).
         self.lock_free = lock_free
-        self._locks: dict[int, SimLock] = {}
+        self._locks: dict[int, SimLock] = {}  # by tree row
 
-    def _lock(self, node: Node) -> SimLock:
-        key = id(node)
-        lock = self._locks.get(key)
+    def _lock(self, node: ArrayNodeView) -> SimLock:
+        lock = self._locks.get(node.index)
         if lock is None:
             lock = SimLock(name=f"node-{len(self._locks)}")
-            self._locks[key] = lock
+            self._locks[node.index] = lock
         return lock
 
     # -- entry point ----------------------------------------------------------
@@ -103,7 +137,10 @@ class SharedTreeSimulation:
         if self.game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         engine = SimEngine()
-        root = Node()
+        self._locks = {}
+        root = make_root(
+            TreeBackend.ARRAY, capacity_hint(self.game.action_size, num_playouts)
+        )
         # Warm-up: expand the root once before the parallel phase, charged
         # as one serial evaluation (mirrors the real implementations).
         evaluation = self.evaluator.evaluate(self.game)
@@ -113,18 +150,10 @@ class SharedTreeSimulation:
         counter = _PlayoutCounter(num_playouts - 1)
         path_lengths: list[int] = []
         gpu = SimGPU(engine, self.latency) if self.use_gpu else None
-        queue = (
-            SimAcceleratorQueue(
-                gpu,
-                batch_size=self.num_workers,
-                evaluate=self.evaluator.evaluate_batch,
-            )
-            if gpu is not None
-            else None
-        )
+        batch = _GPUBatch(gpu, self.evaluator) if gpu is not None else None
         for w in range(self.num_workers):
             engine.spawn(
-                self._worker(root, counter, queue, path_lengths), f"worker-{w}"
+                self._worker(root, counter, batch, path_lengths), f"worker-{w}"
             )
         total_time = engine.run()
         # warm-up evaluation time is charged serially up front
@@ -146,9 +175,10 @@ class SharedTreeSimulation:
         )
 
     # -- one simulated worker (Algorithm 2, threadsafe_rollout loop) -----------
-    def _worker(self, root, counter, queue, path_lengths):
+    def _worker(self, root, counter, batch, path_lengths):
         lat = self.latency
         vl = self.vl_policy
+        tree = root.tree
         lock_cost = 0.0 if self.lock_free else lat.lock_overhead()
         while counter.take():
             game = self.game.copy()
@@ -163,9 +193,8 @@ class SharedTreeSimulation:
                 yield Release(self._lock(node))
             # Node Selection
             while not node.is_leaf and not node.is_terminal:
-                yield Compute(
-                    lat.select_node(len(node.children), shared=True), tag="select"
-                )
+                width = int(tree.child_count[node.index])
+                yield Compute(lat.select_node(width, shared=True), tag="select")
                 node = select_child(node, self.c_puct, vl)
                 game.step(node.action)
                 depth += 1
@@ -183,11 +212,13 @@ class SharedTreeSimulation:
             if node.is_terminal:
                 value = node.terminal_value
             else:
-                if queue is not None:
-                    future = queue.submit(game)
-                    if counter.remaining == 0:
-                        queue.flush()  # tail of the move: partial batch
-                    evaluation = yield Wait(future)
+                if batch is not None:
+                    future, slot = batch.future, len(batch.games)
+                    batch.games.append(game)
+                    # full at N, or the tail of the move: a partial batch
+                    if len(batch.games) >= self.num_workers or counter.remaining == 0:
+                        batch.flush()
+                    evaluation = (yield Wait(future))[slot]
                 else:
                     yield Compute(lat.dnn_cpu(), tag="dnn")
                     evaluation = self.evaluator.evaluate(game)
@@ -218,5 +249,5 @@ class SharedTreeSimulation:
                 current = current.parent
         # Exiting worker: release any partial accelerator batch so blocked
         # peers cannot deadlock at the end of the move.
-        if queue is not None:
-            queue.flush()
+        if batch is not None:
+            batch.flush()

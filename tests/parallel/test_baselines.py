@@ -151,6 +151,32 @@ class TestRootParallel:
         assert merged.children[0].visit_count == 12
         assert merged.children[0].value_sum == 6.0
 
+    def test_merged_root_is_an_array_tree_with_exact_caches(self):
+        """The merged root spans the sorted union of the workers' root
+        actions, each prior from the first root holding the action, and
+        its cached ``q``/``n1`` columns agree with the summed stats."""
+        from repro.mcts.arraytree import ArrayNodeView
+        from repro.mcts.node import Node
+
+        r1, r2 = Node(), Node()
+        for r, kids in ((r1, {4: (0.2, 3, 1.5), 1: (0.7, 2, -0.5)}),
+                        (r2, {1: (0.9, 4, 0.25), 6: (0.1, 1, 1.0)})):
+            for action, (prior, visits, value_sum) in kids.items():
+                c = r.add_child(action, prior)
+                c.visit_count, c.value_sum = visits, value_sum
+            r.visit_count = 1 + sum(v for _, v, _ in kids.values())
+        merged = RootParallelMCTS._merge_roots([r1, r2])
+        assert isinstance(merged, ArrayNodeView)
+        assert merged.visit_count == r1.visit_count + r2.visit_count
+        assert list(merged.children) == [1, 4, 6]
+        want = {1: (0.7, 6, -0.25), 4: (0.2, 3, 1.5), 6: (0.1, 1, 1.0)}
+        tree = merged.tree
+        for action, child in merged.children.items():
+            prior, visits, value_sum = want[action]
+            assert (child.prior, child.visit_count, child.value_sum) == want[action]
+            assert tree.q[child.index] == value_sum / visits
+            assert tree.n1[child.index] == 1.0 + visits
+
 
 class TestOneThreadSchedule:
     @pytest.mark.parametrize("game_cls", [TicTacToe, ConnectFour])

@@ -1,9 +1,9 @@
-"""Tests for the simulated accelerator and its batching queue."""
+"""Tests for the simulated accelerator."""
 
 import pytest
 
 from repro.simulator.engine import Compute, SimEngine, Wait
-from repro.simulator.gpu import SimAcceleratorQueue, SimGPU
+from repro.simulator.gpu import SimGPU
 from repro.simulator.hardware import PlatformSpec, CPUSpec, GPUSpec
 from repro.simulator.workload import LatencyModel
 
@@ -87,61 +87,3 @@ class TestSimGPU:
         gpu, _ = make_gpu(engine)
         with pytest.raises(ValueError):
             gpu.submit(0)
-
-
-class TestSimAcceleratorQueue:
-    def test_flush_at_threshold(self):
-        engine = SimEngine()
-        gpu, _ = make_gpu(engine)
-        queue = SimAcceleratorQueue(gpu, batch_size=3, evaluate=lambda xs: [x * 2 for x in xs])
-        got = []
-
-        def producer(x):
-            fut = queue.submit(x)
-            value = yield Wait(fut)
-            got.append(value)
-
-        for i in range(3):
-            engine.spawn(producer(i))
-        engine.run()
-        assert sorted(got) == [0, 2, 4]
-        assert queue.flushes == 1
-
-    def test_partial_flush(self):
-        engine = SimEngine()
-        gpu, _ = make_gpu(engine)
-        queue = SimAcceleratorQueue(gpu, batch_size=8, evaluate=lambda xs: xs)
-        got = []
-
-        def producer():
-            fut = queue.submit("a")
-            value = yield Wait(fut)
-            got.append(value)
-
-        def flusher():
-            yield Compute(1.0)
-            queue.flush()
-
-        engine.spawn(producer())
-        engine.spawn(flusher())
-        engine.run()
-        assert got == ["a"]
-
-    def test_result_count_mismatch_raises(self):
-        engine = SimEngine()
-        gpu, _ = make_gpu(engine)
-        queue = SimAcceleratorQueue(gpu, batch_size=2, evaluate=lambda xs: xs[:1])
-
-        def producer(x):
-            yield Wait(queue.submit(x))
-
-        engine.spawn(producer(1))
-        engine.spawn(producer(2))
-        with pytest.raises(RuntimeError):
-            engine.run()
-
-    def test_empty_flush_noop(self):
-        engine = SimEngine()
-        gpu, _ = make_gpu(engine)
-        queue = SimAcceleratorQueue(gpu, batch_size=2, evaluate=lambda xs: xs)
-        assert queue.flush() == 0

@@ -5,15 +5,20 @@ in virtual time; :meth:`LocalTreeMCTS.search` drives the same program
 inline.  Whatever the DES's worker or accelerator timing, the tree it
 returns must equal the inline search's, node for node: visit counts,
 value sums and child sets.
+
+The shared-tree DES with one worker runs Algorithm 2 serially, one
+playout at a time under constant virtual loss, which is the local-tree
+program with one leaf in flight: its tree must equal that search's too.
 """
 
 import pytest
 
 from repro.games import ConnectFour, Gomoku, TicTacToe, build_network_for
 from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
+from repro.mcts.virtual_loss import ConstantVirtualLoss
 from repro.parallel import LocalTreeMCTS
 from repro.parallel.local_tree import FLUSH, WAIT
-from repro.simulator import LocalTreeSimulation, paper_platform
+from repro.simulator import LocalTreeSimulation, SharedTreeSimulation, paper_platform
 
 PLAT = paper_platform()
 GAMES = {
@@ -96,3 +101,18 @@ def test_out_of_order_completion_keeps_the_tree(evaluator):
         ev, num_workers=4, batch_size=2, tree_backend="node"
     ).search(ConnectFour(), 200)
     assert_same_tree(result.root, root)
+
+
+@pytest.mark.parametrize("evaluator", ["uniform", "network"])
+@pytest.mark.parametrize("use_gpu", [False, True], ids=["cpu", "gpu"])
+@pytest.mark.parametrize("game", sorted(GAMES))
+def test_one_worker_shared_tree_equals_scheme_tree(game, use_gpu, evaluator):
+    ev = evaluator_for(evaluator, GAMES[game]())
+    sim = SharedTreeSimulation(
+        GAMES[game](), ev, PLAT, num_workers=1, use_gpu=use_gpu
+    ).run(PLAYOUTS)
+    root = LocalTreeMCTS(
+        ev, 1, 1, vl_policy=ConstantVirtualLoss(), tree_backend="node"
+    ).search(GAMES[game](), PLAYOUTS)
+    assert sim.root.visit_count == PLAYOUTS
+    assert_same_tree(sim.root, root)

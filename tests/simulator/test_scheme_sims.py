@@ -22,6 +22,18 @@ PLAT = paper_platform()
 EV = UniformEvaluator()
 
 
+class BatchSizeLog(UniformEvaluator):
+    """Uniform evaluator that records each batch's size."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def evaluate_batch(self, games):
+        self.sizes.append(len(games))
+        return super().evaluate_batch(games)
+
+
 class TestSharedTreeSimulation:
     def test_playout_budget(self):
         r = SharedTreeSimulation(TicTacToe(), EV, PLAT, num_workers=4).run(100)
@@ -53,6 +65,33 @@ class TestSharedTreeSimulation:
         assert r.gpu_batches > 0
         assert r.gpu_busy > 0
         assert r.batch_size == 4  # shared tree always full-batches
+
+    def test_gpu_batches_fill_to_n(self):
+        """The workers' requests go to the accelerator in batches of N;
+        the move's tail flushes whatever is left, so no worker waits on
+        a batch that can never fill."""
+        ev = BatchSizeLog()
+        r = SharedTreeSimulation(
+            Gomoku(9, 5), ev, PLAT, num_workers=4, use_gpu=True
+        ).run(103)
+        assert r.root.visit_count == 103
+        assert sum(ev.sizes) == 102  # every playout but the root's warm-up
+        # full batches until the playouts run out; then each worker still
+        # holding a playout flushes its own partial batch
+        full = next(i for i, n in enumerate(ev.sizes) if n < 4)
+        assert ev.sizes[:full] == [4] * full
+        assert all(n < 4 for n in ev.sizes[full:])
+        assert len(ev.sizes) - full <= 4
+        assert r.gpu_batches == len(ev.sizes)
+
+    def test_gpu_wrong_result_count_raises(self):
+        class Short(UniformEvaluator):
+            def evaluate_batch(self, games):
+                return super().evaluate_batch(games)[:-1]
+
+        sim = SharedTreeSimulation(TicTacToe(), Short(), PLAT, 2, use_gpu=True)
+        with pytest.raises(RuntimeError, match="wrong number of results"):
+            sim.run(20)
 
     def test_gpu_requires_gpu_spec(self):
         with pytest.raises(ValueError):
