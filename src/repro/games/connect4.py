@@ -4,6 +4,19 @@ Exercises the parts of the Game interface Gomoku cannot: the action space
 (7 columns) differs from the cell count (42), and the board is non-square,
 so any engine or network code that silently assumed ``actions == cells``
 breaks here first.
+
+A step runs on Python ints.  ``heights`` is a list, a stone counter
+detects the full board, and each player's stones are also kept as a
+bitboard: cell ``(r, c)`` is bit ``c * (rows + 1) + r``, so every column
+has one always-empty bit above its top row.  ``n_in_row`` stones in a line
+are ``n_in_row - 1`` rounds of ``run &= run >> shift`` leaving a bit set,
+with shift ``1`` (vertical), ``rows + 1`` (horizontal), ``rows + 2`` (the
+``/`` diagonal) or ``rows`` (the ``\\`` diagonal); the empty bit ends any
+run that would wrap into the next column.  Only the mover's bitboard is
+tested, after their stone: the game stops at the first line, so a line
+that exists must include the last stone.  ``board`` (int8) is written
+alongside and is what :meth:`~ConnectFour.encode` and the canonical key
+read.
 """
 
 from __future__ import annotations
@@ -13,9 +26,6 @@ import numpy as np
 from repro.games.base import Game, Player
 
 __all__ = ["ConnectFour"]
-
-_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
-
 
 class ConnectFour(Game):
     num_planes = 4
@@ -29,7 +39,13 @@ class ConnectFour(Game):
         self.cols = cols
         self.n_in_row = n_in_row
         self.board = np.zeros((rows, cols), dtype=np.int8)
-        self.heights = np.zeros(cols, dtype=np.int64)  # stones per column
+        self.heights = [0] * cols  # stones per column
+        self._stones = 0
+        # bitboards of the player to move and of the other player
+        self._mover_bits = 0
+        self._other_bits = 0
+        # shifts between neighbours in the four line directions
+        self._shifts = (1, rows + 1, rows + 2, rows)
         self._player: Player = 1
         self._winner: Player | None = None
         self._last: tuple[int, int] | None = None
@@ -51,25 +67,42 @@ class ConnectFour(Game):
         return self._last[1] if self._last is not None else None
 
     def _compute_legal_actions(self) -> np.ndarray:
-        return np.flatnonzero(self.heights < self.rows)
+        rows = self.rows
+        return np.array(
+            [c for c, h in enumerate(self.heights) if h < rows], dtype=np.int64
+        )
 
     def _apply_step(self, action: int) -> None:
         if self.is_terminal:
             raise ValueError("game is over")
         if not 0 <= action < self.cols:
             raise ValueError(f"column {action} out of range")
-        if self.heights[action] >= self.rows:
-            raise ValueError(f"column {action} is full")
         # row 0 is the bottom of the board
-        r = int(self.heights[action])
+        r = self.heights[action]
+        if r >= self.rows:
+            raise ValueError(f"column {action} is full")
         self.board[r, action] = self._player
-        self.heights[action] += 1
+        self.heights[action] = r + 1
+        self._stones += 1
         self._last = (r, action)
-        if self._wins_at(r, action, self._player):
+        bits = self._mover_bits | 1 << (int(action) * (self.rows + 1) + r)
+        if self._has_line(bits):
             self._winner = self._player
-        elif int(self.heights.sum()) == self.rows * self.cols:
+        elif self._stones == self.rows * self.cols:
             self._winner = 0
+        self._mover_bits, self._other_bits = self._other_bits, bits
         self._player = -self._player
+
+    def _has_line(self, bits: int) -> bool:
+        """Whether *bits* holds ``n_in_row`` stones in a line."""
+        rounds = self.n_in_row - 1
+        for shift in self._shifts:
+            run = bits
+            for _ in range(rounds):
+                run &= run >> shift
+            if run:
+                return True
+        return False
 
     def copy(self) -> "ConnectFour":
         clone = ConnectFour.__new__(ConnectFour)
@@ -78,6 +111,10 @@ class ConnectFour(Game):
         clone.n_in_row = self.n_in_row
         clone.board = self.board.copy()
         clone.heights = self.heights.copy()
+        clone._stones = self._stones
+        clone._mover_bits = self._mover_bits
+        clone._other_bits = self._other_bits
+        clone._shifts = self._shifts
         clone._player = self._player
         clone._winner = self._winner
         clone._last = self._last
@@ -92,24 +129,6 @@ class ConnectFour(Game):
     @property
     def winner(self) -> Player | None:
         return self._winner
-
-    def _wins_at(self, r: int, c: int, player: Player) -> bool:
-        n = self.n_in_row
-        for dr, dc in _DIRECTIONS:
-            count = 1
-            for sign in (1, -1):
-                rr, cc = r + sign * dr, c + sign * dc
-                while (
-                    0 <= rr < self.rows
-                    and 0 <= cc < self.cols
-                    and self.board[rr, cc] == player
-                ):
-                    count += 1
-                    rr += sign * dr
-                    cc += sign * dc
-            if count >= n:
-                return True
-        return False
 
     def _compute_canonical_key(self) -> tuple:
         return ("connect4", self.rows, self.cols, self.n_in_row, self._player,

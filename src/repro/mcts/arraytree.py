@@ -15,12 +15,15 @@ Equation-1 selection is one vectorised expression plus one ``np.argmax``
 -- no ``sorted()`` allocation, no per-child ``effective_stats`` calls.
 Virtual-loss policies score a slab through
 :meth:`~repro.mcts.virtual_loss.VirtualLossPolicy.effective_stats_arrays`;
-under :class:`~repro.mcts.virtual_loss.NoVirtualLoss` (serial search,
-the hottest caller) :meth:`ArrayTree.select_to_leaf` instead runs an
-inlined descent over two cached columns, with no policy calls and no
-virtual-loss reads.  Both forms take Q as ``value_sum / max(N, 1)``,
-which is bitwise the masked ``N > 0 ? W / N : 0`` because an unvisited
-row's ``value_sum`` is exactly ``0.0``.
+under :class:`~repro.mcts.virtual_loss.NoVirtualLoss` (serial search)
+and :class:`~repro.mcts.virtual_loss.WUVirtualLoss` (local-tree's
+default), whose Q is the observed mean, :meth:`ArrayTree.select_to_leaf`
+instead scores each level inline from two cached columns plus the
+virtual-loss column, with no policy calls; only constant virtual loss
+(shared-tree) goes through the policy.  Both forms take Q as
+``value_sum / max(N, 1)``, which is bitwise the masked
+``N > 0 ? W / N : 0`` because an unvisited row's ``value_sum`` is
+exactly ``0.0``.
 
 Cached columns: on every allocated row, ``q == value_sum / max(N, 1)``
 and ``n1 == 1.0 + N`` (float64), bit for bit.  :meth:`ArrayTree.backup`
@@ -62,7 +65,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy
+from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy, WUVirtualLoss
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.games.base import Game
@@ -70,6 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ArrayTree", "ArrayNodeView"]
 
 _NO_VL = NoVirtualLoss()
+
+#: policies whose effective Q is the observed mean, the cached ``q``
+#: column, so :meth:`ArrayTree.select_to_leaf` scores them inline
+_CACHED_Q_POLICIES = (NoVirtualLoss, WUVirtualLoss)
 
 #: row id meaning "no parent" (the root) in the ``parent`` array
 NO_PARENT = -1
@@ -357,59 +364,60 @@ class ArrayTree:
         Mutates *game* by stepping the selected actions and, when
         *apply_virtual_loss*, adds the policy's ``descend_amount`` along
         the path.  Returns ``(leaf_row, path_length)``.
+
+        Under :class:`NoVirtualLoss` and :class:`WUVirtualLoss`, whose Q
+        is the observed mean, a level is scored inline from the cached
+        ``q`` and ``n1`` columns: ``c_puct * prior``, ``*= sqrt_parent``,
+        ``/= n1 + VL``, ``+= q``, ``argmax``.  These are the float64
+        operations of :meth:`_child_scores` in the same order, so the
+        scores are bit-identical (the final ``q +`` commuted).  WU's
+        ``1.0 + (N + VL)`` equals ``n1 + VL`` exactly because both are
+        sums of integer-valued floats, and its parent total is
+        ``max(N - 1, 0) + max(VL - 1, 0)``.  At ``descend_amount`` 0 the
+        virtual-loss terms are skipped, which is exact because a tree
+        searched without virtual loss never carries any.  Any other
+        policy (constant virtual loss) scores through
+        :meth:`_child_scores`.
         """
         vl = vl_policy or _NO_VL
-        if type(vl) is NoVirtualLoss:
-            return self._select_to_leaf_no_vl(idx, game, c_puct)
+        cached = type(vl) in _CACHED_Q_POLICIES
         amount = vl.descend_amount
-        node = idx
-        depth = 0
-        if apply_virtual_loss and amount:
-            self.virtual_loss[node] += amount
-        while self.child_count[node] != 0 and not self.is_terminal_flag[node]:
-            node = self.select_child_index(node, c_puct, vl)
-            game.step(int(self.action[node]))
-            depth += 1
-            if apply_virtual_loss and amount:
-                self.virtual_loss[node] += amount
-            if game.is_terminal:
-                self.mark_terminal(node, game.terminal_value)
-        return node, depth
-
-    def _select_to_leaf_no_vl(
-        self, node: int, game: "Game", c_puct: float
-    ) -> tuple[int, int]:
-        """:meth:`select_to_leaf` under :class:`NoVirtualLoss`, inlined.
-
-        Equation 1 with no virtual-loss terms: the parent total is
-        ``max(N - 1, 0)`` floored at 1 and the child stats are the cached
-        ``q`` and ``n1`` columns, so this performs the same float64
-        operations in the same order as :meth:`_child_scores` --
-        bit-identical scores, the final ``q +`` commuted -- in four
-        in-place array operations per level, without the policy calls and
-        the virtual-loss reads.  Skipping the parent's virtual-loss
-        counter is exact because a tree searched under this policy never
-        carries any (its ``descend_amount`` is 0).
-        """
+        mark = apply_virtual_loss and amount
         child_start = self.child_start
         child_count = self.child_count
         is_terminal_flag = self.is_terminal_flag
         visit_count = self.visit_count
+        virtual_loss = self.virtual_loss
         action = self.action
         prior = self.prior
         q = self.q
         n1 = self.n1
+        node = idx
         depth = 0
+        if mark:
+            virtual_loss[node] += amount
         while child_count.item(node) and not is_terminal_flag.item(node):
-            start = child_start.item(node)
-            sl = slice(start, start + child_count.item(node))
-            scores = c_puct * prior[sl]
-            scores *= math.sqrt(max(visit_count.item(node) - 1, 1))
-            scores /= n1[sl]
-            scores += q[sl]
+            if cached:
+                start = child_start.item(node)
+                sl = slice(start, start + child_count.item(node))
+                scores = c_puct * prior[sl]
+                if amount:
+                    total = max(visit_count.item(node) - 1, 0) + max(
+                        virtual_loss.item(node) - amount, 0.0
+                    )
+                    scores *= math.sqrt(max(total, 1))
+                    scores /= n1[sl] + virtual_loss[sl]
+                else:
+                    scores *= math.sqrt(max(visit_count.item(node) - 1, 1))
+                    scores /= n1[sl]
+                scores += q[sl]
+            else:
+                start, scores = self._child_scores(node, c_puct, vl)
             node = start + int(scores.argmax())
             game.step(action.item(node))
             depth += 1
+            if mark:
+                virtual_loss[node] += amount
             if game.is_terminal:
                 self.mark_terminal(node, game.terminal_value)
         return node, depth

@@ -89,7 +89,7 @@ class TreeReuseMCTS(SerialMCTS):
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None
-    ) -> tuple[Node, BudgetClock]:
+    ) -> tuple[Node | ArrayNodeView, BudgetClock]:
         """Resume the kept root.  The budget counts *total* root visits,
         so a warm tree needs fewer fresh playouts for the same
         statistics; with a deadline, a warm tree still gets at least one

@@ -128,7 +128,9 @@ class SerialMCTS:
         self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         self.stats = SearchStats()
 
-    def search(self, game: Game, num_playouts: "int | SearchBudget") -> Node:
+    def search(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> Node | ArrayNodeView:
         """Run budgeted playouts from *game*'s state; returns the root.
 
         *num_playouts* is either the historic playout count or a
@@ -146,7 +148,7 @@ class SerialMCTS:
         num_playouts: "int | SearchBudget",
         *,
         clock: BudgetClock | None = None,
-    ) -> Generator[Game, Evaluation, Node]:
+    ) -> Generator[Game, Evaluation, Node | ArrayNodeView]:
         """The search as a generator: it yields each non-terminal leaf's
         state, is sent that leaf's :class:`Evaluation`, and returns the
         root.  Nothing happens until the driver first steps it.  *clock*
@@ -201,7 +203,7 @@ class SerialMCTS:
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None
-    ) -> tuple[Node, BudgetClock]:
+    ) -> tuple[Node | ArrayNodeView, BudgetClock]:
         """The root to grow and the clock that bounds this search: a fresh
         root sized for the count target, and *clock* or the started
         *budget*."""
@@ -214,9 +216,9 @@ class SerialMCTS:
 
 
 def _run_inline(
-    program: Generator[Game, Evaluation, Node],
+    program: Generator[Game, Evaluation, Node | ArrayNodeView],
     evaluate: Callable[[Game], Evaluation],
-) -> Node:
+) -> Node | ArrayNodeView:
     """Drive a search program on this thread, each leaf through
     *evaluate*; returns the root it ends on."""
     try:

@@ -45,10 +45,14 @@ one at a time, so every policy additionally exposes a vectorised face:
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.mcts.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mcts.arraytree import ArrayNodeView
 
 __all__ = [
     "VirtualLossPolicy",
@@ -71,11 +75,11 @@ class VirtualLossPolicy(abc.ABC):
         """Virtual loss added to a node's counter per in-flight traversal."""
 
     @abc.abstractmethod
-    def on_descend(self, node: Node) -> None:
+    def on_descend(self, node: Node | ArrayNodeView) -> None:
         """Mark *node* as being traversed by an in-flight worker."""
 
     @abc.abstractmethod
-    def on_backup(self, node: Node) -> None:
+    def on_backup(self, node: Node | ArrayNodeView) -> None:
         """Recover the virtual loss applied by :meth:`on_descend`."""
 
     @abc.abstractmethod
@@ -112,10 +116,10 @@ class NoVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return 0.0
 
-    def on_descend(self, node: Node) -> None:
+    def on_descend(self, node: Node | ArrayNodeView) -> None:
         pass
 
-    def on_backup(self, node: Node) -> None:
+    def on_backup(self, node: Node | ArrayNodeView) -> None:
         pass
 
     def effective_stats(self, node: Node) -> tuple[float, float]:
@@ -148,10 +152,10 @@ class ConstantVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return self.weight
 
-    def on_descend(self, node: Node) -> None:
+    def on_descend(self, node: Node | ArrayNodeView) -> None:
         node.virtual_loss += self.weight
 
-    def on_backup(self, node: Node) -> None:
+    def on_backup(self, node: Node | ArrayNodeView) -> None:
         node.virtual_loss -= self.weight
         if node.virtual_loss < -1e-9:
             raise RuntimeError("virtual loss went negative: unbalanced descend/backup")
@@ -192,10 +196,10 @@ class WUVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return 1.0
 
-    def on_descend(self, node: Node) -> None:
+    def on_descend(self, node: Node | ArrayNodeView) -> None:
         node.virtual_loss += 1.0
 
-    def on_backup(self, node: Node) -> None:
+    def on_backup(self, node: Node | ArrayNodeView) -> None:
         node.virtual_loss -= 1.0
         if node.virtual_loss < -1e-9:
             raise RuntimeError(
