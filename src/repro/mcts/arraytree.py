@@ -20,7 +20,10 @@ and :class:`~repro.mcts.virtual_loss.WUVirtualLoss` (local-tree's
 default), whose Q is the observed mean, :meth:`ArrayTree.select_to_leaf`
 instead scores each level inline from two cached columns plus the
 virtual-loss column, with no policy calls; only constant virtual loss
-(shared-tree) goes through the policy.  Both forms take Q as
+(shared-tree) goes through the policy.  Without virtual loss, a slab of
+at most :data:`NARROW_SLAB` children (Connect Four, TicTacToe) is scored
+in one Python loop over ``tolist()`` values instead: at that width
+NumPy's fixed per-call cost outweighs the arithmetic.  All forms take Q as
 ``value_sum / max(N, 1)``, which is bitwise the masked
 ``N > 0 ? W / N : 0`` because an unvisited row's ``value_sum`` is
 exactly ``0.0``.
@@ -77,6 +80,13 @@ _NO_VL = NoVirtualLoss()
 #: policies whose effective Q is the observed mean, the cached ``q``
 #: column, so :meth:`ArrayTree.select_to_leaf` scores them inline
 _CACHED_Q_POLICIES = (NoVirtualLoss, WUVirtualLoss)
+
+#: widest child slab that :meth:`ArrayTree.select_to_leaf` scores without
+#: virtual loss in a Python loop rather than with NumPy, whose fixed
+#: per-call cost dominates a narrow level (about 4 us against the loop's
+#: 2 us at 7 children).  Measured crossover on a 2-vCPU x86-64 host: 9-24
+#: children, noisy.  Connect Four and TicTacToe loop; Gomoku keeps NumPy.
+NARROW_SLAB = 12
 
 #: row id meaning "no parent" (the root) in the ``parent`` array
 NO_PARENT = -1
@@ -247,7 +257,8 @@ class ArrayTree:
     def extract_subtree(self, idx: int) -> "ArrayTree":
         """Compact *idx*'s subtree into a fresh tree (row 0 = new root).
 
-        Slab-by-slab BFS copy: child slabs are contiguous in the source,
+        Slab-by-slab depth-first copy (the work list is a stack): child
+        slabs are contiguous in the source,
         so each node's children transfer as one slice assignment and stay
         contiguous in the destination.  This is the re-root path for
         subtree reuse -- the abandoned siblings (the bulk of the old tree)
@@ -375,9 +386,12 @@ class ArrayTree:
         sums of integer-valued floats, and its parent total is
         ``max(N - 1, 0) + max(VL - 1, 0)``.  At ``descend_amount`` 0 the
         virtual-loss terms are skipped, which is exact because a tree
-        searched without virtual loss never carries any.  Any other
-        policy (constant virtual loss) scores through
-        :meth:`_child_scores`.
+        searched without virtual loss never carries any.  There, a slab
+        of at most :data:`NARROW_SLAB` children is scored in a Python
+        loop over ``tolist()`` values, ``q + c_puct * p * sqrt_parent /
+        n1``: the same float64 operations in the same order, keeping the
+        first maximum or first NaN as ``argmax`` does.  Any other policy
+        (constant virtual loss) scores through :meth:`_child_scores`.
         """
         vl = vl_policy or _NO_VL
         cached = type(vl) in _CACHED_Q_POLICIES
@@ -397,23 +411,40 @@ class ArrayTree:
         if mark:
             virtual_loss[node] += amount
         while child_count.item(node) and not is_terminal_flag.item(node):
-            if cached:
+            if not cached:
+                start, scores = self._child_scores(node, c_puct, vl)
+                node = start + int(scores.argmax())
+            else:
                 start = child_start.item(node)
                 sl = slice(start, start + child_count.item(node))
-                scores = c_puct * prior[sl]
-                if amount:
-                    total = max(visit_count.item(node) - 1, 0) + max(
-                        virtual_loss.item(node) - amount, 0.0
-                    )
-                    scores *= math.sqrt(max(total, 1))
-                    scores /= n1[sl] + virtual_loss[sl]
+                if amount or sl.stop - start > NARROW_SLAB:
+                    scores = c_puct * prior[sl]
+                    if amount:
+                        total = max(visit_count.item(node) - 1, 0) + max(
+                            virtual_loss.item(node) - amount, 0.0
+                        )
+                        scores *= math.sqrt(max(total, 1))
+                        scores /= n1[sl] + virtual_loss[sl]
+                    else:
+                        scores *= math.sqrt(max(visit_count.item(node) - 1, 1))
+                        scores /= n1[sl]
+                    scores += q[sl]
+                    node = start + int(scores.argmax())
                 else:
-                    scores *= math.sqrt(max(visit_count.item(node) - 1, 1))
-                    scores /= n1[sl]
-                scores += q[sl]
-            else:
-                start, scores = self._child_scores(node, c_puct, vl)
-            node = start + int(scores.argmax())
+                    sqrt_parent = math.sqrt(max(visit_count.item(node) - 1, 1))
+                    best, node = -math.inf, start
+                    for row, p, n, v in zip(
+                        range(start, sl.stop),
+                        prior[sl].tolist(),
+                        n1[sl].tolist(),
+                        q[sl].tolist(),
+                    ):
+                        score = v + c_puct * p * sqrt_parent / n
+                        if score > best:
+                            best, node = score, row
+                        elif score != score:  # argmax takes the first NaN
+                            node = row
+                            break
             game.step(action.item(node))
             depth += 1
             if mark:

@@ -30,8 +30,9 @@ into one ``evaluate_batch`` call.  Scheduling policy:
   and when the batch returns the backlog goes out as one batch (at the
   threshold or once its window has aged), rather than as partial batches
   queueing at the device one launch each.  A waiter whose leaf already
-  rides a running batch blocks on its own result alone: it neither
-  polls the bus nor flushes other games' backlog.  A backlog beyond
+  rides a running batch blocks on its own entry's lock, which the
+  flusher releases when the result lands: it neither polls the bus nor
+  flushes other games' backlog.  A backlog beyond
   ``max_batch`` goes out in arrival order.
 
 On a virtual clock the submitting caller flushes synchronously instead of
@@ -86,15 +87,28 @@ class BusClosed(RuntimeError):
 
 class _Entry:
     """One pending leaf: who waits, and since when.  ``taken`` turns
-    true when a flush detaches it into a batch."""
+    true when a flush detaches it into a batch, which fills ``result``
+    or ``error`` and releases ``landed`` (allocated held) for the
+    waiter; ``fut`` exists only for :meth:`EvaluationBus.submit`."""
 
-    __slots__ = ("game", "fut", "enqueued_at", "taken")
+    __slots__ = ("game", "fut", "enqueued_at", "taken", "result", "error", "landed")
 
-    def __init__(self, game: Game, fut: Future, enqueued_at: float) -> None:
+    def __init__(self, game: Game, fut: Future | None, enqueued_at: float) -> None:
         self.game = game
         self.fut = fut
         self.enqueued_at = enqueued_at
         self.taken = False
+        self.result: Evaluation | None = None
+        self.error: BaseException | None = None
+        self.landed = threading.Lock()
+        self.landed.acquire()
+
+    def outcome(self) -> Evaluation:
+        """Block until the batch carrying this leaf returns."""
+        self.landed.acquire()
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 @dataclass(frozen=True)
@@ -202,23 +216,26 @@ class EvaluationBus:
     # -- submission ----------------------------------------------------------
     def submit(self, game: Game) -> Future:
         """Enqueue a leaf; returns a future resolving to its Evaluation."""
-        return self._enqueue(game).fut
+        fut = Future()
+        self._enqueue(game, fut)
+        return fut
 
     def evaluate(self, game: Game) -> Evaluation:
         """Submit and wait (the :class:`BusEvaluator` hot path).
 
         On a wall clock the waiters are the flushers, sharing one armed
         window: whoever observes the backlog at the threshold, or the
-        oldest leaf aged past the linger, first takes the *whole* backlog -- once no batch is in flight.  A waiter whose
-        leaf was taken blocks on its result alone.  On a virtual clock
+        oldest leaf aged past the linger, first takes the *whole*
+        backlog -- once no batch is in flight.  A waiter whose leaf was
+        taken blocks on its entry's lock alone.  On a virtual clock
         the caller flushes synchronously -- nothing else can be
         concurrent, so the result is deterministic and immediate.
         """
-        entry = self._enqueue(game)
+        entry = self._enqueue(game, None)
         if self._inline:
-            if not entry.fut.done():
+            while not entry.taken:
                 self.flush()
-            return entry.fut.result()
+            return entry.outcome()
         while True:
             batch = None
             with self._lock:
@@ -239,7 +256,7 @@ class EvaluationBus:
                         wait = due - now
                     self._batch_done.wait(wait)
             if batch is None:
-                return entry.fut.result()
+                return entry.outcome()
             self._run_batch(batch)
 
     def flush(self) -> int:
@@ -254,12 +271,12 @@ class EvaluationBus:
         return 0 if batch is None else len(batch)
 
     # -- internals -----------------------------------------------------------
-    def _enqueue(self, game: Game) -> _Entry:
+    def _enqueue(self, game: Game, fut: Future | None) -> _Entry:
         batch = None
         with self._lock:
             if self._closed:
                 raise BusClosed("evaluation bus is closed")
-            entry = _Entry(game, Future(), self.clock.perf_counter())
+            entry = _Entry(game, fut, self.clock.perf_counter())
             self._entries.append(entry)
             if len(self._entries) >= flush_threshold(self._busy, self.max_batch):
                 batch = self._take_locked("threshold")
@@ -287,17 +304,23 @@ class EvaluationBus:
         return batch
 
     def _run_batch(self, batch: list[_Entry]) -> None:
-        games = [e.game for e in batch]
+        """Evaluate *batch*, hand each entry its row or the batch's
+        error, then open the gate (even if a hand-off raises)."""
+        done, error = batch, None
         try:
-            evaluations = self.evaluator.evaluate_batch(games)
+            evaluations = self.evaluator.evaluate_batch([e.game for e in batch])
         except BaseException as err:  # propagate to every waiter
-            self._open_gate(None)
-            for entry in batch:
-                entry.fut.set_exception(err)
-            return
-        self._open_gate(batch)
-        for entry, ev in zip(batch, evaluations):
-            entry.fut.set_result(ev)
+            done, error, evaluations = None, err, [None] * len(batch)
+        try:
+            for entry, ev in zip(batch, evaluations):
+                entry.result, entry.error = ev, error
+                entry.landed.release()
+                if entry.fut is not None and error is None:
+                    entry.fut.set_result(ev)
+                elif entry.fut is not None:
+                    entry.fut.set_exception(error)
+        finally:
+            self._open_gate(done)
 
     def _open_gate(self, done: list[_Entry] | None) -> None:
         """The batch in flight returned (*done*) or raised (``None``):

@@ -14,6 +14,7 @@ degradation, wiring.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -22,7 +23,8 @@ import pytest
 
 from repro.games import TicTacToe
 from repro.mcts import UniformEvaluator
-from repro.serving import BusEvaluator, EvaluationBus, MatchGateway
+from repro.mcts.evaluation import Evaluation
+from repro.serving import BusEvaluator, EvaluationBus, MatchGateway, evalbus
 from repro.serving.evalbus import BusClosed
 from repro.utils.clock import WallClock
 
@@ -343,6 +345,138 @@ class TestOneBatchInFlight:
         assert [len(b) for b in rec.batches] == [2, 1]
         assert bus.stats().inline_flushes == 1
         bus.close()
+
+class TaggingEvaluator(UniformEvaluator):
+    """Answers each leaf with its own ``tag`` as the value, so a caller
+    can tell its evaluation from any other leaf's."""
+
+    def evaluate_batch(self, games):
+        return [
+            Evaluation(ev.priors, float(g.tag))
+            for g, ev in zip(games, super().evaluate_batch(games))
+        ]
+
+
+def _tagged(tag: int) -> TicTacToe:
+    game = TicTacToe()
+    game.tag = tag
+    return game
+
+
+class TestHandOff:
+    """Each leaf's result reaches its caller through the entry's own
+    slots and lock; a :class:`~concurrent.futures.Future` is built only
+    for :meth:`EvaluationBus.submit`."""
+
+    _spawn = TestOneBatchInFlight._spawn
+
+    def test_wall_clock_evaluate_builds_no_future(self, monkeypatch):
+        def no_future():
+            raise AssertionError("evaluate() built a Future")
+
+        monkeypatch.setattr(evalbus, "Future", no_future)
+        bus = EvaluationBus(TaggingEvaluator(), linger=0.001)
+        assert bus.evaluate(_tagged(7)).value == 7.0  # lone caller, inline
+        bus.begin_search()
+        bus.begin_search()  # threshold 2: one rides, one flushes
+        values: dict = {}
+        threads = [
+            threading.Thread(
+                target=lambda t=t: values.__setitem__(t, bus.evaluate(_tagged(t)).value)
+            )
+            for t in (1, 2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert values == {1: 1.0, 2: 2.0}
+        assert bus.stats().requests == 3
+        with pytest.raises(AssertionError, match="built a Future"):
+            bus.submit(TicTacToe())  # the patch is live
+        bus.close()
+
+    def test_raising_batch_fails_flusher_and_riders_with_one_error(self):
+        err = RuntimeError("device lost")
+        rec = GatedEvaluator(first_error=err)
+        bus = EvaluationBus(rec, linger=10.0)
+        for _ in range(3):
+            bus.begin_search()
+        outcomes: dict = {}
+        threads = [self._spawn(bus, outcomes, k) for k in ("rider1", "rider2")]
+        assert _until(lambda: bus.pending_count == 2)
+        threads.append(self._spawn(bus, outcomes, "flusher"))  # meets the threshold
+        assert rec.started.wait(timeout=10.0)
+        rec.release.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(b) for b in rec.batches] == [3]
+        assert all(outcomes[k][1] is err for k in ("rider1", "rider2", "flusher"))
+        stats = bus.stats()
+        assert (stats.batches, stats.requests, stats.pending) == (0, 0, 0)
+        bus.close()
+
+    def test_submit_futures_resolve_and_raise(self):
+        bus = EvaluationBus(TaggingEvaluator(), linger=10.0)
+        bus.begin_search()
+        bus.begin_search()
+        first = bus.submit(_tagged(1))
+        assert not first.done()
+        second = bus.submit(_tagged(2))  # meets the threshold
+        assert first.result(timeout=0).value == 1.0
+        assert second.result(timeout=0).value == 2.0
+        err = ValueError("bad batch")
+        failing = EvaluationBus(GatedEvaluator(first_error=err), linger=10.0)
+        failing.evaluator.release.set()
+        fut = failing.submit(TicTacToe())  # lone caller: flushed inline
+        assert fut.exception(timeout=0) is err
+        with pytest.raises(ValueError, match="bad batch"):
+            fut.result(timeout=0)
+        assert failing.submit(TicTacToe()).result(timeout=0) is not None
+        bus.close()
+        failing.close()
+
+    def test_every_caller_gets_its_own_leaf_under_heavy_switching(self):
+        threads_n, leaves = 8, 200
+        bus = EvaluationBus(TaggingEvaluator(), max_batch=5, linger=0.0005)
+        wrong: list = []
+        errors: list = []
+
+        def producer(t: int) -> None:
+            try:
+                for i in range(leaves):
+                    tag = t * leaves + i
+                    if bus.evaluate(_tagged(tag)).value != tag:
+                        wrong.append((t, i))
+            except BaseException as err:  # noqa: BLE001 - asserted below
+                errors.append(err)
+            finally:
+                bus.end_search()
+
+        workers = [threading.Thread(target=producer, args=(t,)) for t in range(threads_n)]
+        for _ in workers:
+            bus.begin_search()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(w.is_alive() for w in workers), "bus deadlocked"
+        assert not errors and not wrong
+        stats = bus.stats()
+        assert stats.requests == threads_n * leaves
+        assert stats.pending == 0 and stats.busy_searches == 0
+        assert stats.batches == (
+            stats.threshold_flushes + stats.linger_flushes + stats.inline_flushes
+        )
+        assert stats.batches * 5 >= stats.requests
+        bus.close()
+
 
 class TestGatewayWiring:
     def test_thread_backend_defaults_bus_on(self):
