@@ -83,8 +83,8 @@ _CACHED_Q_POLICIES = (NoVirtualLoss, WUVirtualLoss)
 
 #: widest child slab that :meth:`ArrayTree.select_to_leaf` scores without
 #: virtual loss in a Python loop rather than with NumPy, whose fixed
-#: per-call cost dominates a narrow level (about 4 us against the loop's
-#: 2 us at 7 children).  Measured crossover on a 2-vCPU x86-64 host: 9-24
+#: per-call cost dominates a narrow level (4-6 us against the loop's 2-4
+#: us at 7 children).  Measured crossover on a 2-vCPU x86-64 host: 9-24
 #: children, noisy.  Connect Four and TicTacToe loop; Gomoku keeps NumPy.
 NARROW_SLAB = 12
 
@@ -416,8 +416,9 @@ class ArrayTree:
                 node = start + int(scores.argmax())
             else:
                 start = child_start.item(node)
-                sl = slice(start, start + child_count.item(node))
-                if amount or sl.stop - start > NARROW_SLAB:
+                k = child_count.item(node)
+                sl = slice(start, start + k)
+                if amount or k > NARROW_SLAB:
                     scores = c_puct * prior[sl]
                     if amount:
                         total = max(visit_count.item(node) - 1, 0) + max(

@@ -93,6 +93,7 @@ def test_pairs_alternate_and_summarise(checkouts):
 
 def test_traced_pairs_divide_times_by_the_runs_host_reference(checkouts):
     layers = {"raw.move_ms_p50": lambda k: 9.0, "nn.infer.us_per_row": lambda k: 150.0,
+              "nn.train.ms_per_step": lambda k: 0.0,
               "serving.cache.hit_rate": lambda k: 0.34, "raw.moves_per_s": lambda k: 160.0}
     runner = FakeRunner({
         ("parent", 1): {**layers, "host_ref_ms": lambda k: 2.0},
@@ -109,6 +110,8 @@ def test_traced_pairs_divide_times_by_the_runs_host_reference(checkouts):
     # shares, rates and counts are not times
     assert "serving.cache.hit_rate/host_ref_ms" not in traced
     assert "raw.moves_per_s/host_ref_ms" not in traced
+    # a layer the workload does not run reads 0 on every run, and is left out
+    assert not any(name.startswith("nn.train.") for name in traced)
     # higher-is-better metrics count the pairs the change was higher in
     assert traced["raw.moves_per_s"]["change_higher_in_pairs"] == "0/2"
     assert any("raw.move_ms_p50/host_ref_ms = 5" in line for line in logged)

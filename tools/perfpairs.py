@@ -116,7 +116,8 @@ def summarise(pairs: list[dict], better: dict) -> dict:
     """
     out = {}
     for name in pairs[0]["change"]:
-        if not all(name in p[side] for p in pairs for side in SIDES):
+        values = [p[side].get(name) for p in pairs for side in SIDES]
+        if None in values or not any(values):  # absent, or not measured here
             continue
         way = better.get(name.split("/")[0], "lower")
         sign = -1.0 if way == "higher" else 1.0
