@@ -346,6 +346,7 @@ class TestOneBatchInFlight:
         assert bus.stats().inline_flushes == 1
         bus.close()
 
+
 class TaggingEvaluator(UniformEvaluator):
     """Answers each leaf with its own ``tag`` as the value, so a caller
     can tell its evaluation from any other leaf's."""

@@ -129,7 +129,7 @@ def summarise(pairs: list[dict], better: dict) -> dict:
 
 
 def run_pairs(checkouts: dict, workload: str, seed: int, n: int, seconds: float,
-              trace: int, units: dict, runner: Runner = run_perfbench,
+              trace: int, units: dict, runner: Runner,
               log=print) -> tuple[list[dict], dict]:
     """Run *n* alternating pairs; returns ``(pairs, first host fingerprint)``."""
     pairs, host = [], {}
@@ -145,8 +145,8 @@ def run_pairs(checkouts: dict, workload: str, seed: int, n: int, seconds: float,
                     log(f"  seed {seed} pair {i} {side}: {name} = {value:.6g}")
                 metrics = {**metrics, **ratios}
             pair[side] = metrics
-            shown = metrics.get("search_ref_ratio", metrics.get("move_p50_ref_ratio"))
-            log(f"seed {seed} pair {i} {side}: search_ref_ratio = {shown}")
+            headline = "move_p50_ref_ratio" if trace else "search_ref_ratio"
+            log(f"seed {seed} pair {i} {side}: {headline} = {metrics.get(headline)}")
         pairs.append(pair)
     return pairs, host
 
