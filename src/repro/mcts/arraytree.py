@@ -387,11 +387,14 @@ class ArrayTree:
         ``max(N - 1, 0) + max(VL - 1, 0)``.  At ``descend_amount`` 0 the
         virtual-loss terms are skipped, which is exact because a tree
         searched without virtual loss never carries any.  There, a slab
-        of at most :data:`NARROW_SLAB` children is scored in a Python
-        loop over ``tolist()`` values, ``q + c_puct * p * sqrt_parent /
-        n1``: the same float64 operations in the same order, keeping the
-        first maximum or first NaN as ``argmax`` does.  Any other policy
-        (constant virtual loss) scores through :meth:`_child_scores`.
+        of at most :data:`NARROW_SLAB` children (serial search, the
+        gateway, tree reuse on Connect Four or TicTacToe) is scored in a
+        Python loop over ``tolist()`` values, ``q + c_puct * p *
+        sqrt_parent / n1``, which skips NumPy's per-call cost: the same
+        float64 operations in the same order, keeping the first maximum
+        or first NaN as ``argmax`` does.  Wider slabs and WU levels stay
+        on NumPy.  Any other policy (constant virtual loss) scores
+        through :meth:`_child_scores`.
         """
         vl = vl_policy or _NO_VL
         cached = type(vl) in _CACHED_Q_POLICIES
