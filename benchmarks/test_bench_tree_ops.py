@@ -46,7 +46,7 @@ def _micro_rates(game, evaluator, backend: str) -> dict[str, float]:
 
     # select: full Equation-1 descents of the built tree (read-only)
     select_rate = _ops_per_sec(
-        lambda: select_leaf(root, game.copy(), 5.0, apply_virtual_loss=False),
+        lambda: select_leaf(root, game.copy(), 5.0),
         300,
     )
 
@@ -60,7 +60,7 @@ def _micro_rates(game, evaluator, backend: str) -> dict[str, float]:
     expand_rate = _ops_per_sec(expand_once, 300)
 
     # backup: walk a leaf-to-root path with sign alternation + visit bumps
-    leaf, _, _ = select_leaf(root, game.copy(), 5.0, apply_virtual_loss=False)
+    leaf, _, _ = select_leaf(root, game.copy(), 5.0)
     backup_rate = _ops_per_sec(lambda: backup(leaf, 0.5), 2000)
 
     return {

@@ -368,13 +368,12 @@ class ArrayTree:
         game: "Game",
         c_puct: float,
         vl_policy: VirtualLossPolicy | None = None,
-        apply_virtual_loss: bool = True,
     ) -> tuple[int, int]:
         """Descend from *idx* following Equation 1 until reaching a leaf.
 
-        Mutates *game* by stepping the selected actions and, when
-        *apply_virtual_loss*, adds the policy's ``descend_amount`` along
-        the path.  Returns ``(leaf_row, path_length)``.
+        Mutates *game* by stepping the selected actions and adds the
+        policy's ``descend_amount`` along the path.  Returns
+        ``(leaf_row, path_length)``.
 
         Under :class:`NoVirtualLoss` and :class:`WUVirtualLoss`, whose Q
         is the observed mean, a level is scored inline from the cached
@@ -399,7 +398,6 @@ class ArrayTree:
         vl = vl_policy or _NO_VL
         cached = type(vl) in _CACHED_Q_POLICIES
         amount = vl.descend_amount
-        mark = apply_virtual_loss and amount
         child_start = self.child_start
         child_count = self.child_count
         is_terminal_flag = self.is_terminal_flag
@@ -411,7 +409,7 @@ class ArrayTree:
         n1 = self.n1
         node = idx
         depth = 0
-        if mark:
+        if amount:
             virtual_loss[node] += amount
         while child_count.item(node) and not is_terminal_flag.item(node):
             if not cached:
@@ -451,7 +449,7 @@ class ArrayTree:
                             break
             game.step(action.item(node))
             depth += 1
-            if mark:
+            if amount:
                 virtual_loss[node] += amount
             if game.is_terminal:
                 self.mark_terminal(node, game.terminal_value)
@@ -473,7 +471,6 @@ class ArrayTree:
         idx: int,
         value: float,
         vl_policy: VirtualLossPolicy | None = None,
-        revert_virtual_loss: bool = True,
     ) -> None:
         """BackUp with pure array indexing along the parent chain.
 
@@ -491,7 +488,7 @@ class ArrayTree:
         selection/expansion wins dwarf.
         """
         vl = vl_policy or _NO_VL
-        amount = vl.descend_amount if revert_virtual_loss else 0.0
+        amount = vl.descend_amount
         visit_count = self.visit_count
         value_sum = self.value_sum
         q = self.q

@@ -143,9 +143,9 @@ class BudgetSnapshot:
 class BudgetClock:
     """A started :class:`SearchBudget`: deadline timestamp + progress.
 
-    One thread drives it: serial search with :meth:`note` / :meth:`done`,
-    the local-tree master (and so shared-tree) by reading :attr:`target`
-    and :meth:`expired` around its leaves in flight.  It is not
+    One thread drives it: the search program notes each completed
+    playout with :meth:`note`, launches no more leaves once :meth:`done`
+    says so, and launches none past :attr:`target`.  It is not
     thread-safe and need not be -- schemes that fan out sub-searches
     (root-parallel) give each worker its own clock with the same
     absolute deadline via :meth:`split`.

@@ -44,33 +44,28 @@ def select_leaf(
     game: Game,
     c_puct: float,
     vl_policy: VirtualLossPolicy | None = None,
-    apply_virtual_loss: bool = True,
 ) -> tuple["Node | ArrayNodeView", Game, int]:
     """Descend from *root* following Equation 1 until reaching a leaf.
 
     Mutates *game* by executing the corresponding moves (Algorithm 2
-    line 12 / Algorithm 3 line 10) and, when *apply_virtual_loss*, marks
-    the traversed path via the VL policy.
+    line 12 / Algorithm 3 line 10) and marks the traversed path via the
+    VL policy (a no-op without one).
 
     Returns ``(leaf, game_at_leaf, path_length)``.
     """
     vl = vl_policy or _NO_VL
     if isinstance(root, ArrayNodeView):
-        leaf_row, depth = root.tree.select_to_leaf(
-            root.index, game, c_puct, vl, apply_virtual_loss
-        )
+        leaf_row, depth = root.tree.select_to_leaf(root.index, game, c_puct, vl)
         leaf = root if leaf_row == root.index else ArrayNodeView(root.tree, leaf_row)
         return leaf, game, depth
     node = root
     depth = 0
-    if apply_virtual_loss:
-        vl.on_descend(node)
+    vl.on_descend(node)
     while not node.is_leaf and not node.is_terminal:
         node = select_child(node, c_puct, vl_policy)
         game.step(node.action)
         depth += 1
-        if apply_virtual_loss:
-            vl.on_descend(node)
+        vl.on_descend(node)
         if game.is_terminal:
             node.terminal_value = game.terminal_value
     return node, game, depth
@@ -109,7 +104,6 @@ def backup(
     node: "Node | ArrayNodeView",
     value: float,
     vl_policy: VirtualLossPolicy | None = None,
-    revert_virtual_loss: bool = True,
 ) -> None:
     """BackUp (paper Section 2.1, operation 3).
 
@@ -120,15 +114,14 @@ def backup(
     """
     vl = vl_policy or _NO_VL
     if isinstance(node, ArrayNodeView):
-        node.tree.backup(node.index, value, vl, revert_virtual_loss)
+        node.tree.backup(node.index, value, vl)
         return
     current: Node | None = node
     v = value
     while current is not None:
         current.visit_count += 1
         current.value_sum += -v
-        if revert_virtual_loss:
-            vl.on_backup(current)
+        vl.on_backup(current)
         v = -v
         current = current.parent
 

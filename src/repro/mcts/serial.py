@@ -1,22 +1,31 @@
-"""Serial DNN-MCTS: the single-worker baseline every parallel scheme is
-measured against (the paper's profiling baseline, Section 2.1).
+"""Serial DNN-MCTS, and the one search program every scheme runs.
 
 One playout = Node Selection -> Node Expansion & Evaluation -> BackUp.
 After ``num_playouts`` playouts the action prior is the normalised root
-visit distribution.
+visit distribution; serial search is the single-worker baseline every
+parallel scheme is measured against (the paper's profiling baseline,
+Section 2.1).
 
 The search is written once, as a program (:meth:`SerialMCTS.search_program`)
-that yields each leaf it needs evaluated; :meth:`SerialMCTS.search` runs it
-inline, tree reuse resumes it over a kept root, leaf-parallel runs it
-inline through a same-leaf batch evaluator, and root-parallel and the
-gateway's search master step it with their own evaluation schedules.
+over three steps: a leaf hint, a flushed sub-batch and a wait that takes
+back a finished sub-batch.  It keeps up to N leaves in flight under a
+virtual-loss policy, in sub-batches of B; serial search is N = B = 1
+without virtual loss, and the local-tree and shared-tree schemes
+(:mod:`repro.parallel`) only choose N, B and the policy, as the paper's
+program template does (Section 3.2).  Its drivers decide when a
+sub-batch is evaluated and which one finishes next:
+:meth:`SerialMCTS.search` runs it inline, oldest sub-batch first; tree
+reuse resumes it over a kept root; root-parallel steps several
+round-robin; the gateway's search master steps every live session's;
+and the virtual-time simulation and profiler price each step.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Any, Generator
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
 from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
-from repro.mcts.evaluation import Evaluation, Evaluator
+from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
@@ -33,9 +42,16 @@ from repro.mcts.search import (
     expand,
     select_leaf,
 )
+from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy
 from repro.utils.rng import new_rng
 
-__all__ = ["PhaseTime", "SearchStats", "SerialMCTS"]
+__all__ = ["FLUSH", "LEAF", "WAIT", "PhaseTime", "SearchStats", "SerialMCTS", "SubBatch"]
+
+#: the steps :meth:`SerialMCTS.search_program` yields
+LEAF, FLUSH, WAIT = "leaf", "flush", "wait"
+
+#: leaves submitted for evaluation together, with their states
+SubBatch = list[tuple[Node | ArrayNodeView, Game]]
 
 
 @dataclass(frozen=True)
@@ -63,10 +79,12 @@ class SearchStats:
     Plain integer ``perf_counter_ns`` totals and counts, bumped from one
     clock read per phase boundary.  ``evaluate`` is the paper's Node
     Expansion & Evaluation phase and counts only non-terminal leaves;
-    ``select`` and ``backup`` run once per playout.  ``evaluate_ns`` runs
-    from the yield of a leaf to the return of its expansion, so under a
-    driver that steps several programs (root-parallel, the gateway's
-    search master) it includes the driver's wait for the other programs.
+    ``select`` runs once per launched leaf and ``backup`` once per
+    playout.  ``evaluate_ns`` runs from a sub-batch's flush to its
+    take-back and the expansion of its leaves, so under a driver that
+    steps several programs (root-parallel, the gateway's search master)
+    it includes the driver's wait for the other programs, and with
+    several sub-batches in flight their spans overlap.
     """
 
     select_ns: int = 0
@@ -94,7 +112,8 @@ class SearchStats:
 
 
 class SerialMCTS:
-    """Single-threaded DNN-guided MCTS.
+    """Single-threaded DNN-guided MCTS, and the one search program every
+    scheme runs.
 
     Parameters
     ----------
@@ -106,6 +125,15 @@ class SerialMCTS:
         the identical algorithm over structure-of-arrays storage with
         vectorised PUCT selection -- exact same visit counts, much faster.
     """
+
+    #: N, the most leaves in flight (Algorithm 3 line 12); B, the leaves
+    #: per flushed sub-batch (Section 4.2); and the virtual loss that
+    #: spreads the leaves in flight.  Serial search keeps one leaf in
+    #: flight, which needs no virtual loss; the tree-parallel schemes set
+    #: all three per instance.
+    num_workers = 1
+    batch_size = 1
+    vl_policy: VirtualLossPolicy = NoVirtualLoss()
 
     def __init__(
         self,
@@ -135,12 +163,33 @@ class SerialMCTS:
 
         *num_playouts* is either the historic playout count or a
         :class:`~repro.mcts.budget.SearchBudget` (count and/or wall-clock
-        deadline, whichever binds first).  Runs :meth:`search_program`
-        inline, each leaf through ``evaluator.evaluate``.
+        deadline, whichever binds first).  Runs :meth:`search_program` on
+        this thread: each wait takes back the oldest flushed sub-batch
+        (Algorithm 3's FIFO pipe), a one-row sub-batch through
+        ``evaluator.evaluate`` and a wider one through ``evaluate_batch``.
+        Draining in submission order makes the search deterministic at
+        any N.
         """
-        return _run_inline(
-            self.search_program(game, num_playouts), self.evaluator.evaluate
-        )
+        program = self.search_program(game, num_playouts)
+        send = program.send
+        evaluator = self.evaluator
+        pipe: deque[SubBatch] = deque()
+        reply = None
+        try:
+            while True:
+                kind, payload = send(reply)
+                if kind is WAIT:
+                    batch = pipe.popleft()
+                    if len(batch) == 1:
+                        reply = batch, [evaluator.evaluate(batch[0][1])]
+                    else:
+                        reply = batch, evaluator.evaluate_batch([g for _, g in batch])
+                else:
+                    reply = None
+                    if kind is FLUSH:
+                        pipe.append(payload)
+        except StopIteration as stop:
+            return stop.value
 
     def search_program(
         self,
@@ -148,44 +197,117 @@ class SerialMCTS:
         num_playouts: "int | SearchBudget",
         *,
         clock: BudgetClock | None = None,
-    ) -> Generator[Game, Evaluation, Node | ArrayNodeView]:
-        """The search as a generator: it yields each non-terminal leaf's
-        state, is sent that leaf's :class:`Evaluation`, and returns the
-        root.  Nothing happens until the driver first steps it.  *clock*
-        lets a composing scheme (root-parallel) share one absolute
-        deadline across sub-searches; when given it overrides the
-        budget's own bounds."""
+    ) -> Generator[tuple[str, Any], Any, Node | ArrayNodeView]:
+        """The search as a generator over the steps its driver schedules.
+
+        It yields ``(kind, payload)`` pairs:
+
+        - ``(LEAF, (leaf, depth))`` for each selected leaf, before the
+          leaf is backed up (terminal) or queued, so a cost model can
+          price the descent;
+        - ``(FLUSH, sub_batch)`` when a sub-batch of ``(leaf, game)``
+          pairs leaves for evaluation;
+        - ``(WAIT, None)`` when no more leaves may launch; the driver
+          sends back ``(sub_batch, evaluations)`` for any flushed
+          sub-batch not yet taken back, in any order.
+
+        Up to :attr:`num_workers` leaves are in flight under
+        :attr:`vl_policy`, flushed in sub-batches of :attr:`batch_size`.
+        A fresh root is the first playout's leaf: it is flushed alone,
+        with no ``LEAF`` hint, and expanded and backed up before any
+        other leaf launches.  A root that is already expanded (tree
+        reuse) starts with N leaves in flight.
+
+        One stop rule: every completed playout is noted on the clock,
+        and once :meth:`BudgetClock.done` says so, no more leaves launch;
+        nor do they past the count target.  Leaves already in flight
+        complete and shed their virtual loss, and the program returns the
+        root.  At N = 1 that is serial search's rule exactly.
+
+        Nothing happens until the driver first steps it.  *clock* lets a
+        composing scheme (root-parallel) share one absolute deadline
+        across sub-searches; when given it overrides the budget's own
+        bounds.
+        """
         root, clock = self._start(game, as_budget(num_playouts), clock)
         stats = self.stats
-        first = True
-        while True:
-            t0 = time.perf_counter_ns()
-            leaf, leaf_game, depth = select_leaf(
-                root, game.copy(), self.c_puct, apply_virtual_loss=False
-            )
-            t1 = time.perf_counter_ns()
-            stats.select_ns += t1 - t0
-            stats.total_path_length += depth
-            if leaf.is_terminal:
-                value = leaf.terminal_value
-                assert value is not None
-            else:
-                value = expand(leaf, leaf_game, (yield leaf_game))
-                t2 = time.perf_counter_ns()
-                stats.evaluate_ns += t2 - t1
-                stats.evaluations += 1
-                t1 = t2
-            backup(leaf, value)
-            stats.backup_ns += time.perf_counter_ns() - t1
+        c_puct, vl, batch_size = self.c_puct, self.vl_policy, self.batch_size
+        noise = self.dirichlet_epsilon > 0
+        clock_ns = time.perf_counter_ns
+        target = clock.target
+        # at most one leaf, the root itself, while the root is unexpanded
+        width = 1 if root.is_leaf else self.num_workers
+        launched = inflight = 0  # inflight: flushed, not yet taken back
+        pending: SubBatch = []  # the sub-batch accumulating
+        flushed_at: dict[int, int] = {}  # id(sub-batch) -> flush time
+        stop = False
+
+        def complete() -> bool:
+            """Count a finished playout; True once no more may launch."""
             stats.playouts += 1
             clock.note()
-            if first and self.dirichlet_epsilon > 0:
+            if noise and clock.completed == 1:
                 add_dirichlet_noise(
                     root, self.rng, self.dirichlet_alpha, self.dirichlet_epsilon
                 )
-            first = False
-            if clock.done():
+            return clock.done()
+
+        while True:
+            # Select leaves while fewer than N are in flight (Algorithm 3
+            # lines 7-11).
+            while (
+                not stop
+                and inflight + len(pending) < width
+                and (target is None or launched < target)
+            ):
+                t = clock_ns()
+                leaf, leaf_game, depth = select_leaf(root, game.copy(), c_puct, vl)
+                stats.select_ns += clock_ns() - t
+                stats.total_path_length += depth
+                launched += 1
+                if depth:  # the root's own playout gives no hint
+                    yield LEAF, (leaf, depth)
+                if not leaf.is_terminal:
+                    pending.append((leaf, leaf_game))
+                    if len(pending) >= batch_size:
+                        break
+                    continue
+                t = clock_ns()
+                backup(leaf, leaf.terminal_value, vl)
+                stats.backup_ns += clock_ns() - t
+                stop = complete()
+            # A full sub-batch goes out; so does a partial one when no more
+            # leaves launch or none is in flight, so the tail of the move
+            # cannot deadlock.
+            if pending and (
+                len(pending) >= batch_size
+                or not inflight
+                or stop
+                or (target is not None and launched >= target)
+            ):
+                inflight += len(pending)
+                flushed_at[id(pending)] = clock_ns()
+                yield FLUSH, pending
+                pending = []
+                continue
+            if not inflight:
                 return root
+            # Take back a finished sub-batch (Algorithm 3 lines 12-16):
+            # expand and back up its leaves in submission order, with no
+            # locks, because only this program touches the tree.
+            batch, evaluations = yield WAIT, None
+            inflight -= len(batch)
+            t = flushed_at.pop(id(batch))
+            for (leaf, leaf_game), evaluation in zip(batch, evaluations):
+                value = expand(leaf, leaf_game, evaluation)
+                t1 = clock_ns()
+                stats.evaluate_ns += t1 - t
+                stats.evaluations += 1
+                backup(leaf, value, vl)
+                t = clock_ns()
+                stats.backup_ns += t - t1
+                stop = complete() or stop
+            width = self.num_workers
 
     def get_action_prior(
         self, game: Game, num_playouts: "int | SearchBudget"
@@ -214,16 +336,3 @@ class SerialMCTS:
         cap = clock.target if clock.target is not None else budget.capacity_playouts
         return make_root(self.tree_backend, capacity_hint(game.action_size, cap)), clock
 
-
-def _run_inline(
-    program: Generator[Game, Evaluation, Node | ArrayNodeView],
-    evaluate: Callable[[Game], Evaluation],
-) -> Node | ArrayNodeView:
-    """Drive a search program on this thread, each leaf through
-    *evaluate*; returns the root it ends on."""
-    try:
-        leaf = next(program)
-        while True:
-            leaf = program.send(evaluate(leaf))
-    except StopIteration as stop:
-        return stop.value

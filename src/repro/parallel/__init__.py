@@ -1,17 +1,21 @@
 """Tree-parallel MCTS schemes (Section 3 of the paper).
 
-- :mod:`repro.parallel.shared_tree` -- Algorithm 2: N workers select
-  leaves under virtual loss on one shared tree; their N leaves are
-  evaluated as one batch, then expanded and backed up in order.
-- :mod:`repro.parallel.local_tree`  -- Algorithm 3: a master thread owns the
-  tree and keeps N leaves in flight; its FIFO pipe of sub-batches is
-  drained, in order, by the master itself.
+Every scheme runs the one search program,
+:meth:`repro.mcts.serial.SerialMCTS.search_program`, which keeps N
+leaves in flight under virtual loss in sub-batches of B; serial search
+is N = B = 1.
+
+- :mod:`repro.parallel.shared_tree` -- Algorithm 2: N leaves selected
+  under virtual loss on one shared tree are evaluated as one batch, then
+  expanded and backed up in order (B = N).
+- :mod:`repro.parallel.local_tree`  -- Algorithm 3: a master owns the
+  tree and keeps N leaves in flight in sub-batches of B; its FIFO pipe
+  of sub-batches is drained, in order, by the master itself.
 - :mod:`repro.parallel.leaf_parallel`, :mod:`repro.parallel.root_parallel`
-  -- the related-work baselines of Section 2.2, both driving the serial
-  search program (:meth:`repro.mcts.serial.SerialMCTS.search_program`):
-  leaf-parallel evaluates N copies of each leaf as one batch,
-  root-parallel steps N independent programs round-robin and evaluates
-  each round's leaves as one batch.
+  -- the related-work baselines of Section 2.2, both over the program at
+  one leaf in flight: leaf-parallel evaluates N copies of each leaf as
+  one batch, root-parallel steps N independent programs round-robin and
+  evaluates each round's leaves as one batch.
 
 GIL note: no scheme starts a thread.  Every in-tree operation and every
 evaluation runs on the caller's thread: under the GIL a worker hand-off

@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, capacity_hint, make_root
-from repro.mcts.budget import SearchBudget, as_budget
+from repro.mcts.backend import TreeBackend
+from repro.mcts.budget import SearchBudget
 from repro.mcts.node import Node
 from repro.mcts.search import action_prior_from_root
 
@@ -40,25 +40,16 @@ class ParallelScheme(abc.ABC):
     """A search scheme that turns a game state into an action prior.
 
     Every scheme can run over either tree backend (the ``TreeBackend``
-    seam): construct with ``tree_backend="node"`` or ``"array"`` and call
-    :meth:`_make_root` inside :meth:`search`.  Every scheme defaults to
-    the array backend; its in-tree operations run on one thread, where
-    array and ``Node`` trees give bit-identical results.
+    seam): construct with ``tree_backend="node"`` or ``"array"``.  Every
+    scheme defaults to the array backend; its in-tree operations run on
+    one thread, where array and ``Node`` trees give bit-identical
+    results.
     """
 
     name: SchemeName
 
     #: resolved storage layout; subclasses assign it in ``__init__``
     tree_backend: TreeBackend
-
-    def _make_root(
-        self, game: Game, budget: "int | SearchBudget"
-    ) -> "Node | ArrayNodeView":
-        """Fresh root on the configured backend, sized for one move."""
-        return make_root(
-            self.tree_backend,
-            capacity_hint(game.action_size, as_budget(budget).capacity_playouts),
-        )
 
     @abc.abstractmethod
     def search(

@@ -5,12 +5,13 @@ action prior is the sum of root visit counts across the ensemble.  No
 sharing means no synchronisation, but -- as the paper notes -- "still lets
 multiple workers visit repetitive states".
 
-Each worker is a :class:`~repro.mcts.serial.SerialMCTS` search program.
-The caller's thread steps them round-robin: every live worker advances
-to its next leaf, and the round's leaves go to the evaluator as one
-``evaluate_batch``.  The workers' trees are independent, so with an
-evaluator whose rows do not depend on the batch they arrive in, each
-worker's search equals a serial search run alone.  The fused network
+Each worker is the one search program
+(:meth:`~repro.mcts.serial.SerialMCTS.search_program`) at one leaf in
+flight.  The caller's thread steps them round-robin: every live worker
+advances to its next one-row flush, and the round's flushed leaves go to
+the evaluator as one ``evaluate_batch``.  The workers' trees are
+independent, so with an evaluator whose rows do not depend on the batch
+they arrive in, each worker's search equals a serial search run alone.  The fused network
 plan's rows can differ with the batch in the last float32 bits, so under
 :class:`~repro.mcts.evaluation.NetworkEvaluator` the value sums match
 only to that rounding (and a near-tie in visits could turn).
@@ -26,7 +27,7 @@ from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.node import Node
-from repro.mcts.serial import SerialMCTS
+from repro.mcts.serial import FLUSH, WAIT, SerialMCTS
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.utils.rng import new_rng, spawn_rngs
 
@@ -101,22 +102,32 @@ class RootParallelMCTS(ParallelScheme):
         ]
         roots: dict[int, "Node | ArrayNodeView"] = {}
         live = list(enumerate(programs))
-        # one round: resume every live worker with its leaf's evaluation
-        # (None starts a program) and run it to its next leaf or its root
-        evaluations: list = [None] * len(live)
+        # one round: resume every live worker with its reply (None starts
+        # a program) and step it past its leaf hint and its one-row flush
+        # to its wait, or to its root
+        replies: list = [None] * len(live)
         while True:
             waiting = []
-            for (i, program), evaluation in zip(live, evaluations):
+            for (i, program), reply in zip(live, replies):
                 try:
-                    waiting.append((i, program, program.send(evaluation)))
+                    kind, payload = program.send(reply)
+                    while kind is not WAIT:
+                        if kind is FLUSH:
+                            batch = payload
+                        kind, payload = program.send(None)
+                    waiting.append((i, program, batch))
                 except StopIteration as stop:
                     roots[i] = stop.value
             if not waiting:
                 break
             evaluations = self.evaluator.evaluate_batch(
-                [leaf for _, _, leaf in waiting]
+                [batch[0][1] for _, _, batch in waiting]
             )
             live = [(i, program) for i, program, _ in waiting]
+            replies = [
+                (batch, [evaluation])
+                for (_, _, batch), evaluation in zip(waiting, evaluations)
+            ]
         self.last_roots = [roots[i] for i in range(len(programs))]
         return self._merge_roots(self.last_roots)
 

@@ -11,8 +11,10 @@ each leaf is then expanded and backed up in order.  That is local-tree
 with ``batch_size == num_workers``, so this scheme is one.  The search
 is deterministic at any N and equals serial search at N=1.
 
-It inherits :meth:`LocalTreeMCTS.search_program` and its inline driver
-unchanged.  The costs the threads would add on the paper's platform --
+It runs the one search program,
+:meth:`~repro.mcts.serial.SerialMCTS.search_program`, and its inline
+driver, as local-tree does; this class only pins B to N and defaults
+the policy to constant virtual loss.  The costs the threads would add on the paper's platform --
 lock acquisition and the DDR traffic of the shared tree -- are modelled
 in virtual time by :mod:`repro.simulator.shared_tree_sim`, which runs
 Algorithm 2's own per-level lock schedule.

@@ -18,10 +18,10 @@ Two providers:
 - :func:`profile_virtual` -- prices a single-worker episode with a
   :class:`repro.simulator.workload.LatencyModel`, yielding the profile the
   analytic models need to predict the *simulated* platform.  The episode
-  is :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s search program
-  at one worker, sub-batches of one and no virtual loss -- serial search
-  -- and the profiler prices each step it yields, as the virtual-time
-  local-tree simulation does.  This is the provider the figure
+  is serial search's program
+  (:meth:`~repro.mcts.serial.SerialMCTS.search_program`: one leaf in
+  flight, no virtual loss), and the profiler prices each step it yields,
+  as the virtual-time local-tree simulation does.  This is the provider the figure
   benchmarks use (deterministic).
 """
 
@@ -31,9 +31,7 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluator, UniformEvaluator
-from repro.mcts.serial import SerialMCTS
-from repro.mcts.virtual_loss import NoVirtualLoss
-from repro.parallel.local_tree import FLUSH, LEAF, LocalTreeMCTS
+from repro.mcts.serial import FLUSH, LEAF, SerialMCTS
 from repro.perfmodel.models import ProfiledLatencies
 from repro.simulator.hardware import PlatformSpec
 from repro.simulator.workload import LatencyModel
@@ -81,9 +79,8 @@ def profile_virtual(
 ) -> ProfiledLatencies:
     """Price a single-worker episode with the platform's latency model.
 
-    Drives the local-tree search program with one worker, sub-batches of
-    one and no virtual loss -- the serial search, so tree shape, path
-    lengths and fanout are the real ones -- and accumulates what each
+    Drives the serial search program -- so tree shape, path lengths and
+    fanout are the real ones -- and accumulates what each
     step *would* cost in the two memory regimes.  ``t_access`` is derived
     from the serialised root handoff: one lock traversal plus one DDR
     node update for the descent and one for the backup -- the quantity
@@ -117,11 +114,12 @@ def profile_virtual(
         backup_shared += depth * (lat.backup_node(True) + lat.lock_overhead())
         backup_local += depth * lat.backup_node(False)
 
-    # playout 1 is the root's expansion, which the program runs unyielded
-    price_playout([], len(game.legal_actions()), 1)
-    scheme = LocalTreeMCTS(evaluator, 1, 1, c_puct, NoVirtualLoss())
-    program = scheme.search_program(game, num_playouts)
+    program = SerialMCTS(evaluator, c_puct=c_puct).search_program(game, num_playouts)
     reply = None
+    # playout 1 is the root's: a one-row flush with no leaf hint before it,
+    # priced as a descent of no levels
+    widths: list[int] = []
+    depth = 0
     while True:
         try:
             kind, payload = program.send(reply)

@@ -1,13 +1,15 @@
 """The gateway's search master: one thread steps every live search.
 
-Each move's search is a program
-(:meth:`~repro.mcts.reuse.TreeReuseMCTS.search_program`) that yields the
-leaf it needs evaluated.  Each round the master admits up to ``workers``
-queued moves in arrival order, resumes every live program past its cache
-hits, and evaluates the pending misses: one ``evaluate_batch`` when
-fusing (the Section-3.3 accelerator batch), else one ``evaluate`` per
-leaf.  A call that raises fails exactly the moves whose leaves it
-carried.
+Each move's search is the one search program
+(:meth:`~repro.mcts.serial.SerialMCTS.search_program`, tree reuse's)
+that yields leaf hints, flushed sub-batches and waits.  Each round the
+master admits up to ``workers`` queued moves in arrival order and
+resumes every live program: it skips the hints, looks each flushed row
+up in the cache, and answers a wait at once when the cache holds every
+row of the oldest flushed sub-batch.  Then it evaluates the round's
+misses: one ``evaluate_batch`` when fusing (the Section-3.3 accelerator
+batch), else one ``evaluate`` per row.  A call that raises fails exactly
+the moves whose rows it carried.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Generator
 
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluation, Evaluator
+from repro.mcts.serial import FLUSH, WAIT, SubBatch
 from repro.serving.cache import EvaluationCache
 
 __all__ = ["BatchCounter", "SearchMaster"]
@@ -45,13 +48,16 @@ class BatchCounter(Evaluator):
 
 
 class _Move:
-    __slots__ = ("program", "future", "leaf", "evaluation")
+    __slots__ = ("program", "future", "pipe", "reply")
 
     def __init__(self, program: Generator) -> None:
         self.program = program
         self.future = asyncio.get_running_loop().create_future()
-        self.leaf: Game | None = None
-        self.evaluation: Evaluation | None = None
+        #: flushed sub-batches not yet taken back, each with its rows'
+        #: evaluations (None until the cache or a call answers the row)
+        self.pipe: deque[tuple[SubBatch, list[Evaluation | None]]] = deque()
+        #: what the program is sent on its next step
+        self.reply: tuple[SubBatch, list[Evaluation]] | None = None
 
     def settle(self, result=None, error: BaseException | None = None) -> None:
         """Resolve the awaiting future from the master thread."""
@@ -126,16 +132,24 @@ class SearchMaster:
             live = self._evaluate([m for m in live if self._step(m)])
 
     def _step(self, move: _Move) -> bool:
-        """Resume *move* past its cache hits; True while a miss is pending."""
+        """Resume *move* past its hints and cache hits; True while its
+        oldest flushed sub-batch waits on a miss."""
         if move.future.cancelled():
             move.program.close()
             return False
+        program, pipe, cache = move.program, move.pipe, self.cache
         try:
-            leaf = move.program.send(move.evaluation)
-            while (value := self.cache.get(leaf)) is not None:
-                leaf = move.program.send(value)
-            move.leaf = leaf
-            return True
+            step = program.send(move.reply)
+            while True:
+                kind, payload = step
+                reply = None
+                if kind is FLUSH:
+                    pipe.append((payload, [cache.get(g) for _, g in payload]))
+                elif kind is WAIT:
+                    if any(row is None for row in pipe[0][1]):
+                        return True
+                    reply = pipe.popleft()
+                step = program.send(reply)
         except StopIteration as stop:
             move.settle(stop.value)
         except Exception as err:  # noqa: BLE001 - surfaced to the awaiter
@@ -148,19 +162,27 @@ class SearchMaster:
             return []
         ready: list[_Move] = []
         for call in [pending] if self.fuse else [[m] for m in pending]:
-            leaves = [m.leaf for m in call]
+            misses = [
+                (rows, i, game)
+                for move in call
+                for batch, rows in move.pipe
+                for i, ((_, game), row) in enumerate(zip(batch, rows))
+                if row is None
+            ]
             try:
                 if self.fuse:
-                    rows = self.evaluator.evaluate_batch(leaves)
+                    fresh = self.evaluator.evaluate_batch([g for _, _, g in misses])
                 else:
-                    rows = [self.evaluator.evaluate(leaves[0])]
-                for move, row in zip(call, rows):
-                    self.cache.put(move.leaf, row)
-                    move.evaluation = row
+                    fresh = [self.evaluator.evaluate(g) for _, _, g in misses]
+                for (rows, i, game), row in zip(misses, fresh):
+                    self.cache.put(game, row)
+                    rows[i] = row
             except Exception as err:  # noqa: BLE001 - fails this call's moves
                 for move in call:
                     move.program.close()
                     move.settle(error=err)
                 continue
+            for move in call:
+                move.reply = move.pipe.popleft()
             ready.extend(call)
         return ready

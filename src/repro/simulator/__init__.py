@@ -19,7 +19,9 @@ against a parameterised hardware model:
 - :mod:`repro.simulator.gpu`       -- accelerator with PCIe transfer model
   ``(N/B) * L + N/BW`` and monotone batched-compute model (Section 4.2).
 - :mod:`repro.simulator.local_tree_sim` -- the virtual-time driver of
-  :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s own search program
+  the one search program
+  (:meth:`~repro.mcts.serial.SerialMCTS.search_program`) as
+  :class:`~repro.parallel.local_tree.LocalTreeMCTS` configures it
   (Algorithm 3): it prices each step the program yields and finishes its
   sub-batches on simulated workers or the accelerator.
 - :mod:`repro.simulator.shared_tree_sim` -- threaded Algorithm 2 with its

@@ -1,9 +1,10 @@
 """Local-tree scheme executed in virtual time (Algorithm 3 on the DES).
 
-The search is :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s own
-program (:meth:`~repro.parallel.local_tree.LocalTreeMCTS.search_program`);
-this module is only its virtual-time driver.  One simulated **master
-task** steps the program and charges each step at cache-regime costs
+The search is :class:`~repro.parallel.local_tree.LocalTreeMCTS`'s
+program, the one search program
+(:meth:`~repro.mcts.serial.SerialMCTS.search_program`); this module is
+only its virtual-time driver.  One simulated **master task** steps the
+program and charges each step at cache-regime costs
 (the paper's premise that the local tree fits in the master core's LLC):
 the per-level selection and virtual-loss work of each leaf, the pipe
 transfer of each flushed sub-batch, and the expansion and backup of each
@@ -27,8 +28,9 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.evaluation import Evaluator
+from repro.mcts.serial import FLUSH, LEAF
 from repro.mcts.virtual_loss import VirtualLossPolicy
-from repro.parallel.local_tree import FLUSH, LEAF, LocalTreeMCTS
+from repro.parallel.local_tree import LocalTreeMCTS
 from repro.simulator.engine import Compute, Get, Put, SimEngine, Wait
 from repro.simulator.gpu import SimGPU
 from repro.simulator.hardware import PlatformSpec
@@ -143,6 +145,10 @@ class LocalTreeSimulation:
         backup_cost = lat.backup_node(shared=False)
         program = self.scheme.search_program(self.game, num_playouts)
         reply = None
+        # the root's one-row flush, the only one before any leaf hint, is
+        # evaluated here unpriced; :meth:`run` charges it after the run
+        root_job = None
+        hinted = False
         while True:
             try:
                 kind, payload = program.send(reply)
@@ -154,6 +160,7 @@ class LocalTreeSimulation:
                 # the descent: a virtual-loss write on every path node and
                 # an Equation-1 scan of every expanded one
                 leaf, depth = payload
+                hinted = True
                 path_lengths.append(depth)
                 tree = leaf.tree
                 path = tree.path_to_root(leaf.index)[:0:-1]
@@ -163,6 +170,9 @@ class LocalTreeSimulation:
                     yield Compute(vl_cost, tag="vl")
                 if leaf.is_terminal:
                     yield Compute((depth + 1) * backup_cost, tag="backup")
+            elif kind is FLUSH and not hinted:
+                ((_, root_game),) = payload
+                root_job = payload, [self.scheme.evaluator.evaluate(root_game)]
             elif kind is FLUSH:
                 # evaluate now, deliver at the modelled completion time
                 games = [g for _, g in payload]
@@ -173,6 +183,8 @@ class LocalTreeSimulation:
                 else:
                     future = gpu.submit(len(payload), job)
                     engine.spawn(_deliver(future, response_fifo), "gpu-deliver")
+            elif root_job is not None:  # WAIT on the root's flush
+                reply, root_job = root_job, None
             else:  # WAIT: take back whichever sub-batch finishes first
                 reply = yield Get(response_fifo)
                 for leaf, leaf_game in reply[0]:

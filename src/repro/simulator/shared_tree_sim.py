@@ -25,7 +25,7 @@ from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.backend import TreeBackend, capacity_hint, make_root
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.search import expand
+from repro.mcts.search import backup, expand
 from repro.mcts.uct import select_child
 from repro.mcts.virtual_loss import ConstantVirtualLoss, VirtualLossPolicy
 from repro.simulator.engine import Acquire, Compute, Release, SimEngine, Wait
@@ -141,11 +141,11 @@ class SharedTreeSimulation:
         root = make_root(
             TreeBackend.ARRAY, capacity_hint(self.game.action_size, num_playouts)
         )
-        # Warm-up: expand the root once before the parallel phase, charged
-        # as one serial evaluation (mirrors the real implementations).
+        # Warm-up: expand and back up the root once before the parallel
+        # phase, charged as one serial evaluation (the search program's
+        # first playout).
         evaluation = self.evaluator.evaluate(self.game)
-        expand(root, self.game, evaluation)
-        root.visit_count += 1
+        backup(root, expand(root, self.game, evaluation))
 
         counter = _PlayoutCounter(num_playouts - 1)
         path_lengths: list[int] = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.games import ConnectFour, Gomoku, SyntheticTreeGame, TicTacToe
+from repro.mcts.serial import FLUSH, WAIT
 from repro.simulator.hardware import CPUSpec, GPUSpec, PlatformSpec
 
 
@@ -66,3 +67,21 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, tol: float = 1e
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     assert rel.max() < tol, f"max relative gradient error {rel.max():.2e} >= {tol}"
+
+
+def step_by_hand(program, evaluator):
+    """Run *program*, evaluating each one-row flush at the next wait;
+    returns the root and the flushed states' keys."""
+    flushed = []
+    reply = None
+    try:
+        while True:
+            kind, payload = program.send(reply)
+            reply = None
+            if kind is FLUSH:
+                ((_, leaf_game),) = batch = payload
+                flushed.append(leaf_game.canonical_key())
+            elif kind is WAIT:
+                reply = batch, [evaluator.evaluate(leaf_game)]
+    except StopIteration as stop:
+        return stop.value, flushed

@@ -274,7 +274,7 @@ class _RandomEvaluator(Evaluator):
 def _playouts(root, game, evaluator, count, rng):
     """*count* serial playouts from *root*, Dirichlet noise after the first."""
     for i in range(count):
-        leaf, leaf_game, _ = select_leaf(root, game.copy(), 5.0, apply_virtual_loss=False)
+        leaf, leaf_game, _ = select_leaf(root, game.copy(), 5.0)
         if leaf.is_terminal:
             value = leaf.terminal_value
         else:

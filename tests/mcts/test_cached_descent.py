@@ -24,7 +24,7 @@ from repro.mcts.arraytree import NARROW_SLAB, ArrayNodeView, ArrayTree
 from repro.mcts.evaluation import NetworkEvaluator
 from repro.mcts.virtual_loss import NoVirtualLoss, WUVirtualLoss
 from repro.parallel import LocalTreeMCTS
-from repro.parallel.local_tree import FLUSH, LEAF, WAIT
+from repro.mcts.serial import FLUSH, LEAF, WAIT
 
 
 class GenericNoVL(NoVirtualLoss):

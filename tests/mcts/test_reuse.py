@@ -8,6 +8,7 @@ from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
 from repro.mcts.search import action_prior_from_root
+from tests.conftest import step_by_hand
 
 
 class TestTreeAdvance:
@@ -110,15 +111,7 @@ class TestSearchProgram:
         for _ in range(2):
             seen.clear()
             prior = inline.get_action_prior(g, 40)
-            program = stepped.search_program(g, 40)
-            yielded = []
-            try:
-                leaf = next(program)
-                while True:
-                    yielded.append(leaf.canonical_key())
-                    leaf = program.send(replay.evaluate(leaf))
-            except StopIteration as stop:
-                root = stop.value
+            root, yielded = step_by_hand(stepped.search_program(g, 40), replay)
             assert yielded == seen
             assert root.visit_count == inline._root.visit_count
             np.testing.assert_array_equal(

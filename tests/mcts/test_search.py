@@ -22,7 +22,7 @@ from repro.mcts.virtual_loss import ConstantVirtualLoss
 class TestSelectLeaf:
     def test_fresh_root_is_leaf(self):
         root = Node()
-        leaf, game, depth = select_leaf(root, TicTacToe(), 5.0, apply_virtual_loss=False)
+        leaf, game, depth = select_leaf(root, TicTacToe(), 5.0)
         assert leaf is root
         assert depth == 0
 
@@ -31,7 +31,7 @@ class TestSelectLeaf:
         root = Node()
         ev = UniformEvaluator().evaluate(g)
         expand(root, g, ev)
-        leaf, game, depth = select_leaf(root, g.copy(), 5.0, apply_virtual_loss=False)
+        leaf, game, depth = select_leaf(root, g.copy(), 5.0)
         assert depth == 1
         assert leaf.parent is root
         assert game.last_action == leaf.action
@@ -53,7 +53,7 @@ class TestSelectLeaf:
         root = Node()
         expand(root, g, UniformEvaluator().evaluate(g))
         root.children[2].prior = 1.0  # bias selection to the winning move
-        leaf, game, _ = select_leaf(root, g.copy(), 5.0, apply_virtual_loss=False)
+        leaf, game, _ = select_leaf(root, g.copy(), 5.0)
         assert game.is_terminal
         assert leaf.is_terminal
 

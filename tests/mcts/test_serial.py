@@ -7,6 +7,7 @@ from repro.games import ConnectFour, Gomoku, TicTacToe
 from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
 from repro.mcts.search import action_prior_from_root
 from repro.mcts.serial import SerialMCTS
+from tests.conftest import step_by_hand
 
 
 class TestBasics:
@@ -141,16 +142,9 @@ class TestSearchProgram:
         inline = SerialMCTS(Recording(), dirichlet_epsilon=0.25, rng=3)
         expected = inline.get_action_prior(g, 60)
         stepped = SerialMCTS(UniformEvaluator(), dirichlet_epsilon=0.25, rng=3)
-        program = stepped.search_program(g, 60)
-        evaluator = UniformEvaluator()
-        yielded = []
-        try:
-            leaf = next(program)
-            while True:
-                yielded.append(leaf.canonical_key())
-                leaf = program.send(evaluator.evaluate(leaf))
-        except StopIteration as stop:
-            root = stop.value
+        root, yielded = step_by_hand(
+            stepped.search_program(g, 60), UniformEvaluator()
+        )
         assert yielded == seen
         np.testing.assert_array_equal(
             action_prior_from_root(root, g.action_size), expected

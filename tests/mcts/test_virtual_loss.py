@@ -246,20 +246,20 @@ class TestBitExactArrayScoring:
         assert depth == 1
         assert leaf == 1 + int(np.argmax(expected))
 
-    @given(slab=slabs(), apply=st.booleans())
+    @given(slab=slabs())
     @settings(max_examples=60, deadline=None)
-    def test_wu_descent_picks_the_reference_argmax(self, slab, apply):
+    def test_wu_descent_picks_the_reference_argmax(self, slab):
         """The inlined WU descent, which scores from the cached ``q``/``n1``
-        columns plus virtual loss, selects the reference scores' argmax,
-        with or without first adding its own virtual loss to the root."""
+        columns plus virtual loss, selects the reference scores' argmax
+        after adding its own virtual loss to the root."""
         tree, root = _build(slab, amount=1.0)
         wu = WUVirtualLoss()
         # the descent scores the root after adding its own virtual loss
-        tree.virtual_loss[root] += float(apply)
+        tree.virtual_loss[root] += 1.0
         expected = _masked_scores(tree, root, slab[-1], wu)
-        tree.virtual_loss[root] -= float(apply)
+        tree.virtual_loss[root] -= 1.0
         game = SyntheticTreeGame(fanout=len(slab[0]), depth_limit=3)
-        leaf, depth = tree.select_to_leaf(root, game, slab[-1], wu, apply)
+        leaf, depth = tree.select_to_leaf(root, game, slab[-1], wu)
         assert depth == 1
         assert leaf == 1 + int(np.argmax(expected))
-        assert tree.virtual_loss[leaf] == slab[2][leaf - 1] + float(apply)
+        assert tree.virtual_loss[leaf] == slab[2][leaf - 1] + 1.0

@@ -14,9 +14,12 @@ from repro.mcts.evaluation import (
     RandomRolloutEvaluator,
     UniformEvaluator,
 )
+from repro.mcts import serial
+from repro.mcts.reuse import TreeReuseMCTS
 from repro.mcts.search import select_leaf
+from repro.mcts.serial import FLUSH, LEAF, WAIT
 from repro.mcts.virtual_loss import ConstantVirtualLoss, WUVirtualLoss
-from repro.parallel import LocalTreeMCTS, local_tree
+from repro.parallel import LocalTreeMCTS
 from repro.parallel.base import SchemeName
 
 
@@ -197,8 +200,8 @@ class TestRecordedPriors:
 
 
 class SpyEvaluator(Evaluator):
-    """Records each ``evaluate_batch``: its games, and how many leaves the
-    master had selected when the call came."""
+    """Records each call, a one-row ``evaluate`` or an ``evaluate_batch``:
+    its games, and how many leaves the master had selected when it came."""
 
     def __init__(self, selected: list) -> None:
         self.selected = selected
@@ -206,13 +209,13 @@ class SpyEvaluator(Evaluator):
         self.selected_at_call: list[int] = []
 
     def evaluate(self, game):
-        mask = game.legal_mask()
-        return Evaluation(priors=mask / mask.sum(), value=0.0)
+        return self.evaluate_batch([game])[0]
 
     def evaluate_batch(self, games):
         self.batches.append(list(games))
         self.selected_at_call.append(len(self.selected))
-        return [self.evaluate(g) for g in games]
+        masks = [g.legal_mask() for g in games]
+        return [Evaluation(priors=m / m.sum(), value=0.0) for m in masks]
 
 
 class TestPipeOrder:
@@ -224,17 +227,23 @@ class TestPipeOrder:
 
         def recording_select_leaf(*args, **kwargs):
             leaf, leaf_game, depth = select_leaf(*args, **kwargs)
-            if not leaf.is_terminal:
+            if depth and not leaf.is_terminal:  # a leaf below the root
                 selected.append(leaf_game)
             return leaf, leaf_game, depth
 
-        monkeypatch.setattr(local_tree, "select_leaf", recording_select_leaf)
+        monkeypatch.setattr(serial, "select_leaf", recording_select_leaf)
         spy = SpyEvaluator(selected)
         scheme = LocalTreeMCTS(spy, num_workers=n, batch_size=b, rng=0)
         root = scheme.search(TicTacToe(), self.PLAYOUTS)
         assert root.visit_count == self.PLAYOUTS
         leaves = self.PLAYOUTS - 1
         assert len(selected) == leaves
+
+        # the root goes first, alone, before any leaf is selected
+        ((root_game,),) = spy.batches[:1]
+        assert root_game.canonical_key() == TicTacToe().canonical_key()
+        assert spy.selected_at_call.pop(0) == 0
+        del spy.batches[0]
 
         # FIFO: the evaluator sees the leaves exactly in selection order
         evaluated = [g for batch in spy.batches for g in batch]
@@ -255,18 +264,80 @@ class TestPipeOrder:
             done += size
 
 
+class TestRootAndFanOut:
+    """A fresh root is the first playout's leaf, evaluated alone before
+    any other leaf launches; a kept, expanded root starts with N leaves
+    in flight."""
+
+    @pytest.mark.parametrize("b_is_n", [False, True], ids=["b1", "bn"])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_fresh_root_is_flushed_alone_first(self, n, b_is_n):
+        b = n if b_is_n else 1
+        game = ConnectFour()
+        scheme = LocalTreeMCTS(UniformEvaluator(), num_workers=n, batch_size=b, rng=0)
+        program = scheme.search_program(game, 40)
+        kind, batch = next(program)
+        assert kind is FLUSH
+        ((root, root_game),) = batch
+        assert root.is_leaf and root_game.canonical_key() == game.canonical_key()
+        assert next(program) == (WAIT, None)
+        kind, (leaf, depth) = program.send(
+            (batch, [UniformEvaluator().evaluate(root_game)])
+        )
+        assert kind is LEAF and depth == 1 and root.visit_count == 1
+        program.close()
+
+        # the inline driver makes the root's call first, one row, alone
+        spy = SpyEvaluator([])
+        LocalTreeMCTS(spy, num_workers=n, batch_size=b, rng=0).search(game, 40)
+        ((first,), *rest) = spy.batches
+        assert first.canonical_key() == game.canonical_key()
+        assert rest and len(rest[0]) == b
+
+    @pytest.mark.parametrize("n,b", [(2, 1), (4, 2), (8, 8)])
+    def test_reused_expanded_root_starts_with_n_leaves_in_flight(self, n, b):
+        class ReusedLocalTree(TreeReuseMCTS):
+            num_workers = n
+            batch_size = b
+            vl_policy = WUVirtualLoss()
+
+        game = ConnectFour()
+        stepped, inline = (ReusedLocalTree(UniformEvaluator(), rng=0) for _ in "ab")
+        for agent in (stepped, inline):
+            agent.search(game, 40)
+        program = stepped.search_program(game, 120)
+        kinds = []
+        while not kinds or kinds[-1] is not WAIT:
+            kinds.append(next(program)[0])
+        assert kinds.count(LEAF) == n
+        assert kinds.count(FLUSH) == n // b
+        assert kinds[0] is LEAF
+        program.close()
+        root = inline.search(game, 120)
+        assert root.visit_count == 120
+        assert not root.tree.virtual_loss[: root.tree.size].any()
+
+
 class FailingEvaluator(HashEvaluator):
-    """Raises on its k-th ``evaluate_batch`` call, and only then."""
+    """Raises on its k-th call, ``evaluate`` or ``evaluate_batch``, and
+    only then."""
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.calls = 0
 
-    def evaluate_batch(self, games):
+    def _count(self) -> None:
         self.calls += 1
         if self.calls == self.k:
             raise RuntimeError(f"evaluation {self.k} failed")
-        return super().evaluate_batch(games)
+
+    def evaluate(self, game):
+        self._count()
+        return super().evaluate(game)
+
+    def evaluate_batch(self, games):
+        self._count()
+        return [HashEvaluator.evaluate(self, g) for g in games]
 
 
 class TestEvaluatorErrors:

@@ -12,11 +12,14 @@ layers; any divergence here means a scheme silently changed the algorithm,
 not just its parallel schedule.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.games import SyntheticTreeGame, TicTacToe, build_network_for
-from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
+from repro.mcts.arraytree import _COLUMNS
+from repro.mcts.evaluation import Evaluation, NetworkEvaluator, UniformEvaluator
 from repro.mcts.node import Node
 from repro.mcts.serial import SerialMCTS
 from repro.mcts.virtual_loss import NoVirtualLoss
@@ -105,6 +108,37 @@ def test_one_leaf_in_flight_with_default_virtual_loss_matches_serial(
     scheme = scheme_cls(evaluator, num_workers=1, c_puct=C_PUCT, rng=0)
     root = scheme.search(game.copy(), PLAYOUTS)
     np.testing.assert_array_equal(root_visits(root, game.action_size), expected)
+
+
+class HashValueEvaluator(UniformEvaluator):
+    """Uniform priors and a state-dependent value, so every backed-up
+    value sum, the root's included, depends on which leaves were
+    evaluated."""
+
+    def evaluate(self, game):
+        prior = super().evaluate(game).priors
+        h = zlib.crc32(game.encode().tobytes())
+        return Evaluation(priors=prior, value=(h % 2001) / 1000.0 - 1.0)
+
+
+@pytest.mark.parametrize("game_name", sorted(make_games()))
+@pytest.mark.parametrize("vl", ["none", "default"])
+def test_local_tree_at_one_leaf_equals_serial_on_every_tree_column(game_name, vl):
+    """Local-tree at N = B = 1 is serial search: the same array tree,
+    column for column and bit for bit, the root's value sum included."""
+    game = make_games()[game_name]()
+    evaluator = HashValueEvaluator()
+    serial = SerialMCTS(evaluator, c_puct=C_PUCT, rng=0).search(game.copy(), PLAYOUTS)
+    local = LocalTreeMCTS(
+        evaluator, num_workers=1, batch_size=1, c_puct=C_PUCT,
+        vl_policy=NoVirtualLoss() if vl == "none" else None, rng=0,
+    ).search(game.copy(), PLAYOUTS)
+    a, b = serial.tree, local.tree
+    assert a.size == b.size
+    assert local.value_sum == serial.value_sum != 0.0
+    for name, _, _ in _COLUMNS:
+        x, y = getattr(a, name)[: a.size], getattr(b, name)[: b.size]
+        np.testing.assert_array_equal(x.view(np.uint8), y.view(np.uint8), err_msg=name)
 
 
 @pytest.mark.parametrize("scheme_name", sorted(scheme_factories(None)))

@@ -11,14 +11,19 @@ from repro.parallel.base import SchemeName
 
 
 class CountingEvaluator(UniformEvaluator):
-    """Uniform evaluator that records the row count of every batch call."""
+    """Uniform evaluator that records the row count of every call; the
+    search sends a one-row sub-batch to ``evaluate``."""
 
     def __init__(self):
         self.rows: list[int] = []
 
+    def evaluate(self, game):
+        self.rows.append(1)
+        return super().evaluate(game)
+
     def evaluate_batch(self, games):
         self.rows.append(len(games))
-        return super().evaluate_batch(games)
+        return [UniformEvaluator.evaluate(self, g) for g in games]
 
 
 def c4_position() -> ConnectFour:
@@ -133,11 +138,13 @@ class TestLeafBatches:
         scheme = SharedTreeMCTS(evaluator, num_workers=workers, rng=12)
         root = scheme.search(GAMES[game_name](), 97)
         assert root.visit_count == 97
-        rows = evaluator.rows
+        # the root is evaluated alone first; terminal leaves skip the
+        # evaluator
+        root_row, *rows = evaluator.rows
+        assert root_row == 1
         assert rows, "no leaf was evaluated"
         assert all(r == workers for r in rows[:-1]), rows
         assert 1 <= rows[-1] <= workers
-        # the root is evaluated alone; terminal leaves skip the evaluator
         assert sum(rows) <= 97 - 1
 
 

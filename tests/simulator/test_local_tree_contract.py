@@ -17,7 +17,7 @@ from repro.games import ConnectFour, Gomoku, TicTacToe, build_network_for
 from repro.mcts.evaluation import NetworkEvaluator, UniformEvaluator
 from repro.mcts.virtual_loss import ConstantVirtualLoss
 from repro.parallel import LocalTreeMCTS
-from repro.parallel.local_tree import FLUSH, WAIT
+from repro.mcts.serial import FLUSH, WAIT
 from repro.simulator import LocalTreeSimulation, SharedTreeSimulation, paper_platform
 
 PLAT = paper_platform()
