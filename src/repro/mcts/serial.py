@@ -80,11 +80,11 @@ class SearchStats:
     clock read per phase boundary.  ``evaluate`` is the paper's Node
     Expansion & Evaluation phase and counts only non-terminal leaves;
     ``select`` runs once per launched leaf and ``backup`` once per
-    playout.  ``evaluate_ns`` runs from a sub-batch's flush to its
-    take-back and the expansion of its leaves, so under a driver that
-    steps several programs (root-parallel, the gateway's search master)
-    it includes the driver's wait for the other programs, and with
-    several sub-batches in flight their spans overlap.
+    playout.  ``evaluate_ns`` runs from each wait to the take-back and
+    expansion of a flushed sub-batch; with one leaf in flight the wait
+    directly follows the leaf's flush.  So under a driver that steps
+    several programs (root-parallel, the gateway's search master) it
+    includes the driver's wait for the other programs.
     """
 
     select_ns: int = 0
@@ -239,7 +239,6 @@ class SerialMCTS:
         width = 1 if root.is_leaf else self.num_workers
         launched = inflight = 0  # inflight: flushed, not yet taken back
         pending: SubBatch = []  # the sub-batch accumulating
-        flushed_at: dict[int, int] = {}  # id(sub-batch) -> flush time
         stop = False
 
         def complete() -> bool:
@@ -286,7 +285,6 @@ class SerialMCTS:
                 or (target is not None and launched >= target)
             ):
                 inflight += len(pending)
-                flushed_at[id(pending)] = clock_ns()
                 yield FLUSH, pending
                 pending = []
                 continue
@@ -295,9 +293,9 @@ class SerialMCTS:
             # Take back a finished sub-batch (Algorithm 3 lines 12-16):
             # expand and back up its leaves in submission order, with no
             # locks, because only this program touches the tree.
+            t = clock_ns()
             batch, evaluations = yield WAIT, None
             inflight -= len(batch)
-            t = flushed_at.pop(id(batch))
             for (leaf, leaf_game), evaluation in zip(batch, evaluations):
                 value = expand(leaf, leaf_game, evaluation)
                 t1 = clock_ns()

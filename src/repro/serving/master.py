@@ -146,7 +146,7 @@ class SearchMaster:
                 if kind is FLUSH:
                     pipe.append((payload, [cache.get(g) for _, g in payload]))
                 elif kind is WAIT:
-                    if any(row is None for row in pipe[0][1]):
+                    if not all(pipe[0][1]):  # a row is still a miss (None)
                         return True
                     reply = pipe.popleft()
                 step = program.send(reply)
