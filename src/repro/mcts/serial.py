@@ -45,7 +45,15 @@ from repro.mcts.search import (
 from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy
 from repro.utils.rng import new_rng
 
-__all__ = ["FLUSH", "LEAF", "WAIT", "PhaseTime", "SearchStats", "SerialMCTS", "SubBatch"]
+__all__ = [
+    "FLUSH",
+    "LEAF",
+    "WAIT",
+    "PhaseTime",
+    "SearchStats",
+    "SerialMCTS",
+    "SubBatch",
+]
 
 #: the steps :meth:`SerialMCTS.search_program` yields
 LEAF, FLUSH, WAIT = "leaf", "flush", "wait"
@@ -183,7 +191,8 @@ class SerialMCTS:
                     if len(batch) == 1:
                         reply = batch, [evaluator.evaluate(batch[0][1])]
                     else:
-                        reply = batch, evaluator.evaluate_batch([g for _, g in batch])
+                        games = [g for _, g in batch]
+                        reply = batch, evaluator.evaluate_batch(games)
                 else:
                     reply = None
                     if kind is FLUSH:

@@ -11,10 +11,11 @@ flight.  The caller's thread steps them round-robin: every live worker
 advances to its next one-row flush, and the round's flushed leaves go to
 the evaluator as one ``evaluate_batch``.  The workers' trees are
 independent, so with an evaluator whose rows do not depend on the batch
-they arrive in, each worker's search equals a serial search run alone.  The fused network
-plan's rows can differ with the batch in the last float32 bits, so under
-:class:`~repro.mcts.evaluation.NetworkEvaluator` the value sums match
-only to that rounding (and a near-tie in visits could turn).
+they arrive in, each worker's search equals a serial search run alone.
+The fused network plan's rows can differ with the batch in the last
+float32 bits, so under :class:`~repro.mcts.evaluation.NetworkEvaluator`
+the value sums match only to that rounding (and a near-tie in visits
+could turn).
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ is deterministic at any N and equals serial search at N=1.
 It runs the one search program,
 :meth:`~repro.mcts.serial.SerialMCTS.search_program`, and its inline
 driver, as local-tree does; this class only pins B to N and defaults
-the policy to constant virtual loss.  The costs the threads would add on the paper's platform --
-lock acquisition and the DDR traffic of the shared tree -- are modelled
-in virtual time by :mod:`repro.simulator.shared_tree_sim`, which runs
-Algorithm 2's own per-level lock schedule.
+the policy to constant virtual loss.  The costs the threads would add
+on the paper's platform -- lock acquisition and the DDR traffic of the
+shared tree -- are modelled in virtual time by
+:mod:`repro.simulator.shared_tree_sim`, which runs Algorithm 2's own
+per-level lock schedule.
 """
 
 from __future__ import annotations

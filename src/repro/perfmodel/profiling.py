@@ -21,8 +21,8 @@ Two providers:
   is serial search's program
   (:meth:`~repro.mcts.serial.SerialMCTS.search_program`: one leaf in
   flight, no virtual loss), and the profiler prices each step it yields,
-  as the virtual-time local-tree simulation does.  This is the provider the figure
-  benchmarks use (deterministic).
+  as the virtual-time local-tree simulation does.  This is the provider
+  the figure benchmarks use (deterministic).
 """
 
 from __future__ import annotations

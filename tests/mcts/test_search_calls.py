@@ -55,7 +55,8 @@ EVALUATORS = ("uniform", "network")
 
 
 def key_digest(game) -> str:
-    return hashlib.blake2b(repr(game.canonical_key()).encode(), digest_size=6).hexdigest()
+    key = repr(game.canonical_key()).encode()
+    return hashlib.blake2b(key, digest_size=6).hexdigest()
 
 
 class CallLog(Evaluator):

@@ -274,7 +274,7 @@ class TestRootAndFanOut:
     def test_fresh_root_is_flushed_alone_first(self, n, b_is_n):
         b = n if b_is_n else 1
         game = ConnectFour()
-        scheme = LocalTreeMCTS(UniformEvaluator(), num_workers=n, batch_size=b, rng=0)
+        scheme = LocalTreeMCTS(UniformEvaluator(), n, b, rng=0)
         program = scheme.search_program(game, 40)
         kind, batch = next(program)
         assert kind is FLUSH

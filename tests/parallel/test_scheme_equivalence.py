@@ -128,7 +128,9 @@ def test_local_tree_at_one_leaf_equals_serial_on_every_tree_column(game_name, vl
     column for column and bit for bit, the root's value sum included."""
     game = make_games()[game_name]()
     evaluator = HashValueEvaluator()
-    serial = SerialMCTS(evaluator, c_puct=C_PUCT, rng=0).search(game.copy(), PLAYOUTS)
+    serial = SerialMCTS(evaluator, c_puct=C_PUCT, rng=0).search(
+        game.copy(), PLAYOUTS
+    )
     local = LocalTreeMCTS(
         evaluator, num_workers=1, batch_size=1, c_puct=C_PUCT,
         vl_policy=NoVirtualLoss() if vl == "none" else None, rng=0,
@@ -138,7 +140,9 @@ def test_local_tree_at_one_leaf_equals_serial_on_every_tree_column(game_name, vl
     assert local.value_sum == serial.value_sum != 0.0
     for name, _, _ in _COLUMNS:
         x, y = getattr(a, name)[: a.size], getattr(b, name)[: b.size]
-        np.testing.assert_array_equal(x.view(np.uint8), y.view(np.uint8), err_msg=name)
+        np.testing.assert_array_equal(
+            x.view(np.uint8), y.view(np.uint8), err_msg=name
+        )
 
 
 @pytest.mark.parametrize("scheme_name", sorted(scheme_factories(None)))
