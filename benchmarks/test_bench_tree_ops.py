@@ -1,9 +1,12 @@
-"""E13: tree-operation throughput -- Node objects vs the array backend.
+"""E13: tree-operation throughput -- Node objects vs the array tree.
 
-The PR-2 headline: moving selection/expansion/backup from per-node Python
-objects onto structure-of-arrays storage (``repro.mcts.arraytree``) with
-vectorised Equation-1 selection.  Reported per backend on the paper's
-Gomoku 15x15 benchmark game:
+The headline of the array tree: moving selection/expansion/backup from
+per-node Python objects onto structure-of-arrays storage
+(``repro.mcts.arraytree``) with vectorised Equation-1 selection.  The
+``node`` column runs the ``Node`` oracle (``tests/mcts/node_oracle.py``),
+the object-per-node tree the array tree replaced; serial search runs on
+it under ``node_trees()``.  Reported per backend on the paper's Gomoku
+15x15 benchmark game:
 
 - select / expand / backup micro ops/sec (the three in-tree operations
   of Section 2.1, isolated);
@@ -23,13 +26,18 @@ import numpy as np
 import pytest
 
 from repro.games import Gomoku
-from repro.mcts.backend import make_root
-from repro.mcts.search import backup, expand, select_leaf
+from repro.mcts import arraytree, search
 from repro.mcts.serial import SerialMCTS
+from tests.mcts import node_oracle
+from tests.mcts.node_oracle import on_backend
 
 from benchmarks.conftest import PLAYOUTS
 
-BACKENDS = ("node", "array")
+#: each backend's root factory and the module holding its primitives
+BACKENDS = {
+    "node": (node_oracle.make_root, node_oracle),
+    "array": (arraytree.make_root, search),
+}
 
 
 def _ops_per_sec(fn, repeats: int) -> float:
@@ -41,12 +49,13 @@ def _ops_per_sec(fn, repeats: int) -> float:
 
 def _micro_rates(game, evaluator, backend: str) -> dict[str, float]:
     """Isolated select/expand/backup rates on a realistically-shaped tree."""
-    engine = SerialMCTS(evaluator, rng=0, tree_backend=backend)
-    root = engine.search(game.copy(), PLAYOUTS)
+    make_root, ops = BACKENDS[backend]
+    with on_backend(backend):
+        root = SerialMCTS(evaluator, rng=0).search(game.copy(), PLAYOUTS)
 
     # select: full Equation-1 descents of the built tree (read-only)
     select_rate = _ops_per_sec(
-        lambda: select_leaf(root, game.copy(), 5.0),
+        lambda: ops.select_leaf(root, game.copy(), 5.0),
         300,
     )
 
@@ -54,14 +63,14 @@ def _micro_rates(game, evaluator, backend: str) -> dict[str, float]:
     evaluation = evaluator.evaluate(game)
 
     def expand_once():
-        fresh = make_root(backend, capacity=game.action_size + 1)
-        expand(fresh, game, evaluation)
+        fresh = make_root(capacity=game.action_size + 1)
+        ops.expand(fresh, game, evaluation)
 
     expand_rate = _ops_per_sec(expand_once, 300)
 
     # backup: walk a leaf-to-root path with sign alternation + visit bumps
-    leaf, _, _ = select_leaf(root, game.copy(), 5.0)
-    backup_rate = _ops_per_sec(lambda: backup(leaf, 0.5), 2000)
+    leaf, _, _ = ops.select_leaf(root, game.copy(), 5.0)
+    backup_rate = _ops_per_sec(lambda: ops.backup(leaf, 0.5), 2000)
 
     return {
         "select_ops_per_sec": select_rate,
@@ -74,10 +83,11 @@ def _end_to_end_sims_per_sec(game, evaluator, backend: str) -> float:
     """One move of serial search at the standard budget; best of 3."""
     best = 0.0
     for _ in range(3):
-        engine = SerialMCTS(evaluator, rng=0, tree_backend=backend)
-        t0 = time.perf_counter()
-        engine.search(game.copy(), PLAYOUTS)
-        best = max(best, PLAYOUTS / (time.perf_counter() - t0))
+        engine = SerialMCTS(evaluator, rng=0)
+        with on_backend(backend):
+            t0 = time.perf_counter()
+            engine.search(game.copy(), PLAYOUTS)
+            best = max(best, PLAYOUTS / (time.perf_counter() - t0))
     return best
 
 
@@ -117,7 +127,7 @@ def test_tree_ops_throughput(gomoku, evaluator, emit):
     )
     # hard gate slightly below the 5x headline so a noisy CI runner cannot
     # flake the lane; the emitted artifact records the true ratio
-    assert speedup >= 4.0, f"array backend only {speedup:.2f}x over Node"
+    assert speedup >= 4.0, f"array tree only {speedup:.2f}x over Node"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -133,9 +143,8 @@ def test_smoke_tiny_board_parity():
     for backend in BACKENDS:
         from repro.mcts.evaluation import UniformEvaluator
 
-        root = SerialMCTS(
-            UniformEvaluator(), rng=0, tree_backend=backend
-        ).search(game.copy(), 60)
+        with on_backend(backend):
+            root = SerialMCTS(UniformEvaluator(), rng=0).search(game.copy(), 60)
         v = np.zeros(game.action_size, dtype=np.int64)
         for action, child in root.children.items():
             v[action] = child.visit_count

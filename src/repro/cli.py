@@ -326,7 +326,7 @@ def cmd_train(args) -> int:
         scheme = LocalTreeMCTS(
             evaluator, num_workers=args.workers,
             batch_size=max(1, args.workers // 2), dirichlet_epsilon=0.25,
-            rng=args.seed + 1, tree_backend="array",
+            rng=args.seed + 1,
         )
     trainer = Trainer(net, Adam(net.parameters(), lr=2e-3), AlphaZeroLoss(1e-4))
     pipeline = TrainingPipeline(
@@ -351,27 +351,32 @@ def cmd_train(args) -> int:
             if episodes == 0:
                 print(f"nothing to do: checkpoint already at "
                       f"{restored} >= {args.episodes} iterations")
+    metrics = None
     try:
-        metrics = pipeline.run(
-            episodes,
-            on_episode=lambda i, m: print(
-                f"iteration {pipeline.iterations:3d}: episodes={m.episodes:4d} "
-                f"samples={m.samples_produced:4d} "
-                f"loss={m.loss_history[-1].total:.3f}"
-            ),
-            checkpoints=checkpoints,
-            checkpoint_every=args.checkpoint_every,
-        )
+        # a resumed run already at its target trains nothing, but still
+        # prints the digest it resumed
+        if episodes:
+            metrics = pipeline.run(
+                episodes,
+                on_episode=lambda i, m: print(
+                    f"iteration {pipeline.iterations:3d}: episodes={m.episodes:4d} "
+                    f"samples={m.samples_produced:4d} "
+                    f"loss={m.loss_history[-1].total:.3f}"
+                ),
+                checkpoints=checkpoints,
+                checkpoint_every=args.checkpoint_every,
+            )
     finally:
         if engine is not None:
             engine.close()
-    print(f"throughput: {metrics.throughput:.2f} samples/s, "
-          f"final loss {metrics.final_loss:.3f}")
+    if metrics is not None:
+        print(f"throughput: {metrics.throughput:.2f} samples/s, "
+              f"final loss {metrics.final_loss:.3f}")
     if checkpoints is not None:
         # the crash-resume smoke diffs this across interrupted vs straight
         # runs -- keep the format stable
         print(f"network digest: {pipeline.trainer.network.state_digest()}")
-    if engine is not None:
+    if engine is not None and metrics is not None:
         print(f"cache hit rate: {metrics.cache_hit_rate:.1%}, "
               f"mean batch occupancy: {metrics.mean_batch_occupancy:.2f}")
     return 0

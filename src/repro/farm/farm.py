@@ -198,7 +198,7 @@ class SelfPlayFarm:
     num_playouts : per-move search budget of every episode.
     scheme_factory : builds each episode's search scheme around the
         worker's (cached) evaluator; defaults to :class:`SerialMCTS` on
-        the array backend.  Must be fork-inheritable (plain function,
+        its array tree.  Must be fork-inheritable (plain function,
         bound method or closure -- it is never pickled).
     cache_capacity : size of each worker's LRU evaluation cache in
         states; 0 disables caching.

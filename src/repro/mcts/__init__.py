@@ -1,13 +1,10 @@
-"""MCTS core: tree node structures, UCT scoring, virtual loss, serial search.
+"""MCTS core: the array tree, virtual loss, the one search program.
 
 This package contains everything the parallel schemes share:
 
-- :mod:`repro.mcts.node`         -- the tree node / edge-statistics struct.
-- :mod:`repro.mcts.arraytree`    -- structure-of-arrays tree backend with
-  vectorised PUCT selection, slab expansion and array-indexed backup.
-- :mod:`repro.mcts.backend`      -- the ``TreeBackend`` seam selecting
-  between the two storage layouts.
-- :mod:`repro.mcts.uct`          -- Equation-1 PUCT selection.
+- :mod:`repro.mcts.arraytree`    -- the structure-of-arrays search tree
+  with vectorised Equation-1 (PUCT) selection, slab expansion and
+  array-indexed backup, and its root factory.
 - :mod:`repro.mcts.virtual_loss` -- constant virtual loss [Chaslot 2008] and
   WU-UCT unobserved-sample tracking [Liu 2020], the two VL styles the paper
   cites in Section 2.1.
@@ -15,16 +12,11 @@ This package contains everything the parallel schemes share:
   rollout, uniform).
 - :mod:`repro.mcts.search`       -- expansion/backup primitives, action
   priors, temperature and Dirichlet-noise utilities.
-- :mod:`repro.mcts.serial`       -- the serial DNN-MCTS baseline.
+- :mod:`repro.mcts.serial`       -- the serial DNN-MCTS baseline, and
+  the one search program every scheme runs.
 """
 
-from repro.mcts.arraytree import ArrayNodeView, ArrayTree
-from repro.mcts.backend import (
-    TreeBackend,
-    capacity_hint,
-    make_root,
-    resolve_backend,
-)
+from repro.mcts.arraytree import ArrayNodeView, ArrayTree, capacity_hint, make_root
 from repro.mcts.budget import BudgetClock, BudgetSnapshot, SearchBudget, as_budget
 from repro.mcts.evaluation import (
     Evaluation,
@@ -33,7 +25,6 @@ from repro.mcts.evaluation import (
     RandomRolloutEvaluator,
     UniformEvaluator,
 )
-from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
     add_dirichlet_noise,
@@ -43,7 +34,6 @@ from repro.mcts.search import (
     select_leaf,
 )
 from repro.mcts.serial import SerialMCTS
-from repro.mcts.uct import select_child, uct_scores
 from repro.mcts.virtual_loss import (
     ConstantVirtualLoss,
     NoVirtualLoss,
@@ -61,11 +51,9 @@ __all__ = [
     "Evaluator",
     "NetworkEvaluator",
     "NoVirtualLoss",
-    "Node",
     "RandomRolloutEvaluator",
     "SearchBudget",
     "SerialMCTS",
-    "TreeBackend",
     "UniformEvaluator",
     "VirtualLossPolicy",
     "WUVirtualLoss",
@@ -76,9 +64,6 @@ __all__ = [
     "capacity_hint",
     "expand",
     "make_root",
-    "resolve_backend",
     "sample_action",
-    "select_child",
     "select_leaf",
-    "uct_scores",
 ]

@@ -1,9 +1,10 @@
 """Array-backed MCTS tree: structure-of-arrays storage, vectorised PUCT.
 
-The :class:`repro.mcts.node.Node` tree pays a heap allocation per node and
-a Python attribute access per edge statistic; ``uct_scores`` then loops
-over a ``dict[int, Node]`` at every level of every simulation.  This
-module stores the whole tree as preallocated, growable numpy arrays
+The search tree every scheme grows.  A tree of one object per node pays a
+heap allocation per node and a Python attribute access per edge
+statistic, and scores a level by looping over a ``dict`` of children at
+every level of every simulation.  This module instead stores the whole
+tree as preallocated, growable numpy arrays
 (``parent``, ``action``, ``prior``, ``visit_count``, ``value_sum``,
 ``virtual_loss``, ``terminal_value`` plus the ``child_start``/
 ``child_count`` slab index), the structure-of-arrays layout production
@@ -12,7 +13,7 @@ just an integer row; the children of a node are a *contiguous* row range
 (slabs are allocated whole at expansion, in ascending action order), so
 ``child_start``/``child_count`` slice the node arrays directly and
 Equation-1 selection is one vectorised expression plus one ``np.argmax``
--- no ``sorted()`` allocation, no per-child ``effective_stats`` calls.
+-- no ``sorted()`` allocation, no per-child policy calls.
 Virtual-loss policies score a slab through
 :meth:`~repro.mcts.virtual_loss.VirtualLossPolicy.effective_stats_arrays`;
 under :class:`~repro.mcts.virtual_loss.NoVirtualLoss` (serial search)
@@ -41,7 +42,7 @@ tree and keeps it as the spare.  Only
 leaves the call, gives a tree back, so at most one emptied tree is
 retained per thread that called it.
 
-Sign convention (carried over from :mod:`repro.mcts.node`, important!):
+Sign convention (important!):
 ``value_sum`` / Q are from the perspective of **the player who moved into
 the node** -- i.e. Q(s,a) for the player to move at the parent.  Leaf
 evaluations arrive from the mover-at-leaf perspective and are negated
@@ -49,10 +50,11 @@ once per level in :meth:`ArrayTree.backup` (the leaf's own row receives
 ``-value``, its parent ``+value``, and so on up the path).
 
 Equivalence: for identical playout sequences the array tree reproduces
-the ``Node`` backend's statistics *exactly* -- same float64 operation
+the object-per-node tree it replaced *exactly* -- same float64 operation
 order in scoring, same ascending-action tie-break under ``np.argmax``,
-same RNG consumption for Dirichlet root noise.  The property tests in
-``tests/mcts/test_backend_equivalence.py`` pin visit-count parity down to
+same RNG consumption for Dirichlet root noise.  That tree lives on as the
+test oracle ``tests/mcts/node_oracle.py``, and the parity suites (e.g.
+``tests/mcts/test_backend_equivalence.py``) pin the two together down to
 the integer.
 
 Thread safety: none.  One thread owns a tree -- every scheme runs its
@@ -73,7 +75,7 @@ from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy, WUVirtualL
 if TYPE_CHECKING:  # pragma: no cover
     from repro.games.base import Game
 
-__all__ = ["ArrayTree", "ArrayNodeView"]
+__all__ = ["ArrayTree", "ArrayNodeView", "capacity_hint", "make_root"]
 
 _NO_VL = NoVirtualLoss()
 
@@ -218,7 +220,7 @@ class ArrayTree:
         return start
 
     def new_root(self, prior: float = 1.0) -> int:
-        """Allocate a fresh root row (mirrors ``Node()``)."""
+        """Allocate a fresh root row."""
         idx = self._alloc(1)
         self.parent[idx] = NO_PARENT
         self.action[idx] = -1
@@ -298,9 +300,8 @@ class ArrayTree:
         """Create the child slab of *idx* (one row per legal action).
 
         *actions* must be ascending (``Game.legal_actions`` guarantees it)
-        so that ``np.argmax`` tie-breaking matches the ``Node`` backend's
-        lowest-action rule.  Raises ``ValueError`` if *idx* already has
-        children, mirroring ``Node.add_child`` on a duplicate insert.
+        so that ``np.argmax`` tie-breaking picks the lowest action.
+        Raises ``ValueError`` if *idx* already has children.
         """
         k = len(actions)
         if k == 0:
@@ -347,7 +348,7 @@ class ArrayTree:
         """Vectorised Equation 1 over the child slab of *idx*.
 
         Returns ``(actions, scores)`` parallel arrays in ascending-action
-        order, numerically identical to the per-child ``Node`` loop.
+        order, numerically identical to scoring the children one by one.
         """
         start, scores = self._child_scores(idx, c_puct, vl_policy or _NO_VL)
         return self.action[start : start + len(scores)].copy(), scores
@@ -482,8 +483,8 @@ class ArrayTree:
         Paths are short (tree depth), so this walks them with scalar
         int-indexed array updates -- cheaper than materialising the path
         as an index array for a fancy-indexed write at every depth the
-        benchmark games reach, though still costlier per level than a
-        ``Node`` attribute bump (numpy scalar-indexing round-trips);
+        benchmark games reach, though still costlier per level than an
+        object attribute bump (numpy scalar-indexing round-trips);
         backup is a few percent of end-to-end simulation time, which the
         selection/expansion wins dwarf.
         """
@@ -527,7 +528,7 @@ class ArrayTree:
         if k == 0:
             raise ValueError("expand the root before adding noise")
         sl = self.children_slice(idx)
-        # same RNG consumption as the Node backend: one dirichlet([alpha]*k)
+        # one dirichlet([alpha]*k) draw over the children in action order
         noise = rng.dirichlet([alpha] * k)
         self.prior[sl] = (1 - epsilon) * self.prior[sl] + epsilon * noise
 
@@ -550,14 +551,13 @@ class ArrayTree:
 
 
 class ArrayNodeView:
-    """A ``Node``-shaped handle onto one row of an :class:`ArrayTree`.
+    """A node-shaped handle onto one row of an :class:`ArrayTree`.
 
-    Duck-types the read *and* write surface of :class:`repro.mcts.node.Node`
-    (statistics properties, ``children``, traversal helpers) so every
-    scheme, test and tool that walks a ``Node`` tree works unchanged on
-    the array backend; the hot-path primitives in :mod:`repro.mcts.uct`
-    and :mod:`repro.mcts.search` recognise the view and bypass it
-    entirely, operating on the underlying arrays.
+    Reads and writes one node's statistics as attributes and walks the
+    tree (``parent``, ``children``, traversal helpers), for the schemes,
+    tests and tools that inspect a searched tree.  The hot-path
+    primitives in :mod:`repro.mcts.search` take the view only to reach
+    its tree and row, and operate on the underlying arrays.
     """
 
     __slots__ = ("tree", "index")
@@ -606,12 +606,6 @@ class ArrayNodeView:
             int(tree.action[row]): ArrayNodeView(tree, row)
             for row in range(sl.start, sl.stop)
         }
-
-    def add_child(self, action: int, prior: float) -> "ArrayNodeView":
-        raise TypeError(
-            "the array backend allocates child slabs whole; use "
-            "repro.mcts.search.expand or ArrayTree.expand"
-        )
 
     # -- statistics -----------------------------------------------------------
     @property
@@ -711,3 +705,22 @@ class ArrayNodeView:
             f"N={self.visit_count}, Q={self.q:+.3f}, P={self.prior:.3f}, "
             f"children={int(self.tree.child_count[self.index])})"
         )
+
+
+def make_root(capacity: int = 1024) -> ArrayNodeView:
+    """A fresh search root: this thread's spare tree when it holds
+    *capacity* rows (:meth:`ArrayTree.take`), else a new tree of that
+    many.  *capacity* is a hint; the tree grows by doubling."""
+    tree = ArrayTree.take(capacity)
+    return ArrayNodeView(tree, tree.new_root())
+
+
+def capacity_hint(action_size: int, num_playouts: int) -> int:
+    """Row allocation that avoids growth copies for a one-move search.
+
+    Each playout expands at most one leaf, adding at most *action_size*
+    children, so ``1 + playouts * action_size`` rows always suffice;
+    capped so a huge budget cannot demand gigabytes up front (the tree
+    still grows by doubling past the cap).
+    """
+    return min(1 + num_playouts * action_size, 1 << 20)

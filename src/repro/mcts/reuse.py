@@ -15,11 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, make_root
+from repro.mcts.arraytree import ArrayNodeView, make_root
 from repro.mcts.budget import BudgetClock, SearchBudget
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
 from repro.mcts.search import action_prior_from_root
 from repro.mcts.serial import SerialMCTS
 
@@ -49,10 +47,9 @@ class TreeReuseMCTS(SerialMCTS):
         evaluator: Evaluator,
         c_puct: float = 5.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
     ) -> None:
-        super().__init__(evaluator, c_puct=c_puct, rng=rng, tree_backend=tree_backend)
-        self._root: Node | ArrayNodeView | None = None
+        super().__init__(evaluator, c_puct=c_puct, rng=rng)
+        self._root: ArrayNodeView | None = None
         #: visits already in the root when a search starts (reused work)
         self.reused_visits = 0
         self.searches = 0
@@ -69,15 +66,10 @@ class TreeReuseMCTS(SerialMCTS):
         if child is None:
             self._root = None
             return
-        if isinstance(child, ArrayNodeView):
-            # compact the kept subtree into a fresh tree so the abandoned
-            # siblings (the bulk of the rows) are freed each move instead
-            # of accumulating over the episode
-            child = ArrayNodeView(child.tree.extract_subtree(child.index), 0)
-        else:
-            child.parent = None  # detach: the rest of the tree is garbage
-            child.action = -1
-        self._root = child
+        # compact the kept subtree into a fresh tree so the abandoned
+        # siblings (the bulk of the rows) are freed each move instead of
+        # accumulating over the episode
+        self._root = ArrayNodeView(child.tree.extract_subtree(child.index), 0)
 
     def get_action_prior(
         self, game: Game, num_playouts: "int | SearchBudget"
@@ -89,7 +81,7 @@ class TreeReuseMCTS(SerialMCTS):
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None
-    ) -> tuple[Node | ArrayNodeView, BudgetClock]:
+    ) -> tuple[ArrayNodeView, BudgetClock]:
         """Resume the kept root.  The budget counts *total* root visits,
         so a warm tree needs fewer fresh playouts for the same
         statistics; with a deadline, a warm tree still gets at least one
@@ -100,7 +92,7 @@ class TreeReuseMCTS(SerialMCTS):
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         if self._root is None:
-            self._root = make_root(self.tree_backend)
+            self._root = make_root()
         root = self._root
         self.reused_visits += root.visit_count
         self.searches += 1

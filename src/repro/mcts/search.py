@@ -1,19 +1,17 @@
 """Shared search primitives: selection descent, expansion, backup, priors.
 
-These are the building blocks every scheme (serial, shared-tree,
-local-tree) and the shared-tree simulation compose; keeping them here
-guarantees all schemes run the *same algorithm* and differ only in
-scheduling -- the property the paper's program template provides
-(Section 3.2: "a single program template that allows compile-time adaptive
-selection of parallel implementations").
+These are the building blocks of the one search program
+(:meth:`repro.mcts.serial.SerialMCTS.search_program`) that every scheme
+runs, and of the shared-tree simulation; keeping them here guarantees all
+schemes run the *same algorithm* and differ only in scheduling -- the
+property the paper's program template provides (Section 3.2: "a single
+program template that allows compile-time adaptive selection of parallel
+implementations").
 
-Each primitive serves both tree backends: a ``Node`` root runs the
-per-object reference path, an :class:`~repro.mcts.arraytree.ArrayNodeView`
-root dispatches to the vectorised :class:`~repro.mcts.arraytree.ArrayTree`
-operations (slab expansion, array-indexed backup, one-``argmax``
-selection).  The two paths are exact-equivalent -- same visit counts,
-same RNG consumption -- which the backend-equivalence property tests
-assert.
+Each primitive takes an :class:`~repro.mcts.arraytree.ArrayNodeView` and
+runs the vectorised :class:`~repro.mcts.arraytree.ArrayTree` operation
+on its tree: one-``argmax`` selection per level, slab expansion,
+array-indexed backup.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import numpy as np
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
 from repro.mcts.evaluation import Evaluation
-from repro.mcts.node import Node
-from repro.mcts.uct import select_child
 from repro.mcts.virtual_loss import NoVirtualLoss, VirtualLossPolicy
 
 __all__ = [
@@ -40,11 +36,11 @@ _NO_VL = NoVirtualLoss()
 
 
 def select_leaf(
-    root: "Node | ArrayNodeView",
+    root: ArrayNodeView,
     game: Game,
     c_puct: float,
     vl_policy: VirtualLossPolicy | None = None,
-) -> tuple["Node | ArrayNodeView", Game, int]:
+) -> tuple[ArrayNodeView, Game, int]:
     """Descend from *root* following Equation 1 until reaching a leaf.
 
     Mutates *game* by executing the corresponding moves (Algorithm 2
@@ -53,27 +49,14 @@ def select_leaf(
 
     Returns ``(leaf, game_at_leaf, path_length)``.
     """
-    vl = vl_policy or _NO_VL
-    if isinstance(root, ArrayNodeView):
-        leaf_row, depth = root.tree.select_to_leaf(root.index, game, c_puct, vl)
-        leaf = root if leaf_row == root.index else ArrayNodeView(root.tree, leaf_row)
-        return leaf, game, depth
-    node = root
-    depth = 0
-    vl.on_descend(node)
-    while not node.is_leaf and not node.is_terminal:
-        node = select_child(node, c_puct, vl_policy)
-        game.step(node.action)
-        depth += 1
-        vl.on_descend(node)
-        if game.is_terminal:
-            node.terminal_value = game.terminal_value
-    return node, game, depth
+    leaf_row, depth = root.tree.select_to_leaf(
+        root.index, game, c_puct, vl_policy or _NO_VL
+    )
+    leaf = root if leaf_row == root.index else ArrayNodeView(root.tree, leaf_row)
+    return leaf, game, depth
 
 
-def expand(
-    node: "Node | ArrayNodeView", game: Game, evaluation: Evaluation
-) -> float:
+def expand(node: ArrayNodeView, game: Game, evaluation: Evaluation) -> float:
     """Node Expansion (paper Section 2.1, operation 2).
 
     Creates children for every legal action with priors from the
@@ -91,17 +74,13 @@ def expand(
     legal = game.legal_actions()
     if len(legal) == 0:
         raise RuntimeError("non-terminal state with no legal actions")
-    if isinstance(node, ArrayNodeView):
-        priors = np.asarray(evaluation.priors, dtype=np.float64)[legal]
-        node.tree.expand(node.index, legal, priors)
-        return float(evaluation.value)
-    for a in legal:
-        node.add_child(int(a), float(evaluation.priors[a]))
+    priors = np.asarray(evaluation.priors, dtype=np.float64)[legal]
+    node.tree.expand(node.index, legal, priors)
     return float(evaluation.value)
 
 
 def backup(
-    node: "Node | ArrayNodeView",
+    node: ArrayNodeView,
     value: float,
     vl_policy: VirtualLossPolicy | None = None,
 ) -> None:
@@ -112,55 +91,24 @@ def backup(
     outcome for the player who took it.  Recovers virtual loss along the
     way (paper: "VL is recovered later in the BackUp phase").
     """
-    vl = vl_policy or _NO_VL
-    if isinstance(node, ArrayNodeView):
-        node.tree.backup(node.index, value, vl)
-        return
-    current: Node | None = node
-    v = value
-    while current is not None:
-        current.visit_count += 1
-        current.value_sum += -v
-        vl.on_backup(current)
-        v = -v
-        current = current.parent
+    node.tree.backup(node.index, value, vl_policy or _NO_VL)
 
 
-def action_prior_from_root(
-    root: "Node | ArrayNodeView", action_size: int
-) -> np.ndarray:
+def action_prior_from_root(root: ArrayNodeView, action_size: int) -> np.ndarray:
     """Normalised root visit counts (Algorithm 2 line 6 / Algorithm 3
     line 3): the action prior pi used both for move selection and as the
     policy training target."""
-    if isinstance(root, ArrayNodeView):
-        return root.tree.action_prior(root.index, action_size)
-    prior = np.zeros(action_size, dtype=np.float64)
-    total = 0
-    for action, child in root.children.items():
-        prior[action] = child.visit_count
-        total += child.visit_count
-    if total == 0:
-        raise ValueError("root has no visited children; run playouts first")
-    return prior / total
+    return root.tree.action_prior(root.index, action_size)
 
 
 def add_dirichlet_noise(
-    root: "Node | ArrayNodeView",
+    root: ArrayNodeView,
     rng: np.random.Generator,
     alpha: float = 0.3,
     epsilon: float = 0.25,
 ) -> None:
     """Mix Dirichlet noise into root priors (AlphaZero exploration)."""
-    if isinstance(root, ArrayNodeView):
-        root.tree.add_dirichlet_noise(root.index, rng, alpha, epsilon)
-        return
-    if root.is_leaf:
-        raise ValueError("expand the root before adding noise")
-    actions = sorted(root.children)
-    noise = rng.dirichlet([alpha] * len(actions))
-    for a, n in zip(actions, noise):
-        child = root.children[a]
-        child.prior = (1 - epsilon) * child.prior + epsilon * float(n)
+    root.tree.add_dirichlet_noise(root.index, rng, alpha, epsilon)
 
 
 def sample_action(

@@ -30,11 +30,9 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
+from repro.mcts.arraytree import ArrayNodeView, capacity_hint, make_root
 from repro.mcts.budget import BudgetClock, SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
 from repro.mcts.search import (
     action_prior_from_root,
     add_dirichlet_noise,
@@ -59,7 +57,7 @@ __all__ = [
 LEAF, FLUSH, WAIT = "leaf", "flush", "wait"
 
 #: leaves submitted for evaluation together, with their states
-SubBatch = list[tuple[Node | ArrayNodeView, Game]]
+SubBatch = list[tuple[ArrayNodeView, Game]]
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,9 @@ class SerialMCTS:
     c_puct : exploration constant *c* of Equation 1.
     dirichlet_alpha / dirichlet_epsilon : root-noise parameters; set
         ``dirichlet_epsilon=0`` to disable (evaluation-time play).
-    tree_backend : tree storage layout; the array backend (default) runs
-        the identical algorithm over structure-of-arrays storage with
-        vectorised PUCT selection -- exact same visit counts, much faster.
+    tree_backend : only ``"array"``, the one tree every search grows
+        (:mod:`repro.mcts.arraytree`); accepted so that callers naming it
+        (perfbench's workloads) still construct, and stored nowhere.
     """
 
     #: N, the most leaves in flight (Algorithm 3 line 12); B, the leaves
@@ -150,8 +148,13 @@ class SerialMCTS:
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
+        tree_backend: str = "array",
     ) -> None:
+        if tree_backend != "array":
+            raise ValueError(
+                f"unknown tree backend {tree_backend!r}: every search "
+                "grows an array tree"
+            )
         if c_puct <= 0:
             raise ValueError("c_puct must be positive")
         if not 0.0 <= dirichlet_epsilon <= 1.0:
@@ -161,12 +164,11 @@ class SerialMCTS:
         self.dirichlet_alpha = dirichlet_alpha
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
-        self.tree_backend = resolve_backend(tree_backend, TreeBackend.ARRAY)
         self.stats = SearchStats()
 
     def search(
         self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> Node | ArrayNodeView:
+    ) -> ArrayNodeView:
         """Run budgeted playouts from *game*'s state; returns the root.
 
         *num_playouts* is either the historic playout count or a
@@ -206,7 +208,7 @@ class SerialMCTS:
         num_playouts: "int | SearchBudget",
         *,
         clock: BudgetClock | None = None,
-    ) -> Generator[tuple[str, Any], Any, Node | ArrayNodeView]:
+    ) -> Generator[tuple[str, Any], Any, ArrayNodeView]:
         """The search as a generator over the steps its driver schedules.
 
         It yields ``(kind, payload)`` pairs:
@@ -321,18 +323,17 @@ class SerialMCTS:
     ) -> np.ndarray:
         """The paper's ``get_action_prior``: normalised root visit counts.
 
-        The root never leaves this call, so an array tree goes back to
-        this thread's spare once the prior is read, and the next search
-        on the thread reuses its storage."""
+        The root never leaves this call, so its tree goes back to this
+        thread's spare once the prior is read, and the next search on the
+        thread reuses its storage."""
         root = self.search(game, num_playouts)
         prior = action_prior_from_root(root, game.action_size)
-        if isinstance(root, ArrayNodeView):
-            root.tree.give_back()
+        root.tree.give_back()
         return prior
 
     def _start(
         self, game: Game, budget: SearchBudget, clock: BudgetClock | None
-    ) -> tuple[Node | ArrayNodeView, BudgetClock]:
+    ) -> tuple[ArrayNodeView, BudgetClock]:
         """The root to grow and the clock that bounds this search: a fresh
         root sized for the count target, and *clock* or the started
         *budget*."""
@@ -341,5 +342,5 @@ class SerialMCTS:
         if game.is_terminal:
             raise ValueError("cannot search from a terminal state")
         cap = clock.target if clock.target is not None else budget.capacity_playouts
-        return make_root(self.tree_backend, capacity_hint(game.action_size, cap)), clock
+        return make_root(capacity_hint(game.action_size, cap)), clock
 

@@ -14,19 +14,15 @@ Both styles are expressed through one interface so every search scheme
   descending (paper: Algorithm 2 line 14, "update node's UCT score with
   virtual loss");
 - :meth:`on_backup` is called for each node on the path during BackUp
-  (paper: "VL is recovered later in the BackUp phase");
-- :meth:`effective_stats` maps raw (N, W, VL) to the values Equation 1
-  should see.
+  (paper: "VL is recovered later in the BackUp phase").
 
-Array API
----------
-The array-backed tree (:mod:`repro.mcts.arraytree`) never touches nodes
-one at a time, so every policy additionally exposes a vectorised face:
+The array tree (:mod:`repro.mcts.arraytree`) scores a whole child slab
+at once, so each policy also states its rule over arrays:
 
 - :attr:`descend_amount` -- the constant added to a node's virtual-loss
   counter per in-flight traversal (0 disables VL bookkeeping entirely);
-- :meth:`effective_stats_arrays` -- :meth:`effective_stats` over whole
-  child slices at once.  Q is ``value_sum / max(N, 1)``: only backup
+- :meth:`effective_stats_arrays` -- maps raw (N, W, VL) columns of a
+  child slab to the (N, Q) Equation 1 should see.  Q is ``value_sum / max(N, 1)``: only backup
   writes ``value_sum``, and it bumps ``N`` too, so an unvisited row's
   sum is exactly ``0.0`` and the quotient equals the masked
   ``N > 0 ? W / N : 0`` bit for bit without a mask or a zeroed buffer.
@@ -38,8 +34,8 @@ one at a time, so every policy additionally exposes a vectorised face:
   visit to an expanded non-terminal node except the one that expanded it
   descended into exactly one child, so ``sum_b N(s,b) == N(s) - 1``; the
   same derivation subtracts the caller's own pending descend from the
-  virtual-loss total).  Both tree backends use this, which is what makes
-  selection O(children) in one numpy expression instead of two passes.
+  virtual-loss total).  This is what makes selection O(children) in one
+  numpy expression instead of two passes.
 """
 
 from __future__ import annotations
@@ -48,8 +44,6 @@ import abc
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.mcts.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mcts.arraytree import ArrayNodeView
@@ -75,16 +69,12 @@ class VirtualLossPolicy(abc.ABC):
         """Virtual loss added to a node's counter per in-flight traversal."""
 
     @abc.abstractmethod
-    def on_descend(self, node: Node | ArrayNodeView) -> None:
+    def on_descend(self, node: ArrayNodeView) -> None:
         """Mark *node* as being traversed by an in-flight worker."""
 
     @abc.abstractmethod
-    def on_backup(self, node: Node | ArrayNodeView) -> None:
+    def on_backup(self, node: ArrayNodeView) -> None:
         """Recover the virtual loss applied by :meth:`on_descend`."""
-
-    @abc.abstractmethod
-    def effective_stats(self, node: Node) -> tuple[float, float]:
-        """Return ``(effective_visits, effective_q)`` for UCT scoring."""
 
     @abc.abstractmethod
     def effective_stats_arrays(
@@ -93,7 +83,8 @@ class VirtualLossPolicy(abc.ABC):
         value_sum: np.ndarray,
         virtual_loss: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`effective_stats` over parallel stat arrays."""
+        """``(effective_visits, effective_q)`` over parallel stat arrays,
+        for Equation 1."""
 
     def parent_visit_total(self, visit_count: float, virtual_loss: float) -> float:
         """Equation-1 sqrt numerator from the parent's *own* counters.
@@ -116,14 +107,11 @@ class NoVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return 0.0
 
-    def on_descend(self, node: Node | ArrayNodeView) -> None:
+    def on_descend(self, node: ArrayNodeView) -> None:
         pass
 
-    def on_backup(self, node: Node | ArrayNodeView) -> None:
+    def on_backup(self, node: ArrayNodeView) -> None:
         pass
-
-    def effective_stats(self, node: Node) -> tuple[float, float]:
-        return float(node.visit_count), node.q
 
     def effective_stats_arrays(
         self,
@@ -152,22 +140,13 @@ class ConstantVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return self.weight
 
-    def on_descend(self, node: Node | ArrayNodeView) -> None:
+    def on_descend(self, node: ArrayNodeView) -> None:
         node.virtual_loss += self.weight
 
-    def on_backup(self, node: Node | ArrayNodeView) -> None:
+    def on_backup(self, node: ArrayNodeView) -> None:
         node.virtual_loss -= self.weight
         if node.virtual_loss < -1e-9:
             raise RuntimeError("virtual loss went negative: unbalanced descend/backup")
-
-    def effective_stats(self, node: Node) -> tuple[float, float]:
-        vl = node.virtual_loss
-        n_eff = node.visit_count + vl
-        if n_eff <= 0:
-            return 0.0, 0.0
-        # each pretended playout contributes a loss (-1) to the value sum
-        q_eff = (node.value_sum - vl) / n_eff
-        return n_eff, q_eff
 
     def effective_stats_arrays(
         self,
@@ -196,21 +175,15 @@ class WUVirtualLoss(VirtualLossPolicy):
     def descend_amount(self) -> float:
         return 1.0
 
-    def on_descend(self, node: Node | ArrayNodeView) -> None:
+    def on_descend(self, node: ArrayNodeView) -> None:
         node.virtual_loss += 1.0
 
-    def on_backup(self, node: Node | ArrayNodeView) -> None:
+    def on_backup(self, node: ArrayNodeView) -> None:
         node.virtual_loss -= 1.0
         if node.virtual_loss < -1e-9:
             raise RuntimeError(
                 "unobserved count went negative: unbalanced descend/backup"
             )
-
-    def effective_stats(self, node: Node) -> tuple[float, float]:
-        n_eff = node.visit_count + node.virtual_loss
-        # Q uses only *observed* outcomes (the "watch the unobserved" rule).
-        q = node.q
-        return n_eff, q
 
     def effective_stats_arrays(
         self,

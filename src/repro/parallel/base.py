@@ -15,9 +15,7 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend
 from repro.mcts.budget import SearchBudget
-from repro.mcts.node import Node
 from repro.mcts.search import action_prior_from_root
 
 __all__ = ["SchemeName", "ParallelScheme"]
@@ -39,22 +37,16 @@ class SchemeName(str, enum.Enum):
 class ParallelScheme(abc.ABC):
     """A search scheme that turns a game state into an action prior.
 
-    Every scheme can run over either tree backend (the ``TreeBackend``
-    seam): construct with ``tree_backend="node"`` or ``"array"``.  Every
-    scheme defaults to the array backend; its in-tree operations run on
-    one thread, where array and ``Node`` trees give bit-identical
-    results.
+    Every scheme grows array trees (:mod:`repro.mcts.arraytree`) and runs
+    its in-tree operations on its caller's thread.
     """
 
     name: SchemeName
 
-    #: resolved storage layout; subclasses assign it in ``__init__``
-    tree_backend: TreeBackend
-
     @abc.abstractmethod
     def search(
         self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> "Node | ArrayNodeView":
+    ) -> ArrayNodeView:
         """Run the tree-based search and return the root node.
 
         *num_playouts* is the historic playout count or a

@@ -20,10 +20,8 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend
 from repro.mcts.budget import SearchBudget
 from repro.mcts.evaluation import Evaluation, Evaluator
-from repro.mcts.node import Node
 from repro.mcts.serial import SerialMCTS
 from repro.parallel.base import ParallelScheme, SchemeName
 
@@ -66,7 +64,6 @@ class LeafParallelMCTS(ParallelScheme):
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -78,11 +75,9 @@ class LeafParallelMCTS(ParallelScheme):
             dirichlet_alpha=dirichlet_alpha,
             dirichlet_epsilon=dirichlet_epsilon,
             rng=rng,
-            tree_backend=tree_backend,
         )
-        self.tree_backend = self._serial.tree_backend
 
     def search(
         self, game: Game, num_playouts: "int | SearchBudget"
-    ) -> "Node | ArrayNodeView":
+    ) -> ArrayNodeView:
         return self._serial.search(game, num_playouts)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mcts.backend import TreeBackend
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.serial import SerialMCTS
 from repro.mcts.virtual_loss import VirtualLossPolicy, WUVirtualLoss
@@ -50,6 +49,8 @@ class LocalTreeMCTS(SerialMCTS, ParallelScheme):
         on its own).
     vl_policy : defaults to WU-UCT unobserved-sample tracking [Liu 2020],
         the style the local-tree lineage uses; constant VL also works.
+    tree_backend : only ``"array"``, as for
+        :class:`~repro.mcts.serial.SerialMCTS`.
     """
 
     name = SchemeName.LOCAL_TREE
@@ -64,7 +65,7 @@ class LocalTreeMCTS(SerialMCTS, ParallelScheme):
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
+        tree_backend: str = "array",
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")

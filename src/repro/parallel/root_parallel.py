@@ -24,10 +24,8 @@ import numpy as np
 
 from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView, ArrayTree
-from repro.mcts.backend import TreeBackend, resolve_backend
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.node import Node
 from repro.mcts.serial import FLUSH, WAIT, SerialMCTS
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.utils.rng import new_rng, spawn_rngs
@@ -53,7 +51,6 @@ class RootParallelMCTS(ParallelScheme):
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -63,9 +60,8 @@ class RootParallelMCTS(ParallelScheme):
         self.dirichlet_alpha = dirichlet_alpha
         self.dirichlet_epsilon = dirichlet_epsilon
         self.rng = new_rng(rng)
-        self.tree_backend = resolve_backend(tree_backend)
         #: roots of the last search, one per worker (exposed for analysis)
-        self.last_roots: list["Node | ArrayNodeView"] = []
+        self.last_roots: list[ArrayNodeView] = []
 
     def _worker_budgets(self, num_playouts: int) -> list[int]:
         base, extra = divmod(num_playouts, self.num_workers)
@@ -97,11 +93,10 @@ class RootParallelMCTS(ParallelScheme):
                 dirichlet_alpha=self.dirichlet_alpha,
                 dirichlet_epsilon=self.dirichlet_epsilon,
                 rng=worker_rng,
-                tree_backend=self.tree_backend,
             ).search_program(game, budget, clock=clock.split(target))
             for target, worker_rng in zip(budgets, rngs)
         ]
-        roots: dict[int, "Node | ArrayNodeView"] = {}
+        roots: dict[int, ArrayNodeView] = {}
         live = list(enumerate(programs))
         # one round: resume every live worker with its reply (None starts
         # a program) and step it past its leaf hint and its one-row flush
@@ -133,7 +128,7 @@ class RootParallelMCTS(ParallelScheme):
         return self._merge_roots(self.last_roots)
 
     @staticmethod
-    def _merge_roots(roots: list["Node | ArrayNodeView"]) -> ArrayNodeView:
+    def _merge_roots(roots: list[ArrayNodeView]) -> ArrayNodeView:
         """One root over the sorted union of the workers' root actions:
         each child takes the prior of the first root holding its action
         and the summed visits and value sums of all of them."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mcts.backend import TreeBackend
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.virtual_loss import ConstantVirtualLoss, VirtualLossPolicy
 from repro.parallel.base import SchemeName
@@ -53,7 +52,6 @@ class SharedTreeMCTS(LocalTreeMCTS):
         dirichlet_alpha: float = 0.3,
         dirichlet_epsilon: float = 0.0,
         rng: np.random.Generator | int | None = None,
-        tree_backend: TreeBackend | str | None = None,
     ) -> None:
         super().__init__(
             evaluator,
@@ -64,5 +62,4 @@ class SharedTreeMCTS(LocalTreeMCTS):
             dirichlet_alpha=dirichlet_alpha,
             dirichlet_epsilon=dirichlet_epsilon,
             rng=rng,
-            tree_backend=tree_backend,
         )

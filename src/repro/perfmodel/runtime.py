@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts import ArrayNodeView, Node
+from repro.mcts import ArrayNodeView
 from repro.mcts.evaluation import Evaluator
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.parallel.local_tree import LocalTreeMCTS
@@ -133,7 +133,7 @@ class AutoSwitchingScheme(ParallelScheme):
         )
 
     # -- ParallelScheme interface ------------------------------------------------
-    def search(self, game: Game, num_playouts: int) -> "Node | ArrayNodeView":
+    def search(self, game: Game, num_playouts: int) -> ArrayNodeView:
         if self._active is None or self._moves_seen % self.reprofile_every == 0:
             self._reconfigure(game)
         assert self._active is not None

@@ -22,11 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.games.base import Game
-from repro.mcts.arraytree import ArrayNodeView
-from repro.mcts.backend import TreeBackend, capacity_hint, make_root
+from repro.mcts.arraytree import ArrayNodeView, capacity_hint, make_root
 from repro.mcts.evaluation import Evaluator
 from repro.mcts.search import backup, expand
-from repro.mcts.uct import select_child
 from repro.mcts.virtual_loss import ConstantVirtualLoss, VirtualLossPolicy
 from repro.simulator.engine import Acquire, Compute, Release, SimEngine, Wait
 from repro.simulator.gpu import SimGPU
@@ -138,9 +136,7 @@ class SharedTreeSimulation:
             raise ValueError("cannot search from a terminal state")
         engine = SimEngine()
         self._locks = {}
-        root = make_root(
-            TreeBackend.ARRAY, capacity_hint(self.game.action_size, num_playouts)
-        )
+        root = make_root(capacity_hint(self.game.action_size, num_playouts))
         # Warm-up: expand and back up the root once before the parallel
         # phase, charged as one serial evaluation (the search program's
         # first playout).
@@ -195,7 +191,9 @@ class SharedTreeSimulation:
             while not node.is_leaf and not node.is_terminal:
                 width = int(tree.child_count[node.index])
                 yield Compute(lat.select_node(width, shared=True), tag="select")
-                node = select_child(node, self.c_puct, vl)
+                node = ArrayNodeView(
+                    tree, tree.select_child_index(node.index, self.c_puct, vl)
+                )
                 game.step(node.action)
                 depth += 1
                 if not self.lock_free:

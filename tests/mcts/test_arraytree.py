@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.games import Gomoku, TicTacToe
-from repro.mcts.arraytree import ArrayNodeView, ArrayTree
-from repro.mcts.backend import TreeBackend, capacity_hint, make_root, resolve_backend
+from repro.mcts.arraytree import ArrayNodeView, ArrayTree, capacity_hint, make_root
 from repro.mcts.evaluation import Evaluation, Evaluator, UniformEvaluator
-from repro.mcts.node import Node
 from repro.mcts.search import add_dirichlet_noise, backup, expand, select_leaf
-from repro.mcts.uct import select_child, uct_scores
 from repro.mcts.virtual_loss import ConstantVirtualLoss, NoVirtualLoss
+from tests.mcts import node_oracle
+from tests.mcts.node_oracle import Node, on_backend
 
 
 def expanded_root(tree: ArrayTree, actions, priors) -> int:
@@ -68,7 +67,7 @@ class TestStructure:
         ev = UniformEvaluator()
         from repro.mcts.serial import SerialMCTS
 
-        root = SerialMCTS(ev, rng=0, tree_backend="array").search(g, 120)
+        root = SerialMCTS(ev, rng=0).search(g, 120)
         child = root.children[4]
         compact = ArrayNodeView(child.tree.extract_subtree(child.index), 0)
         assert compact.is_root
@@ -143,18 +142,17 @@ class TestSelection:
         tree.visit_count[root] = node_root.visit_count
 
         for vl in (None, NoVirtualLoss(), ConstantVirtualLoss(2.0)):
-            a_node, s_node = uct_scores(node_root, 3.0, vl)
-            a_arr, s_arr = uct_scores(ArrayNodeView(tree, root), 3.0, vl)
+            a_node, s_node = node_oracle.uct_scores(node_root, 3.0, vl)
+            a_arr, s_arr = tree.uct_scores(root, 3.0, vl)
             np.testing.assert_array_equal(a_arr, a_node)
             np.testing.assert_array_equal(s_arr, s_node)  # bit-exact
 
-    def test_select_child_returns_view(self):
+    def test_select_child_index_picks_the_prior(self):
         tree = ArrayTree(8)
         root = expanded_root(tree, [1, 3], [0.9, 0.1])
         tree.visit_count[root] = 1
-        chosen = select_child(ArrayNodeView(tree, root), 5.0)
-        assert isinstance(chosen, ArrayNodeView)
-        assert chosen.action == 1  # higher prior, both unvisited
+        chosen = tree.select_child_index(root, 5.0)
+        assert tree.action[chosen] == 1  # higher prior, both unvisited
 
     def test_tie_break_lowest_action(self):
         tree = ArrayTree(8)
@@ -162,26 +160,26 @@ class TestSelection:
         sl = tree.children_slice(root)
         tree.visit_count[sl] = 1
         tree.visit_count[root] = 3
-        chosen = select_child(ArrayNodeView(tree, root), 1.0)
-        assert chosen.action == 2
+        chosen = tree.select_child_index(root, 1.0)
+        assert tree.action[chosen] == 2
 
     def test_unexpanded_raises(self):
         tree = ArrayTree(4)
         root = tree.new_root()
         with pytest.raises(ValueError):
-            uct_scores(ArrayNodeView(tree, root), 1.0)
+            tree.uct_scores(root, 1.0)
 
 
 class TestViewParity:
-    """ArrayNodeView duck-types the Node read/write surface."""
+    """ArrayNodeView reads and writes like the ``Node`` oracle."""
 
     def make_pair(self):
         g = TicTacToe()
         ev = UniformEvaluator().evaluate(g)
         node_root = Node()
-        expand(node_root, g, ev)
-        backup(node_root.children[4], 0.5)
-        view_root = make_root("array")
+        node_oracle.expand(node_root, g, ev)
+        node_oracle.backup(node_root.children[4], 0.5)
+        view_root = make_root()
         expand(view_root, g, ev)
         backup(view_root.children[4], 0.5)
         return node_root, view_root
@@ -208,8 +206,8 @@ class TestViewParity:
         from repro.mcts.serial import SerialMCTS
 
         def searched(backend):
-            mcts = SerialMCTS(UniformEvaluator(), rng=0, tree_backend=backend)
-            return mcts.search(game(), 300)
+            with on_backend(backend):
+                return SerialMCTS(UniformEvaluator(), rng=0).search(game(), 300)
 
         view_root, node_root = searched("array"), searched("node")
         assert view_root.subtree_size() == node_root.subtree_size()
@@ -237,23 +235,14 @@ class TestViewParity:
         assert view_root.children[0].terminal_value == -1.0
 
     def test_add_child_rejected(self):
+        """Slabs are allocated whole by expansion; a view has no
+        ``add_child``."""
         _, view_root = self.make_pair()
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             view_root.add_child(99, 0.1)
 
 
-class TestBackendSeam:
-    def test_resolve_backend(self):
-        assert resolve_backend(None) is TreeBackend.ARRAY
-        assert resolve_backend("node") is TreeBackend.NODE
-        assert resolve_backend(TreeBackend.ARRAY) is TreeBackend.ARRAY
-        with pytest.raises(ValueError):
-            resolve_backend("linkedlist")
-
-    def test_make_root_types(self):
-        assert isinstance(make_root("node"), Node)
-        assert isinstance(make_root("array"), ArrayNodeView)
-
+class TestRootFactory:
     def test_capacity_hint_bounds(self):
         assert capacity_hint(9, 100) == 901
         assert capacity_hint(225, 10**9) == 1 << 20  # capped

@@ -2,11 +2,12 @@
 
 Mirror of the Section-3.2 scheme-equivalence suite, but over the storage
 axis instead of the scheduling axis: serial search on the
-structure-of-arrays backend must reproduce the ``Node`` backend's root
-visit counts **exactly** (fixed seed, no virtual loss) -- same float64
+structure-of-arrays tree must reproduce the ``Node`` oracle's root visit
+counts **exactly** (fixed seed, no virtual loss) -- same float64
 operation order in Equation 1, same ascending-action tie-break, same RNG
 consumption.  Any drift here means the vectorisation changed the
-algorithm, not just the memory layout.
+algorithm, not just the memory layout.  The ``node`` side runs the real
+search program under :func:`tests.mcts.node_oracle.node_trees`.
 """
 
 import numpy as np
@@ -15,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.games import ConnectFour, Gomoku, SyntheticTreeGame, TicTacToe
+from repro.mcts import arraytree, search
 from repro.mcts.evaluation import UniformEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
 from repro.mcts.serial import SerialMCTS
-from repro.mcts.search import backup, expand, select_leaf
-from repro.mcts.backend import make_root
 from repro.mcts.virtual_loss import ConstantVirtualLoss, WUVirtualLoss
+from tests.mcts import node_oracle
+from tests.mcts.node_oracle import on_backend
 
 GAMES = {
     "tictactoe": lambda: TicTacToe(),
@@ -39,13 +41,9 @@ def root_visits(root, action_size: int) -> np.ndarray:
 
 
 def run(backend: str, game, playouts: int, seed: int, epsilon: float = 0.0):
-    engine = SerialMCTS(
-        UniformEvaluator(),
-        dirichlet_epsilon=epsilon,
-        rng=seed,
-        tree_backend=backend,
-    )
-    return engine.search(game.copy(), playouts)
+    engine = SerialMCTS(UniformEvaluator(), dirichlet_epsilon=epsilon, rng=seed)
+    with on_backend(backend):
+        return engine.search(game.copy(), playouts)
 
 
 class TestExactVisitParity:
@@ -101,17 +99,20 @@ class TestVirtualLossParity:
         game = TicTacToe()
         evaluator = UniformEvaluator()
         roots = {}
-        for backend in ("node", "array"):
+        for backend, (make_root, ops) in {
+            "node": (node_oracle.make_root, node_oracle),
+            "array": (arraytree.make_root, search),
+        }.items():
             vl = make_vl()
-            root = make_root(backend)
+            root = make_root()
             for _ in range(40):
                 g = game.copy()
-                leaf, leaf_game, _ = select_leaf(root, g, 5.0, vl)
+                leaf, leaf_game, _ = ops.select_leaf(root, g, 5.0, vl)
                 if leaf.is_terminal:
                     value = leaf.terminal_value
                 else:
-                    value = expand(leaf, leaf_game, evaluator.evaluate(leaf_game))
-                backup(leaf, value, vl)
+                    value = ops.expand(leaf, leaf_game, evaluator.evaluate(leaf_game))
+                ops.backup(leaf, value, vl)
             roots[backend] = root
         expected = root_visits(roots["node"], game.action_size)
         actual = root_visits(roots["array"], game.action_size)
@@ -122,8 +123,8 @@ class TestVirtualLossParity:
 
 class TestSchemesOnArrayBackend:
     """Every parallel scheme, degenerated to serial scheduling, must still
-    reproduce serial visit counts when its tree runs on the array backend
-    (the storage axis composed with the Section-3.2 scheduling axis)."""
+    reproduce serial visit counts on the array tree (the storage axis
+    composed with the Section-3.2 scheduling axis)."""
 
     PLAYOUTS = 60
 
@@ -139,18 +140,16 @@ class TestSchemesOnArrayBackend:
         no_vl = NoVirtualLoss()
         return {
             "shared_tree": lambda: SharedTreeMCTS(
-                evaluator, num_workers=1, vl_policy=no_vl, rng=0,
-                tree_backend="array",
+                evaluator, num_workers=1, vl_policy=no_vl, rng=0
             ),
             "local_tree": lambda: LocalTreeMCTS(
-                evaluator, num_workers=1, batch_size=1, vl_policy=no_vl,
-                rng=0, tree_backend="array",
+                evaluator, num_workers=1, batch_size=1, vl_policy=no_vl, rng=0
             ),
             "leaf_parallel": lambda: LeafParallelMCTS(
-                evaluator, num_workers=1, rng=0, tree_backend="array"
+                evaluator, num_workers=1, rng=0
             ),
             "root_parallel": lambda: RootParallelMCTS(
-                evaluator, num_workers=1, rng=0, tree_backend="array"
+                evaluator, num_workers=1, rng=0
             ),
         }
 
@@ -161,7 +160,7 @@ class TestSchemesOnArrayBackend:
     def test_degenerate_parity_with_serial(self, scheme_name):
         game = TicTacToe()
         evaluator = UniformEvaluator()
-        serial = SerialMCTS(evaluator, rng=0, tree_backend="array")
+        serial = SerialMCTS(evaluator, rng=0)
         expected = root_visits(
             serial.search(game.copy(), self.PLAYOUTS), game.action_size
         )
@@ -178,7 +177,7 @@ class TestSchemesOnArrayBackend:
 class TestSharedTreeParity:
     """Shared-tree at N > 1 under constant virtual loss: the N leaves in
     flight run on one thread, so the search is deterministic and the
-    array tree reproduces the ``Node`` tree exactly."""
+    array tree reproduces the ``Node`` oracle exactly."""
 
     GAMES = {
         "tictactoe": lambda: TicTacToe(),
@@ -192,9 +191,10 @@ class TestSharedTreeParity:
 
         scheme = SharedTreeMCTS(
             UniformEvaluator(), num_workers=workers,
-            vl_policy=ConstantVirtualLoss(), rng=0, tree_backend=backend,
+            vl_policy=ConstantVirtualLoss(), rng=0,
         )
-        return root_visits(scheme.search(game.copy(), 120), game.action_size)
+        with on_backend(backend):
+            return root_visits(scheme.search(game.copy(), 120), game.action_size)
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     @pytest.mark.parametrize("game_name", sorted(GAMES))
@@ -212,15 +212,48 @@ class TestReuseParity:
     def test_reuse_across_moves_identical(self):
         games = {b: TicTacToe() for b in ("node", "array")}
         agents = {
-            b: TreeReuseMCTS(UniformEvaluator(), rng=1, tree_backend=b)
-            for b in ("node", "array")
+            b: TreeReuseMCTS(UniformEvaluator(), rng=1) for b in ("node", "array")
         }
         for _ in range(3):
             priors = {}
             for backend, agent in agents.items():
-                priors[backend] = agent.get_action_prior(games[backend], 80)
+                with on_backend(backend):
+                    priors[backend] = agent.get_action_prior(games[backend], 80)
             np.testing.assert_array_equal(priors["array"], priors["node"])
             move = int(np.argmax(priors["node"]))
             for backend, agent in agents.items():
                 games[backend].step(move)
-                agent.observe(move)
+                with on_backend(backend):
+                    agent.observe(move)
+
+
+class TestOracleSeam:
+    """``node_trees()`` really swaps the storage: inside it every scheme
+    on the search program grows ``Node`` trees, and outside it array
+    trees again, so no parity case above compares the array tree with
+    itself."""
+
+    @staticmethod
+    def roots():
+        from repro.parallel import LeafParallelMCTS, LocalTreeMCTS, RootParallelMCTS
+
+        game, ev = TicTacToe(), UniformEvaluator()
+        root_parallel = RootParallelMCTS(ev, num_workers=2, rng=0)
+        root_parallel.search(game.copy(), 20)
+        reuse = TreeReuseMCTS(ev, rng=0)
+        reuse.get_action_prior(game.copy(), 20)
+        reuse.observe(4)
+        return [
+            SerialMCTS(ev, rng=0).search(game.copy(), 20),
+            LocalTreeMCTS(ev, num_workers=4, batch_size=2, rng=0).search(
+                game.copy(), 20
+            ),
+            LeafParallelMCTS(ev, num_workers=2, rng=0).search(game.copy(), 20),
+            *root_parallel.last_roots,
+            reuse._root,
+        ]
+
+    def test_node_trees_grow_node_roots_and_restore_the_array_tree(self):
+        with on_backend("node"):
+            assert all(isinstance(r, node_oracle.Node) for r in self.roots())
+        assert all(isinstance(r, arraytree.ArrayNodeView) for r in self.roots())

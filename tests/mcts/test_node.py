@@ -1,8 +1,8 @@
-"""Tests for the tree node structure."""
+"""Tests for the ``Node`` oracle's tree structure."""
 
 import pytest
 
-from repro.mcts.node import Node
+from tests.mcts.node_oracle import Node
 
 
 class TestStructure:

@@ -1,4 +1,8 @@
-"""Tests for search primitives: select_leaf, expand, backup, priors."""
+"""Tests for search primitives: select_leaf, expand, backup, priors.
+
+The tree-building primitives run on the ``Node`` oracle, whose trees can
+be built child by child; the parity suites hold the array tree's
+primitives to it.  ``sample_action`` is the library's own."""
 
 import numpy as np
 import pytest
@@ -7,16 +11,16 @@ from hypothesis import strategies as st
 
 from repro.games import TicTacToe
 from repro.mcts.evaluation import Evaluation, UniformEvaluator
-from repro.mcts.node import Node
-from repro.mcts.search import (
+from repro.mcts.search import sample_action
+from repro.mcts.virtual_loss import ConstantVirtualLoss
+from tests.mcts.node_oracle import (
+    Node,
     action_prior_from_root,
     add_dirichlet_noise,
     backup,
     expand,
-    sample_action,
     select_leaf,
 )
-from repro.mcts.virtual_loss import ConstantVirtualLoss
 
 
 class TestSelectLeaf:

@@ -6,7 +6,9 @@ Two contracts guard the deadline plumbing threaded through every scheme:
     *bit-identical* to the historic integer-count API -- deadline checks
     read the clock but never consume RNG or reorder work.  Asserted for
     every scheme on both tree backends (worker counts chosen so the
-    scheme itself is deterministic), plus a Hypothesis sweep over
+    scheme itself is deterministic) -- the ``Node`` oracle
+    (``tests/mcts/node_oracle.py``) standing in for the array tree on
+    the ``node`` side -- plus a Hypothesis sweep over
     seeds/budgets/backends for the serial engine.
 
 (b) **Anytime validity.**  However tight the deadline, search returns
@@ -31,6 +33,7 @@ from repro.mcts import SearchBudget, SerialMCTS, UniformEvaluator, as_budget
 from repro.mcts.budget import BudgetClock
 from repro.mcts.reuse import TreeReuseMCTS
 from repro.utils.clock import VirtualClock
+from tests.mcts.node_oracle import node_trees, on_backend
 from repro.parallel import (
     LeafParallelMCTS,
     LocalTreeMCTS,
@@ -47,24 +50,24 @@ GENEROUS_MS = 120_000.0  # a deadline that can never fire in these tests
 #: deterministic at any N, so they also appear with many leaves in flight,
 #: where an expiring deadline must still drain every launched leaf.
 SCHEME_FACTORIES = {
-    "serial": lambda ev, rng, tb: SerialMCTS(ev, rng=rng, tree_backend=tb),
-    "shared_tree": lambda ev, rng, tb: SharedTreeMCTS(
-        ev, num_workers=4, rng=rng, tree_backend=tb
+    "serial": lambda ev, rng: SerialMCTS(ev, rng=rng),
+    "shared_tree": lambda ev, rng: SharedTreeMCTS(
+        ev, num_workers=4, rng=rng
     ),
-    "shared_tree_n8": lambda ev, rng, tb: SharedTreeMCTS(
-        ev, num_workers=8, rng=rng, tree_backend=tb
+    "shared_tree_n8": lambda ev, rng: SharedTreeMCTS(
+        ev, num_workers=8, rng=rng
     ),
-    "local_tree": lambda ev, rng, tb: LocalTreeMCTS(
-        ev, num_workers=1, batch_size=1, rng=rng, tree_backend=tb
+    "local_tree": lambda ev, rng: LocalTreeMCTS(
+        ev, num_workers=1, batch_size=1, rng=rng
     ),
-    "local_tree_n4_b2": lambda ev, rng, tb: LocalTreeMCTS(
-        ev, num_workers=4, batch_size=2, rng=rng, tree_backend=tb
+    "local_tree_n4_b2": lambda ev, rng: LocalTreeMCTS(
+        ev, num_workers=4, batch_size=2, rng=rng
     ),
-    "leaf_parallel": lambda ev, rng, tb: LeafParallelMCTS(
-        ev, num_workers=2, rng=rng, tree_backend=tb
+    "leaf_parallel": lambda ev, rng: LeafParallelMCTS(
+        ev, num_workers=2, rng=rng
     ),
-    "root_parallel": lambda ev, rng, tb: RootParallelMCTS(
-        ev, num_workers=3, rng=rng, tree_backend=tb
+    "root_parallel": lambda ev, rng: RootParallelMCTS(
+        ev, num_workers=3, rng=rng
     ),
 }
 
@@ -227,39 +230,41 @@ class TestCountParity:
     def test_scheme_parity(self, name, backend):
         make = SCHEME_FACTORIES[name]
         game = TicTacToe()
-        counted = make(UniformEvaluator(), 123, backend)
-        try:
-            reference = counted.get_action_prior(game.copy(), 48)
-        finally:
-            _close(counted)
-        anytime = make(UniformEvaluator(), 123, backend)
-        try:
-            budgeted = anytime.get_action_prior(
-                game.copy(),
-                SearchBudget(num_playouts=48, time_budget_ms=GENEROUS_MS),
-            )
-        finally:
-            _close(anytime)
+        with on_backend(backend):
+            counted = make(UniformEvaluator(), 123)
+            try:
+                reference = counted.get_action_prior(game.copy(), 48)
+            finally:
+                _close(counted)
+            anytime = make(UniformEvaluator(), 123)
+            try:
+                budgeted = anytime.get_action_prior(
+                    game.copy(),
+                    SearchBudget(num_playouts=48, time_budget_ms=GENEROUS_MS),
+                )
+            finally:
+                _close(anytime)
         np.testing.assert_array_equal(reference, budgeted)
 
     @pytest.mark.parametrize("backend", ["node", "array"])
     def test_tree_reuse_parity_across_moves(self, backend):
         """Reuse semantics (total-visit top-up) must survive budgeting:
         parity must hold move after move on the same warm tree."""
-        counted = TreeReuseMCTS(UniformEvaluator(), rng=7, tree_backend=backend)
-        budgeted = TreeReuseMCTS(UniformEvaluator(), rng=7, tree_backend=backend)
+        counted = TreeReuseMCTS(UniformEvaluator(), rng=7)
+        budgeted = TreeReuseMCTS(UniformEvaluator(), rng=7)
         game = TicTacToe()
-        for _ in range(3):
-            a = counted.get_action_prior(game.copy(), 40)
-            b = budgeted.get_action_prior(
-                game.copy(),
-                SearchBudget(num_playouts=40, time_budget_ms=GENEROUS_MS),
-            )
-            np.testing.assert_array_equal(a, b)
-            action = int(np.argmax(a))
-            game.step(action)
-            counted.observe(action)
-            budgeted.observe(action)
+        with on_backend(backend):
+            for _ in range(3):
+                a = counted.get_action_prior(game.copy(), 40)
+                b = budgeted.get_action_prior(
+                    game.copy(),
+                    SearchBudget(num_playouts=40, time_budget_ms=GENEROUS_MS),
+                )
+                np.testing.assert_array_equal(a, b)
+                action = int(np.argmax(a))
+                game.step(action)
+                counted.observe(action)
+                budgeted.observe(action)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -270,19 +275,18 @@ class TestCountParity:
     )
     def test_serial_parity_property(self, seed, playouts, backend, check_interval):
         game = TicTacToe()
-        reference = SerialMCTS(
-            UniformEvaluator(), rng=seed, tree_backend=backend
-        ).get_action_prior(game.copy(), playouts)
-        budgeted = SerialMCTS(
-            UniformEvaluator(), rng=seed, tree_backend=backend
-        ).get_action_prior(
-            game.copy(),
-            SearchBudget(
-                num_playouts=playouts,
-                time_budget_ms=GENEROUS_MS,
-                check_interval=check_interval,
-            ),
-        )
+        with on_backend(backend):
+            reference = SerialMCTS(UniformEvaluator(), rng=seed).get_action_prior(
+                game.copy(), playouts
+            )
+            budgeted = SerialMCTS(UniformEvaluator(), rng=seed).get_action_prior(
+                game.copy(),
+                SearchBudget(
+                    num_playouts=playouts,
+                    time_budget_ms=GENEROUS_MS,
+                    check_interval=check_interval,
+                ),
+            )
         np.testing.assert_array_equal(reference, budgeted)
 
 
@@ -314,13 +318,14 @@ class TestAnytimeValidity:
     def test_all_schemes_tight_deadline(self, name, backend):
         game = TicTacToe()
         budget = SearchBudget(time_budget_ms=1.0)
-        scheme = SCHEME_FACTORIES[name](UniformEvaluator(), 5, backend)
-        try:
-            t0 = time.perf_counter()
-            prior = scheme.get_action_prior(game, budget)
-            elapsed = time.perf_counter() - t0
-        finally:
-            _close(scheme)
+        scheme = SCHEME_FACTORIES[name](UniformEvaluator(), 5)
+        with on_backend(backend):
+            try:
+                t0 = time.perf_counter()
+                prior = scheme.get_action_prior(game, budget)
+                elapsed = time.perf_counter() - t0
+            finally:
+                _close(scheme)
         assert elapsed <= 1.0 / 1e3 + self.TOLERANCE_S, name
         _assert_valid_prior(prior, game)
 
@@ -336,9 +341,10 @@ class TestAnytimeValidity:
                 return super().evaluate(g)
 
         budget = SearchBudget(num_playouts=100_000, time_budget_ms=25.0)
-        scheme = SCHEME_FACTORIES[name](SlowUniform(), 5, "node")
-        try:
-            root = scheme.search(game.copy(), budget)
-        finally:
-            _close(scheme)
+        scheme = SCHEME_FACTORIES[name](SlowUniform(), 5)
+        with node_trees():
+            try:
+                root = scheme.search(game.copy(), budget)
+            finally:
+                _close(scheme)
         assert 0 < root.visit_count < 100_000, name

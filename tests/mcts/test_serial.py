@@ -29,6 +29,22 @@ class TestBasics:
         with pytest.raises(ValueError):
             SerialMCTS(UniformEvaluator(), c_puct=-1.0)
 
+    @pytest.mark.parametrize("backend", ["node", None, "linkedlist"])
+    def test_only_the_array_tree(self, backend):
+        """Every search grows an array tree: ``tree_backend="array"`` is
+        accepted and stored nowhere, any other value raises, here and on
+        local-tree, which passes it through."""
+        from repro.parallel import LocalTreeMCTS
+
+        engine = SerialMCTS(UniformEvaluator(), tree_backend="array")
+        assert not hasattr(engine, "tree_backend")
+        scheme = LocalTreeMCTS(UniformEvaluator(), tree_backend="array")
+        assert not hasattr(scheme, "tree_backend")
+        with pytest.raises(ValueError, match="tree backend"):
+            SerialMCTS(UniformEvaluator(), tree_backend=backend)
+        with pytest.raises(ValueError, match="tree backend"):
+            LocalTreeMCTS(UniformEvaluator(), tree_backend=backend)
+
     def test_terminal_state_rejected(self):
         g = TicTacToe()
         for a in [0, 3, 1, 4, 2]:

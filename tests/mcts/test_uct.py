@@ -1,13 +1,12 @@
-"""Tests for Equation-1 UCT scoring and selection."""
+"""Tests for Equation-1 UCT scoring and selection on the ``Node`` oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.mcts.node import Node
-from repro.mcts.uct import select_child, uct_scores
 from repro.mcts.virtual_loss import ConstantVirtualLoss
+from tests.mcts.node_oracle import Node, select_child, uct_scores
 
 
 def make_parent(stats):

@@ -1,4 +1,7 @@
-"""Tests for the two virtual-loss styles cited by the paper."""
+"""Tests for the two virtual-loss styles cited by the paper.
+
+The per-node rules run on the ``Node`` oracle; the array rules
+(``effective_stats_arrays``) are checked bit for bit below."""
 
 import math
 
@@ -9,12 +12,12 @@ from hypothesis import strategies as st
 
 from repro.games import SyntheticTreeGame
 from repro.mcts.arraytree import ArrayTree
-from repro.mcts.node import Node
 from repro.mcts.virtual_loss import (
     ConstantVirtualLoss,
     NoVirtualLoss,
     WUVirtualLoss,
 )
+from tests.mcts.node_oracle import Node, effective_stats
 
 
 class TestNoVirtualLoss:
@@ -24,7 +27,7 @@ class TestNoVirtualLoss:
         n.visit_count, n.value_sum = 4, 2.0
         vl.on_descend(n)
         assert n.virtual_loss == 0.0
-        assert vl.effective_stats(n) == (4.0, 0.5)
+        assert effective_stats(vl, n) == (4.0, 0.5)
 
 
 class TestConstantVirtualLoss:
@@ -33,7 +36,7 @@ class TestConstantVirtualLoss:
         n = Node()
         n.visit_count, n.value_sum = 4, 4.0  # Q = 1.0
         vl.on_descend(n)
-        n_eff, q_eff = vl.effective_stats(n)
+        n_eff, q_eff = effective_stats(vl, n)
         assert n_eff == 6.0
         assert q_eff == (4.0 - 2.0) / 6.0  # pretended losses
 
@@ -43,7 +46,7 @@ class TestConstantVirtualLoss:
         n.visit_count, n.value_sum = 4, 4.0
         vl.on_descend(n)
         vl.on_backup(n)
-        assert vl.effective_stats(n) == (4.0, 1.0)
+        assert effective_stats(vl, n) == (4.0, 1.0)
 
     def test_unbalanced_backup_raises(self):
         vl = ConstantVirtualLoss()
@@ -59,7 +62,7 @@ class TestConstantVirtualLoss:
         vl = ConstantVirtualLoss(weight=1.0)
         n = Node()
         vl.on_descend(n)
-        n_eff, q_eff = vl.effective_stats(n)
+        n_eff, q_eff = effective_stats(vl, n)
         assert n_eff == 1.0
         assert q_eff == -1.0  # pure pretended loss
 
@@ -84,7 +87,7 @@ class TestWUVirtualLoss:
         n = Node()
         n.visit_count, n.value_sum = 4, 4.0
         vl.on_descend(n)
-        n_eff, q_eff = vl.effective_stats(n)
+        n_eff, q_eff = effective_stats(vl, n)
         assert n_eff == 5.0
         assert q_eff == 1.0  # unchanged
 
@@ -94,7 +97,7 @@ class TestWUVirtualLoss:
         n.visit_count = 2
         vl.on_descend(n)
         vl.on_descend(n)
-        assert vl.effective_stats(n)[0] == 4.0
+        assert effective_stats(vl, n)[0] == 4.0
 
     def test_backup_recovers(self):
         vl = WUVirtualLoss()
@@ -118,8 +121,8 @@ class TestPolicyComparison:
         cvl, wu = ConstantVirtualLoss(weight=1.0), WUVirtualLoss()
         cvl.on_descend(n1)
         wu.on_descend(n2)
-        _, q_const = cvl.effective_stats(n1)
-        _, q_wu = wu.effective_stats(n2)
+        _, q_const = effective_stats(cvl, n1)
+        _, q_wu = effective_stats(wu, n2)
         assert q_const < q_wu
 
 

@@ -18,6 +18,8 @@ from repro.mcts.serial import SerialMCTS
 from repro.parallel import LeafParallelMCTS, RootParallelMCTS
 from repro.parallel.base import SchemeName
 from repro.utils.rng import spawn_rngs
+from tests.mcts import node_oracle
+from tests.mcts.node_oracle import Node, on_backend
 
 
 class BatchLog(UniformEvaluator):
@@ -139,8 +141,6 @@ class TestRootParallel:
         assert int(np.argmax(prior)) == 2
 
     def test_merge_accumulates_stats(self):
-        from repro.mcts.node import Node
-
         r1, r2 = Node(), Node()
         for r, visits in ((r1, 5), (r2, 7)):
             c = r.add_child(0, 1.0)
@@ -156,7 +156,6 @@ class TestRootParallel:
         actions, each prior from the first root holding the action, and
         its cached ``q``/``n1`` columns agree with the summed stats."""
         from repro.mcts.arraytree import ArrayNodeView
-        from repro.mcts.node import Node
 
         r1, r2 = Node(), Node()
         for r, kids in ((r1, {4: (0.2, 3, 1.5), 1: (0.7, 2, -0.5)}),
@@ -222,24 +221,30 @@ class TestRootParallelIsSerialSearches:
         game = ConnectFour()
         evaluator = StateHashEvaluator()
         scheme = RootParallelMCTS(
-            evaluator, num_workers=n, dirichlet_epsilon=0.25, rng=11,
-            tree_backend=backend,
+            evaluator, num_workers=n, dirichlet_epsilon=0.25, rng=11
         )
-        merged = scheme.search(game.copy(), 101)
         base, extra = divmod(101, n)
         budgets = [base + (i < extra) for i in range(n)]
-        expected = [
-            SerialMCTS(
-                evaluator, dirichlet_epsilon=0.25, rng=rng, tree_backend=backend
-            ).search(game.copy(), budget)
-            for budget, rng in zip(budgets, spawn_rngs(np.random.default_rng(11), n))
-        ]
+        with on_backend(backend):
+            merged = scheme.search(game.copy(), 101)
+            expected = [
+                SerialMCTS(evaluator, dirichlet_epsilon=0.25, rng=rng).search(
+                    game.copy(), budget
+                )
+                for budget, rng in zip(
+                    budgets, spawn_rngs(np.random.default_rng(11), n)
+                )
+            ]
+        prior_of = (
+            node_oracle.action_prior_from_root if backend == "node"
+            else action_prior_from_root
+        )
         assert len(scheme.last_roots) == n
         for root, want in zip(scheme.last_roots, expected):
             assert root.visit_count == want.visit_count
             np.testing.assert_array_equal(
-                action_prior_from_root(root, game.action_size),
-                action_prior_from_root(want, game.action_size),
+                prior_of(root, game.action_size),
+                prior_of(want, game.action_size),
             )
         reference = RootParallelMCTS._merge_roots(expected)
         assert merged.visit_count == reference.visit_count == 101

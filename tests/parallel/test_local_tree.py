@@ -21,6 +21,7 @@ from repro.mcts.serial import FLUSH, LEAF, WAIT
 from repro.mcts.virtual_loss import ConstantVirtualLoss, WUVirtualLoss
 from repro.parallel import LocalTreeMCTS
 from repro.parallel.base import SchemeName
+from tests.mcts.node_oracle import on_backend
 
 
 class TestBasics:
@@ -145,9 +146,10 @@ def c4_position() -> ConnectFour:
 def c4_prior(evaluator, n, b, vl="wu", backend="node", playouts=96) -> np.ndarray:
     scheme = LocalTreeMCTS(
         evaluator, num_workers=n, batch_size=b, vl_policy=VL_POLICIES[vl](),
-        dirichlet_epsilon=0.25, rng=7, tree_backend=backend,
+        dirichlet_epsilon=0.25, rng=7,
     )
-    return scheme.get_action_prior(c4_position(), playouts)
+    with on_backend(backend):
+        return scheme.get_action_prior(c4_position(), playouts)
 
 
 def c4_net_evaluator() -> NetworkEvaluator:

@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from repro.games import SyntheticTreeGame, TicTacToe, build_network_for
-from repro.mcts.arraytree import _COLUMNS
+from repro.mcts.arraytree import _COLUMNS, ArrayNodeView
 from repro.mcts.evaluation import Evaluation, NetworkEvaluator, UniformEvaluator
-from repro.mcts.node import Node
 from repro.mcts.serial import SerialMCTS
 from repro.mcts.virtual_loss import NoVirtualLoss
 from repro.parallel import (
@@ -64,7 +63,7 @@ def scheme_factories(evaluator):
     }
 
 
-def root_visits(root: Node, action_size: int) -> np.ndarray:
+def root_visits(root: ArrayNodeView, action_size: int) -> np.ndarray:
     visits = np.zeros(action_size, dtype=np.int64)
     for action, child in root.children.items():
         visits[action] = child.visit_count

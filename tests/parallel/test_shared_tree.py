@@ -8,6 +8,7 @@ from repro.mcts.evaluation import RandomRolloutEvaluator, UniformEvaluator
 from repro.mcts.virtual_loss import ConstantVirtualLoss, WUVirtualLoss
 from repro.parallel import SharedTreeMCTS
 from repro.parallel.base import SchemeName
+from tests.mcts.node_oracle import on_backend
 
 
 class CountingEvaluator(UniformEvaluator):
@@ -157,10 +158,9 @@ class TestCrowdedPosition:
     @pytest.mark.parametrize("workers", [4, 8, 16])
     def test_budget_and_balance(self, workers, backend):
         evaluator = CountingEvaluator()
-        scheme = SharedTreeMCTS(
-            evaluator, num_workers=workers, rng=13, tree_backend=backend
-        )
-        root = scheme.search(crowded_tictactoe(), 64)
+        scheme = SharedTreeMCTS(evaluator, num_workers=workers, rng=13)
+        with on_backend(backend):
+            root = scheme.search(crowded_tictactoe(), 64)
         assert root.visit_count == 64
         assert all(r <= workers for r in evaluator.rows)
         for node in root.iter_subtree():

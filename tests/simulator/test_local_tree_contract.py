@@ -4,7 +4,9 @@
 in virtual time; :meth:`LocalTreeMCTS.search` drives the same program
 inline.  Whatever the DES's worker or accelerator timing, the tree it
 returns must equal the inline search's, node for node: visit counts,
-value sums and child sets.
+value sums and child sets.  The inline search grows a ``Node`` oracle
+tree (``tests/mcts/node_oracle.py``), so the DES's array tree is checked
+against the other storage too.
 
 The shared-tree DES with one worker runs Algorithm 2 serially, one
 playout at a time under constant virtual loss, which is the local-tree
@@ -19,6 +21,7 @@ from repro.mcts.virtual_loss import ConstantVirtualLoss
 from repro.parallel import LocalTreeMCTS
 from repro.mcts.serial import FLUSH, WAIT
 from repro.simulator import LocalTreeSimulation, SharedTreeSimulation, paper_platform
+from tests.mcts.node_oracle import node_trees
 
 PLAT = paper_platform()
 GAMES = {
@@ -79,9 +82,10 @@ def test_des_tree_equals_scheme_tree(game, use_gpu, n, b, evaluator):
     sim = LocalTreeSimulation(
         GAMES[game](), ev, PLAT, num_workers=n, batch_size=b, use_gpu=use_gpu
     ).run(PLAYOUTS)
-    root = LocalTreeMCTS(
-        ev, num_workers=n, batch_size=b, tree_backend="node"
-    ).search(GAMES[game](), PLAYOUTS)
+    with node_trees():
+        root = LocalTreeMCTS(ev, num_workers=n, batch_size=b).search(
+            GAMES[game](), PLAYOUTS
+        )
     assert sim.root.visit_count == PLAYOUTS
     assert_same_tree(sim.root, root)
 
@@ -97,9 +101,10 @@ def test_out_of_order_completion_keeps_the_tree(evaluator):
     completion_order(sim, order)
     result = sim.run(200)
     assert any(order), "no sub-batch finished before an older one"
-    root = LocalTreeMCTS(
-        ev, num_workers=4, batch_size=2, tree_backend="node"
-    ).search(ConnectFour(), 200)
+    with node_trees():
+        root = LocalTreeMCTS(ev, num_workers=4, batch_size=2).search(
+            ConnectFour(), 200
+        )
     assert_same_tree(result.root, root)
 
 
@@ -111,8 +116,9 @@ def test_one_worker_shared_tree_equals_scheme_tree(game, use_gpu, evaluator):
     sim = SharedTreeSimulation(
         GAMES[game](), ev, PLAT, num_workers=1, use_gpu=use_gpu
     ).run(PLAYOUTS)
-    root = LocalTreeMCTS(
-        ev, 1, 1, vl_policy=ConstantVirtualLoss(), tree_backend="node"
-    ).search(GAMES[game](), PLAYOUTS)
+    with node_trees():
+        root = LocalTreeMCTS(ev, 1, 1, vl_policy=ConstantVirtualLoss()).search(
+            GAMES[game](), PLAYOUTS
+        )
     assert sim.root.visit_count == PLAYOUTS
     assert_same_tree(sim.root, root)

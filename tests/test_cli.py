@@ -94,6 +94,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "throughput" in out
 
+    def test_train_resume_at_target_trains_nothing(self, capsys, tmp_path):
+        """Resuming a run whose checkpoint already holds every requested
+        episode exits 0 with the checkpoint's digest, training nothing."""
+        args = ["train", "--game", "tictactoe", "--episodes", "1",
+                "--playouts", "6", "--workers", "1",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert "nothing to do" in resumed
+        assert "episodes=" not in resumed and "throughput" not in resumed
+
+        def digest(out):
+            return [l for l in out.splitlines() if l.startswith("network digest:")]
+
+        assert digest(resumed) == digest(first) != []
+
     @pytest.mark.parametrize("backend_args", [
         ["--backend", "thread"],
         ["--backend", "process", "--workers", "2"],

@@ -3,11 +3,11 @@
 Each fixture in ``tests/fixtures/golden_*.json`` is a seeded serial
 self-play transcript -- network init seed, search seed, episode seed,
 and the resulting move list -- generated against the current stack
-(array tree backend + fused float32 inference).  The tests replay the
+(array tree + fused float32 inference).  The tests replay the
 exact same configuration and assert **move-for-move equality**.
 
 Why this exists: the evaluator stack is now four layers deep (game
-encoding -> tree backend -> batching/cache -> compiled inference plan),
+encoding -> array tree -> batching/cache -> compiled inference plan),
 and PRs 2-4 each promised "bit-identical, just faster".  These fixtures
 pin that promise across *future* refactors: any change to canonical
 keys, PUCT tie-breaking, plan compilation, RNG plumbing, or masking that
@@ -89,7 +89,6 @@ def play_transcript(spec: dict) -> dict:
         NetworkEvaluator(net),
         dirichlet_epsilon=0.25,
         rng=spec["search_seed"],
-        tree_backend="array",
     )
     result = play_episode(
         game,
