@@ -14,6 +14,9 @@ This package contains everything the parallel schemes share:
   priors, temperature and Dirichlet-noise utilities.
 - :mod:`repro.mcts.serial`       -- the serial DNN-MCTS baseline, and
   the one search program every scheme runs.
+- :mod:`repro.mcts.master`       -- the threadless master round that
+  steps several search programs and batches their leaves
+  (root-parallel's and the gateway's search master's).
 """
 
 from repro.mcts.arraytree import ArrayNodeView, ArrayTree, capacity_hint, make_root

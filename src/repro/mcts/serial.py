@@ -15,8 +15,8 @@ without virtual loss, and the local-tree and shared-tree schemes
 program template does (Section 3.2).  Its drivers decide when a
 sub-batch is evaluated and which one finishes next:
 :meth:`SerialMCTS.search` runs it inline, oldest sub-batch first; tree
-reuse resumes it over a kept root; root-parallel steps several
-round-robin; the gateway's search master steps every live session's;
+reuse resumes it over a kept root; :mod:`repro.mcts.master` steps
+several in rounds, for root-parallel and the gateway's search master;
 and the virtual-time simulation and profiler price each step.
 """
 
@@ -88,9 +88,9 @@ class SearchStats:
     ``select`` runs once per launched leaf and ``backup`` once per
     playout.  ``evaluate_ns`` runs from each wait to the take-back and
     expansion of a flushed sub-batch; with one leaf in flight the wait
-    directly follows the leaf's flush.  So under a driver that steps
-    several programs (root-parallel, the gateway's search master) it
-    includes the driver's wait for the other programs.
+    directly follows the leaf's flush.  So under the master round
+    (:mod:`repro.mcts.master`: root-parallel, the gateway's search
+    master) it includes the round's wait for the other programs.
     """
 
     select_ns: int = 0

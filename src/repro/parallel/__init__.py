@@ -14,7 +14,8 @@ is N = B = 1.
 - :mod:`repro.parallel.leaf_parallel`, :mod:`repro.parallel.root_parallel`
   -- the related-work baselines of Section 2.2, both over the program at
   one leaf in flight: leaf-parallel evaluates N copies of each leaf as
-  one batch, root-parallel steps N independent programs round-robin and
+  one batch, root-parallel steps N independent programs through the
+  threadless master round (:class:`repro.mcts.master.Master`) and
   evaluates each round's leaves as one batch.
 
 GIL note: no scheme starts a thread.  Every in-tree operation and every

@@ -81,3 +81,10 @@ class LeafParallelMCTS(ParallelScheme):
         self, game: Game, num_playouts: "int | SearchBudget"
     ) -> ArrayNodeView:
         return self._serial.search(game, num_playouts)
+
+    def get_action_prior(
+        self, game: Game, num_playouts: "int | SearchBudget"
+    ) -> np.ndarray:
+        """The serial search's prior, which hands its tree back for the
+        next search on this thread to reuse."""
+        return self._serial.get_action_prior(game, num_playouts)

@@ -7,15 +7,16 @@ multiple workers visit repetitive states".
 
 Each worker is the one search program
 (:meth:`~repro.mcts.serial.SerialMCTS.search_program`) at one leaf in
-flight.  The caller's thread steps them round-robin: every live worker
-advances to its next one-row flush, and the round's flushed leaves go to
-the evaluator as one ``evaluate_batch``.  The workers' trees are
-independent, so with an evaluator whose rows do not depend on the batch
-they arrive in, each worker's search equals a serial search run alone.
-The fused network plan's rows can differ with the batch in the last
-float32 bits, so under :class:`~repro.mcts.evaluation.NetworkEvaluator`
-the value sums match only to that rounding (and a near-tie in visits
-could turn).
+flight, stepped on the caller's thread by the master round
+(:class:`~repro.mcts.master.Master`, fused, no cache): each round every
+live worker advances to its next one-row flush, and the round's leaves
+go to the evaluator as one ``evaluate_batch``; a call that raises ends
+the search.  The workers' trees are independent, so with an evaluator
+whose rows do not depend on the batch they arrive in, each worker's
+search equals a serial search run alone.  The fused network plan's rows
+can differ with the batch in the last float32 bits, so under
+:class:`~repro.mcts.evaluation.NetworkEvaluator` the value sums match
+only to that rounding (and a near-tie in visits could turn).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from repro.games.base import Game
 from repro.mcts.arraytree import ArrayNodeView, ArrayTree
 from repro.mcts.budget import SearchBudget, as_budget
 from repro.mcts.evaluation import Evaluator
-from repro.mcts.serial import FLUSH, WAIT, SerialMCTS
+from repro.mcts.master import Master
+from repro.mcts.serial import SerialMCTS
 from repro.parallel.base import ParallelScheme, SchemeName
 from repro.utils.rng import new_rng, spawn_rngs
 
@@ -96,35 +98,16 @@ class RootParallelMCTS(ParallelScheme):
             ).search_program(game, budget, clock=clock.split(target))
             for target, worker_rng in zip(budgets, rngs)
         ]
-        roots: dict[int, ArrayNodeView] = {}
-        live = list(enumerate(programs))
-        # one round: resume every live worker with its reply (None starts
-        # a program) and step it past its leaf hint and its one-row flush
-        # to its wait, or to its root
-        replies: list = [None] * len(live)
-        while True:
-            waiting = []
-            for (i, program), reply in zip(live, replies):
-                try:
-                    kind, payload = program.send(reply)
-                    while kind is not WAIT:
-                        if kind is FLUSH:
-                            batch = payload
-                        kind, payload = program.send(None)
-                    waiting.append((i, program, batch))
-                except StopIteration as stop:
-                    roots[i] = stop.value
-            if not waiting:
-                break
-            evaluations = self.evaluator.evaluate_batch(
-                [batch[0][1] for _, _, batch in waiting]
-            )
-            live = [(i, program) for i, program, _ in waiting]
-            replies = [
-                (batch, [evaluation])
-                for (_, _, batch), evaluation in zip(waiting, evaluations)
-            ]
-        self.last_roots = [roots[i] for i in range(len(programs))]
+        master = Master(self.evaluator, fuse=True)
+        for program in programs:
+            master.admit(program)
+        roots: dict = {}  # program -> its root
+        while len(master):
+            for program, root, error in master.step_round():
+                if error is not None:
+                    raise error
+                roots[program] = root
+        self.last_roots = [roots[program] for program in programs]
         return self._merge_roots(self.last_roots)
 
     @staticmethod

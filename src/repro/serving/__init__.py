@@ -17,7 +17,8 @@ single-game self-play to request-serving):
   queue the engine's game threads share: leaves fuse into one batch at
   the busy headcount or once the oldest has lingered its window.
 - :mod:`repro.serving.master` -- :class:`~repro.serving.master.SearchMaster`,
-  the gateway's one search thread: it steps every session's search
+  the gateway's one search thread: it steps the master round
+  (:class:`repro.mcts.master.Master`) over every session's search
   program and sends each round's cache misses out as one batch.
 - :mod:`repro.serving.service` -- :class:`MatchGateway`, the async
   request-facing front door: deadline-budgeted match sessions searched

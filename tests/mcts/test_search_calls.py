@@ -225,6 +225,25 @@ def test_serial_and_tree_reuse_call_evaluate_once_per_leaf(game_name):
         assert len(log.methods) == agent.stats.evaluations
 
 
+# -- the drivers that step several programs: one method each ---------------------
+@pytest.mark.parametrize(
+    "driver, method",
+    [
+        ("root_parallel_n1", "evaluate_batch"),
+        ("root_parallel_n3", "evaluate_batch"),
+        ("master_fused", "evaluate_batch"),
+        ("master_unfused", "evaluate"),
+    ],
+)
+@pytest.mark.parametrize("game_name", sorted(GAMES))
+def test_multi_program_drivers_call_one_method(driver, method, game_name):
+    """The fixture records rows, not methods: at N = 1 it cannot tell a
+    one-row evaluate_batch from an unfused evaluate."""
+    log = CallLog(UniformEvaluator())
+    DRIVERS[driver](log, GAMES[game_name]())
+    assert set(log.methods) == {method}
+
+
 def test_engine_searches_call_evaluate_once_per_leaf():
     schemes: list[SerialMCTS] = []
 

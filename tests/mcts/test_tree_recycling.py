@@ -8,13 +8,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.games import Gomoku, TicTacToe
+from repro.games import ConnectFour, Gomoku, TicTacToe
 from repro.mcts import arraytree, serial
 from repro.mcts.arraytree import ArrayNodeView, ArrayTree
 from repro.mcts.evaluation import RandomRolloutEvaluator
 from repro.mcts.reuse import TreeReuseMCTS
 from repro.mcts.search import action_prior_from_root
 from repro.mcts.serial import SerialMCTS
+from repro.parallel import LeafParallelMCTS, RootParallelMCTS
 
 #: Gomoku 15x15 leaves a spare that TicTacToe fits in; Gomoku 9x9 then
 #: needs more rows than that spare has, so it gets a fresh tree
@@ -158,6 +159,27 @@ class TestEscapedTreesAreNeverRecycled:
 
         alone, interleaved = _on_threads(lambda: play(False), lambda: play(True))
         _assert_bit_equal(interleaved, alone)
+
+
+class TestSchemesGiveTheirTreeBack:
+    @pytest.mark.parametrize(
+        "make, gives_back",
+        [
+            (lambda ev: SerialMCTS(ev, rng=0), True),
+            # leaf-parallel's tree is its serial search's
+            (lambda ev: LeafParallelMCTS(ev, 2, rng=0), True),
+            # root-parallel keeps its worker trees readable in last_roots
+            (lambda ev: RootParallelMCTS(ev, 2, rng=0), False),
+        ],
+        ids=["serial", "leaf_parallel", "root_parallel"],
+    )
+    def test_spare_after_get_action_prior(self, make, gives_back):
+        def run():
+            assert arraytree._spare.tree is None  # a new thread's slot
+            make(RandomRolloutEvaluator(rng=0)).get_action_prior(ConnectFour(), 50)
+            return arraytree._spare.tree is not None
+
+        assert _on_threads(run) == [gives_back]
 
 
 class TestSpareSlot:
